@@ -10,7 +10,9 @@ For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
 pruning by cardinality/capacity feasibility only.  It is exact for its
 subtree and kicks in at the root for k <= 10 and inside the tree once the
-remaining cardinality drops to <= 5.
+remaining cardinality drops to <= 5.  At the root it starts from the primal
+heuristic's incumbent.  It honours the time limit like the rest of the
+search: stopped at the root, the solve returns its incumbent with no bound.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .ipm import NumericalBreakdown
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_INFEASIBLE = "infeasible"
+
+# branch-and-prune reads the clock once per this many search calls
+DEADLINE_CHECK_CALLS = 4096
 
 
 @dataclass
@@ -87,6 +92,14 @@ class SolveReport:
     node_trace: list = field(default_factory=list)
 
 
+class TimeLimitReached(Exception):
+    """A deadline stopped branch-and-prune; ``best`` is its incumbent then."""
+
+    def __init__(self, best: Incumbent | None = None):
+        super().__init__("time limit reached")
+        self.best = best
+
+
 class _Timer:
     def __init__(self, limit_s: float):
         self.t0 = time.perf_counter()
@@ -103,12 +116,15 @@ class _Timer:
         return int(1000 * (time.perf_counter() - self.t0))
 
 
-def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None) -> Incumbent | None:
+def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None,
+                     deadline: float | None = None) -> Incumbent | None:
     """Exhaustive DFS pruned by feasibility only; exact for its input.
 
     Branches x_j = 1 before x_j = 0 in index order; prunes on remaining
     cardinality and on the lightest possible completion exceeding capacity.
-    Values are in the instance's units (offset included).
+    Values are in the instance's units (offset included).  Past ``deadline``
+    (a ``time.perf_counter()`` value) it raises TimeLimitReached carrying
+    the best selection found so far.
     """
     n, k, a, b, C = inst.n, inst.k, inst.a, inst.b, inst.C
     a_int = a.astype(np.int64)
@@ -121,9 +137,14 @@ def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None) -> Incu
     best_val = incumbent.value if incumbent is not None else None
     best_sel: list[int] | None = None
     chosen: list[int] = []
+    calls = 0
 
     def rec(j: int, weight: int, value: int):
-        nonlocal best_val, best_sel
+        nonlocal best_val, best_sel, calls
+        calls += 1
+        if calls % DEADLINE_CHECK_CALLS == 0 and deadline is not None \
+                and time.perf_counter() > deadline:
+            raise TimeLimitReached
         need = k - len(chosen)
         if need == 0:
             total = value + inst.offset
@@ -143,12 +164,19 @@ def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None) -> Incu
             chosen.pop()
         rec(j + 1, weight, value)
 
-    rec(0, 0, 0)
-    if best_sel is None:
-        return incumbent
-    x = np.zeros(n, dtype=np.int64)
-    x[best_sel] = 1
-    return Incumbent(x, inst.objective(x), BRANCH_LEAF)
+    def best():
+        if best_sel is None:
+            return incumbent
+        x = np.zeros(n, dtype=np.int64)
+        x[best_sel] = 1
+        return Incumbent(x, inst.objective(x), BRANCH_LEAF)
+
+    try:
+        rec(0, 0, 0)
+    except TimeLimitReached as stop:
+        stop.best = best()
+        raise
+    return best()
 
 
 def _lift(n_root: int, free, fixed_ones, x_reduced) -> np.ndarray:
@@ -166,19 +194,10 @@ def _lift_incumbent(root: Instance, node: Node, sub: Incumbent, source: str) -> 
 
 def _node_bound(reduced: Instance, cfg: SolverConfig, lower_bound: float,
                 root: bool, deadline: float | None = None):
-    """Bundle (or plain SDP) bound for a reduced instance.
-
-    Returns (bound, x_frac, evals, certified_samples).  Degenerate n == 2k
-    is padded with a dummy item whose fractional coordinate is dropped.
-    """
-    padded_inst, padded = relaxation.ensure_projectable(reduced)
-    prep = preprocess(padded_inst)
-    data = relaxation.build(padded_inst, prep)
+    """Bundle (or plain SDP) bound for a reduced instance: (bound, x_frac, evals)."""
+    data = relaxation.build(reduced)
     res = bundle_mod.minimize(data, lower_bound, cfg.bundle_config(root, deadline))
-    x_frac = relaxation.extract_fractional(res.X_last, data)
-    if padded:
-        x_frac = x_frac[:-1]
-    return res.bound, x_frac, res.evals, res.bound_samples
+    return res.bound, relaxation.extract_fractional(res.X_last, data), res.evals
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
@@ -204,14 +223,18 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         best = Incumbent(x, root.objective(x), BRANCH_LEAF)
         return report(STATUS_OPTIMAL, best, best.value, 1, 0)
     if root.k <= cfg.bnp_root_k:
-        best = branch_and_prune(root)
+        try:
+            best = branch_and_prune(root, primal_heuristic(root, prep), timer.deadline)
+        except TimeLimitReached as stop:
+            # the incumbent's value is no bound: the search did not finish
+            return report(STATUS_TIME_LIMIT, stop.best, float("inf"), 1, 0)
         return report(STATUS_OPTIMAL, best, best.value, 1, 0)
 
     best = primal_heuristic(root, prep)
     evals = 0
     try:
-        root_bound, x_frac, used, _ = _node_bound(root, cfg, best.value, root=True,
-                                                  deadline=timer.deadline)
+        root_bound, x_frac, used = _node_bound(root, cfg, best.value, root=True,
+                                               deadline=timer.deadline)
         evals += used
         cand = varfix_heuristic(root, prep, x_frac, best)
         if cand.value > best.value:
@@ -251,17 +274,23 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 _trace(trace, cfg, node, "leaf")
                 continue
             if red.k <= cfg.bnp_node_k or red.k == red.n:
-                sub = branch_and_prune(red)
-                if sub is not None and sub.x is not None:
+                stopped = False
+                try:
+                    sub = branch_and_prune(red, deadline=timer.deadline)
+                except TimeLimitReached as stop:
+                    sub, stopped = stop.best, True
+                if sub is not None:
                     cand = _lift_incumbent(root, node, sub, BRANCH_LEAF)
                     if cand.value > best.value:
                         best = cand
                 _trace(trace, cfg, node, "bnp_leaf")
+                if stopped:
+                    return report(STATUS_TIME_LIMIT, best, root_bound, nodes, evals)
                 continue
             # refine the inherited bound
             try:
-                nb, node_xfrac, used, _ = _node_bound(red, cfg, best.value, root=False,
-                                                      deadline=timer.deadline)
+                nb, node_xfrac, used = _node_bound(red, cfg, best.value, root=False,
+                                                   deadline=timer.deadline)
                 evals += used
                 node.bound = min(node.bound, nb)
             except NumericalBreakdown:

@@ -78,13 +78,8 @@ def oracle_eval(pool: CutPool, gamma: np.ndarray, relax: RelaxationData,
     gamma = np.asarray(gamma, dtype=float)
     if (gamma < 0).any():
         raise ValueError("gamma must be nonnegative")
-    if len(pool):
-        shift = cuts_mod.adjoint_apply(pool.cuts, gamma, relax.dim)
-        cost = relax.C_bar - shift
-        egamma = float(gamma.sum())
-    else:
-        cost = None
-        egamma = 0.0
+    cost = relax.C_bar - cuts_mod.adjoint_apply(pool.cuts, gamma, relax.dim)
+    egamma = float(gamma.sum())
     sol = ipm.solve(relax, cost_override=cost, tol=ipm_tol)
     g = cuts_mod.evaluate(pool.cuts, sol.X)
     return OracleValue(

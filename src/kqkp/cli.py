@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bnb, bundle, generator, oracle, relaxation
 from .heuristics import primal_heuristic
-from .instance import Instance, InstanceError, load, preprocess, validate
+from .instance import SOLVABLE, TRIVIAL_K1, Instance, InstanceError, load, preprocess, validate
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -147,17 +147,16 @@ def cmd_bound(args) -> int:
     inst = _load_validated(args.path)
     prep = preprocess(inst)
     t0 = time.perf_counter()
-    if prep.status != "solvable":
+    if prep.status != SOLVABLE:
         # nothing to relax; the bound equals the (trivial) optimum
-        val = prep.trivial_value if prep.status == "trivial_k1" else float("-inf")
+        val = prep.trivial_value if prep.status == TRIVIAL_K1 else float("-inf")
         payload = {"instance": str(args.path), "mode": args.mode,
                    "bound": val, "evals": 0,
                    "time_ms": int(1000 * (time.perf_counter() - t0)),
                    "version": __version__}
         _emit(payload, args.output)
         return EXIT_OK
-    padded_inst, _ = relaxation.ensure_projectable(inst)
-    data = relaxation.build(padded_inst, preprocess(padded_inst))
+    data = relaxation.build(inst)
     bcfg = cfg.bundle_config(root=True)
     if args.mode == "sdp":
         bcfg.max_evals = 1

@@ -8,107 +8,81 @@ are valid on +/-1 rank-one matrices.  Feasibility is normalized as
 T(X) <= e with T_c(X) = -(signed sum), so ``evaluate`` returns e - T(X)
 (the slack; negative entries are violated cuts) which doubles as the
 subgradient of the dual functional.
+
+A list of m cuts is an int64 array of shape (m, 4) with rows
+(i, j, k, kind), i < j < k, where ``SIGNS[kind]`` holds (s1, s2, s3).  The
+empty list is a (0, 4) array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-SIGN_PATTERNS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
+SIGNS = np.array([(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)], dtype=float)
 
 DEFAULT_VIOLATION_TOL = 1e-4
 DEFAULT_GAMMA_DROP = 1e-5
 
 
-@dataclass(frozen=True, order=True)
-class TriangleCut:
-    i: int
-    j: int
-    k: int
-    kind: int
-
-    @property
-    def signs(self) -> tuple[int, int, int]:
-        return SIGN_PATTERNS[self.kind]
-
-
 @lru_cache(maxsize=8)
 def _triples(n: int):
-    if n < 3:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    arr = np.array(list(combinations(range(n), 3)), dtype=np.int64)
+    """I, J, K of all triples i < j < k in lexicographic order."""
+    arr = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
     return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
-def _cut_arrays(cuts):
-    m = len(cuts)
-    I = np.fromiter((c.i for c in cuts), dtype=np.int64, count=m)
-    J = np.fromiter((c.j for c in cuts), dtype=np.int64, count=m)
-    K = np.fromiter((c.k for c in cuts), dtype=np.int64, count=m)
-    S = np.array([c.signs for c in cuts], dtype=float).reshape(m, 3)
-    return I, J, K, S
+def _keys(cuts: np.ndarray, n: int) -> np.ndarray:
+    """One integer per row, distinct for distinct cuts on n indices."""
+    I, J, K, kind = cuts.T
+    return ((I * n + J) * n + K) * 4 + kind
 
 
-def evaluate(cuts, X: np.ndarray) -> np.ndarray:
+def evaluate(cuts: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Slack e - T(X) per cut; entry < 0 means the cut is violated."""
-    if len(cuts) == 0:
-        return np.zeros(0)
-    I, J, K, S = _cut_arrays(cuts)
+    I, J, K, kind = cuts.T
+    S = SIGNS[kind]
     signed = S[:, 0] * X[I, J] + S[:, 1] * X[I, K] + S[:, 2] * X[J, K]
     return 1.0 + signed
 
 
-def separate(X: np.ndarray, m: int, exclude=None, tol: float = DEFAULT_VIOLATION_TOL):
+def separate(X: np.ndarray, m: int, exclude: np.ndarray | None = None,
+             tol: float = DEFAULT_VIOLATION_TOL) -> np.ndarray:
     """Up to m most-violated triangle cuts, full scan over all 4*C(n,3).
 
     Deterministic: sorted by violation descending, ties by (i, j, k, kind).
-    Cuts in ``exclude`` (any iterable of TriangleCut) are skipped.
+    Rows of ``exclude`` (a cut array) are skipped.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     n = X.shape[0]
     I, J, K = _triples(n)
-    if len(I) == 0:
-        return []
-    xij, xik, xjk = X[I, J], X[I, K], X[J, K]
-    excluded = set(exclude) if exclude is not None else set()
-    candidates = []
-    for kind, (s1, s2, s3) in enumerate(SIGN_PATTERNS):
-        slack = 1.0 + s1 * xij + s2 * xik + s3 * xjk
-        hit = np.nonzero(slack < -tol)[0]
-        for idx in hit:
-            candidates.append(
-                (-float(slack[idx]), int(I[idx]), int(J[idx]), int(K[idx]), kind)
-            )
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3], c[4]))
-    out = []
-    for viol, i, j, k, kind in candidates:
-        cut = TriangleCut(i, j, k, kind)
-        if cut in excluded:
-            continue
-        out.append(cut)
-        if len(out) == m:
-            break
-    return out
+    # (4, C(n,3)) slack block, row = kind
+    slack = (1.0 + SIGNS[:, 0:1] * X[I, J] + SIGNS[:, 1:2] * X[I, K]
+             + SIGNS[:, 2:3] * X[J, K])
+    kind, tri = np.nonzero(slack < -tol)
+    # triples are enumerated in (i, j, k) order, so tri orders ties by (i, j, k)
+    order = np.lexsort((kind, tri, slack[kind, tri]))
+    kind, tri = kind[order], tri[order]
+    out = np.column_stack([I[tri], J[tri], K[tri], kind])
+    if exclude is not None:
+        out = out[~np.isin(_keys(out, n), _keys(exclude, n))]
+    return out[:m]
 
 
-def adjoint_apply(cuts, gamma, n: int) -> np.ndarray:
+def adjoint_apply(cuts: np.ndarray, gamma, n: int) -> np.ndarray:
     """T'(gamma) as a symmetric zero-diagonal n x n matrix.
 
     Satisfies <T'(gamma), X> == gamma' T(X) for all symmetric X.
     """
-    G = np.zeros((n, n))
-    if len(cuts) == 0:
-        return G
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape[0] != len(cuts):
         raise ValueError("gamma not conformal with cut list")
-    I, J, K, S = _cut_arrays(cuts)
+    I, J, K, kind = cuts.T
+    S = SIGNS[kind]
+    G = np.zeros((n, n))
     # T_c has coefficient -s on each off-diagonal pair, split symmetrically
     w = -0.5 * gamma
     np.add.at(G, (I, J), w * S[:, 0])
@@ -126,27 +100,21 @@ class CutPool:
     def __init__(self, n: int, capacity: int | None = None):
         self.n = n
         self.capacity = capacity if capacity is not None else 10 * n
-        self.cuts: list[TriangleCut] = []
+        self.cuts = np.zeros((0, 4), dtype=np.int64)
         self.gamma = np.zeros(0)
-        self._members: set[TriangleCut] = set()
 
     def __len__(self) -> int:
         return len(self.cuts)
 
-    def __contains__(self, cut: TriangleCut) -> bool:
-        return cut in self._members
-
-    def add(self, new_cuts) -> int:
-        added = 0
-        for c in new_cuts:
-            if c in self._members:
-                continue
-            self.cuts.append(c)
-            self._members.add(c)
-            added += 1
-        if added:
-            self.gamma = np.concatenate([self.gamma, np.zeros(added)])
-        return added
+    def add(self, new_cuts: np.ndarray) -> int:
+        """Append the rows not yet in the pool, first occurrence and order kept."""
+        keys = _keys(new_cuts, self.n)
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        fresh = first[~np.isin(keys[first], _keys(self.cuts, self.n))]
+        self.cuts = np.concatenate([self.cuts, new_cuts[fresh]])
+        self.gamma = np.concatenate([self.gamma, np.zeros(len(fresh))])
+        return len(fresh)
 
     def set_gamma(self, gamma) -> None:
         gamma = np.asarray(gamma, dtype=float)
@@ -158,21 +126,17 @@ class CutPool:
 
     def drop_small(self, threshold: float = DEFAULT_GAMMA_DROP) -> int:
         """Remove cuts whose multiplier is below threshold (inactive)."""
-        keep = self.gamma >= threshold
-        return self._filter(keep)
+        return self._filter(self.gamma >= threshold)
 
     def enforce_capacity(self) -> int:
-        if len(self.cuts) <= self.capacity:
+        excess = len(self.cuts) - self.capacity
+        if excess <= 0:
             return 0
-        order = np.argsort(self.gamma, kind="stable")  # lowest gamma first
-        drop = set(order[: len(self.cuts) - self.capacity].tolist())
-        keep = np.array([i not in drop for i in range(len(self.cuts))])
+        keep = np.ones(len(self.cuts), dtype=bool)
+        keep[np.argsort(self.gamma, kind="stable")[:excess]] = False  # lowest gamma
         return self._filter(keep)
 
     def _filter(self, keep: np.ndarray) -> int:
-        removed = int((~keep).sum())
-        if removed:
-            self.cuts = [c for c, kp in zip(self.cuts, keep) if kp]
-            self._members = set(self.cuts)
-            self.gamma = self.gamma[keep]
-        return removed
+        self.cuts = self.cuts[keep]
+        self.gamma = self.gamma[keep]
+        return int((~keep).sum())

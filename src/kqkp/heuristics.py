@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Preprocessed, preprocess
+from .instance import TRIVIAL_K1, Instance, Preprocessed, preprocess
 
 PRIMAL = "primal"
 VARFIX = "varfix"
@@ -188,7 +188,7 @@ def varfix_heuristic(inst: Instance, prep: Preprocessed, x_frac: np.ndarray,
         sub_prep = preprocess(sub)
         if inst.k > sub_prep.k_max:
             continue
-        if sub_prep.status == "trivial_k1":
+        if sub_prep.status == TRIVIAL_K1:
             sub_sel = [sub_prep.trivial_index]
         else:
             sub_sel = np.nonzero(primal_heuristic(sub, sub_prep).x)[0].tolist()

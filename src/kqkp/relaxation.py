@@ -20,21 +20,24 @@ heavier ones to 0, and the SDP is built on the tie class alone, where every
 weight is w_k, a_bar = 0 and the capacity row is the trivial 0 <= 0.  If the
 face holds one selection, or one item of the tie class is to be chosen,
 the relaxation has dimension 0 and its bound is the value of the best
-selection.  ``extract_fractional`` maps back to the coordinates of the
-instance given to ``build``.
+selection.
+
+When n == 2k the projection scale 1/(2k-n) is undefined.  ``build`` then
+appends a zero-profit item of weight b+1, which no feasible selection can
+take, so the optimum is unchanged and 2k != n holds again.
+
+``extract_fractional`` maps back to the coordinates of the instance given
+to ``build``: it drops the dummy coordinate and returns the items fixed by
+the b == b' reduction as 0 or 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import TRIVIAL_K1, Instance, Preprocessed, fix_variable, preprocess
-
-
-class DegenerateCardinality(ValueError):
-    """n == 2k makes the projection scale 1/(2k-n) undefined."""
+from .instance import TRIVIAL_K1, Instance, fix_variable, preprocess
 
 
 class CardinalityMismatch(ValueError):
@@ -50,11 +53,11 @@ class RelaxationData:
     rhs_cap: float
     const_term: float
     proj_scale: float
-    # set only by the b == b' reduction, in the items of the instance given
-    # to build: the fixed 0/1 values, and the items of the leading SDP
-    # coordinates (their x_fixed entries are placeholders)
-    x_fixed: np.ndarray | None = None
-    free: np.ndarray | None = None
+    # in the items of the instance given to build: the 0/1 values fixed by
+    # the b == b' reduction, and the items of the leading SDP coordinates
+    # (their x_fixed entries are placeholders)
+    x_fixed: np.ndarray
+    free: np.ndarray
 
 
 def _pad(inst: Instance, weight: int) -> Instance:
@@ -65,24 +68,17 @@ def _pad(inst: Instance, weight: int) -> Instance:
     return Instance(inst.k, a2, inst.b, C2, inst.offset)
 
 
-def ensure_projectable(inst: Instance) -> tuple[Instance, bool]:
-    """Work around n == 2k by appending a dummy item.
-
-    The dummy has weight b+1 (never selectable) and zero profits, so the
-    optimum is unchanged while 2k != n is restored.  Returns (instance,
-    padded-flag); callers drop the trailing coordinate of any fractional
-    point when the flag is set.
-    """
-    if inst.n != 2 * inst.k:
-        return inst, False
-    return _pad(inst, inst.b + 1), True
-
-
-def build(inst: Instance, prep: Preprocessed) -> RelaxationData:
-    """Relaxation data of ``inst``; b == b' is first reduced exactly."""
+def build(inst: Instance) -> RelaxationData:
+    """Relaxation data of ``inst``; b == b' and n == 2k are handled here."""
+    prep = preprocess(inst)
     if 1 <= inst.k <= inst.n and inst.b == prep.b_prime:
         return _build_k_lightest(inst)
-    return _build(inst, prep)
+    x_fixed, free = np.zeros(inst.n), np.arange(inst.n)
+    if inst.n == 2 * inst.k:
+        # a zero-profit dummy of weight b+1 is never selectable and is not
+        # among the k lightest, so the optimum and b' stay as they are
+        inst = _pad(inst, inst.b + 1)
+    return _build(inst, prep.b_prime, x_fixed, free)
 
 
 def _build_k_lightest(inst: Instance) -> RelaxationData:
@@ -109,18 +105,15 @@ def _build_k_lightest(inst: Instance) -> RelaxationData:
             x_fixed=x, free=tie[:0],
         )
     if sub.n == 2 * sub.k:
-        # a zero-profit dummy of weight w_k keeps a_bar = 0; the b+1 dummy of
-        # ensure_projectable would make b == b' again on the padded instance
+        # a zero-profit dummy of weight w_k keeps a_bar = 0 and b'; the b+1
+        # dummy of build would make b == b' again on the padded instance
         sub = _pad(sub, wk)
-        sub_prep = preprocess(sub)
-    data = _build(sub, sub_prep)
-    return replace(data, x_fixed=x, free=tie)
+    return _build(sub, sub_prep.b_prime, x, tie)
 
 
-def _build(inst: Instance, prep: Preprocessed) -> RelaxationData:
+def _build(inst: Instance, b_prime: int, x_fixed: np.ndarray,
+           free: np.ndarray) -> RelaxationData:
     n, k = inst.n, inst.k
-    if n == 2 * k:
-        raise DegenerateCardinality(f"n == 2k == {n}; pad with ensure_projectable first")
     scale = 1.0 / (2 * k - n)
     C = inst.C.astype(float)
     e = np.ones(n)
@@ -139,16 +132,18 @@ def _build(inst: Instance, prep: Preprocessed) -> RelaxationData:
     C_bar = 0.5 * (C_bar + C_bar.T)
 
     a = inst.a.astype(float)
-    a_bar = ((a.sum() - (inst.b + prep.b_prime)) * scale) * e + a
+    a_bar = ((a.sum() - (inst.b + b_prime)) * scale) * e + a
 
     return RelaxationData(
         dim=n,
         C_bar=C_bar,
         a_bar=a_bar,
         rhs_card=float((2 * k - n) ** 2),
-        rhs_cap=float((inst.b - prep.b_prime) ** 2),
+        rhs_cap=float((inst.b - b_prime) ** 2),
         const_term=float(inst.offset),
         proj_scale=scale,
+        x_fixed=x_fixed,
+        free=free,
     )
 
 
@@ -168,8 +163,6 @@ def extract_fractional(X: np.ndarray, data: RelaxationData) -> np.ndarray:
     """
     y_est = data.proj_scale * (X @ np.ones(data.dim))
     x = np.clip(0.5 * (y_est + 1.0), 0.0, 1.0)
-    if data.free is None:
-        return x
     out = data.x_fixed.copy()
     out[data.free] = x[: len(data.free)]
     return out

@@ -3,9 +3,13 @@
 The naive Schur assembly builds every entry from the trace formula
 m_ij = trace(Z^{-1} A_j X A_i) with the constraint matrices materialized,
 so it shares no code with the specialized rank-one version it checks.
+The naive triangle separation enumerates every cut one by one and sorts
+Python tuples, so it shares no code with the vectorized ``cuts.separate``.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -37,3 +41,18 @@ def naive_schur(Zi: np.ndarray, X: np.ndarray, a_bar: np.ndarray,
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     B = rng.standard_normal((n, n))
     return B @ B.T + n * np.eye(n)
+
+
+def naive_separate(X: np.ndarray, m: int, exclude=(), tol: float = 1e-4) -> list:
+    """Up to m most violated triangle cuts (i, j, k, kind), most violated
+    first, ties by (i, j, k, kind); cuts in ``exclude`` are skipped."""
+    signs = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
+    excluded = {tuple(c) for c in exclude}
+    found = []
+    for i, j, k in combinations(range(X.shape[0]), 3):
+        for kind, (s1, s2, s3) in enumerate(signs):
+            slack = 1.0 + s1 * X[i, j] + s2 * X[i, k] + s3 * X[j, k]
+            if slack < -tol and (i, j, k, kind) not in excluded:
+                found.append((slack, i, j, k, kind))
+    found.sort()
+    return [list(c[1:]) for c in found[:m]]

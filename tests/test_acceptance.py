@@ -45,11 +45,6 @@ def suite():
     return [(inst, enumerate_exact(inst).value) for inst in items]
 
 
-def _relax(inst):
-    padded, flag = relaxation.ensure_projectable(inst)
-    return relaxation.build(padded, preprocess(padded)), flag
-
-
 def test_criterion_01_exactness(suite):
     t0 = time.perf_counter()
     bad = sum(1 for inst, opt in suite if solve(inst).best.value != opt)
@@ -60,7 +55,7 @@ def test_criterion_01_exactness(suite):
 def test_criterion_02_bound_validity(suite):
     violations = 0
     for inst, opt in suite:
-        data, _ = _relax(inst)
+        data = relaxation.build(inst)
         res = minimize(data, float("-inf"), BundleConfig(max_evals=6))
         samples = res.bound_samples  # gamma = 0 first, then bundle iterates
         violations += sum(1 for b in samples if b < opt - 1e-6)
@@ -76,7 +71,7 @@ def test_criterion_03_bound_ordering():
     total = 50
     for i in range(total):
         inst = _gen(sizes[i % len(sizes)], DENSITIES[i % 4], 1000 + i)
-        data, _ = _relax(inst)
+        data = relaxation.build(inst)
         sdp = oracle_eval(CutPool(data.dim), np.zeros(0), data, ipm_tol=1e-6).bound
         met = minimize(data, float("-inf"),
                        BundleConfig(max_evals=10, ipm_tol=1e-6)).bound
@@ -131,7 +126,7 @@ def test_criterion_05_ipm_quality():
     worst_gap = worst_res = worst_t = 0.0
     for i in range(50):
         inst = _gen(sizes[i % len(sizes)], DENSITIES[i % 4], 2000 + i)
-        data, _ = _relax(inst)
+        data = relaxation.build(inst)
         t0 = time.perf_counter()
         sol = ipm.solve(data, tol=1e-7)
         dt = time.perf_counter() - t0
@@ -160,7 +155,7 @@ def test_criterion_06_subgradient():
     pairs = 0
     for seed in range(10):
         inst = _gen(10, DENSITIES[seed % 4], 3000 + seed)
-        data, _ = _relax(inst)
+        data = relaxation.build(inst)
         sol = ipm.solve(data, tol=1e-6)
         pool = CutPool(data.dim)
         pool.add(cuts.separate(sol.X, 30, tol=0.0))
@@ -191,11 +186,9 @@ def test_criterion_07_root_gap():
         if inst.k <= 10:
             continue
         prep = preprocess(inst)
-        data, flag = _relax(inst)
+        data = relaxation.build(inst)
         res = minimize(data, float("-inf"), BundleConfig(max_evals=30))
         x_frac = relaxation.extract_fractional(res.X_last, data)
-        if flag:
-            x_frac = x_frac[:-1]
         inc = varfix_heuristic(inst, prep, x_frac,
                                primal_heuristic(inst, prep))
         gaps.append(100.0 * (res.bound - inc.value) / inc.value)
@@ -250,11 +243,9 @@ def test_criterion_10_heuristic_quality(suite):
     for inst, opt in suite:
         prep = preprocess(inst)
         inc = primal_heuristic(inst, prep)
-        data, flag = _relax(inst)
+        data = relaxation.build(inst)
         sol = ipm.solve(data, tol=1e-5)
         x_frac = relaxation.extract_fractional(sol.X, data)
-        if flag:
-            x_frac = x_frac[:-1]
         out = varfix_heuristic(inst, prep, x_frac, inc)
         all_feasible &= inst.is_feasible(inc.x) and inst.is_feasible(out.x)
         if opt > 0:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,17 @@ class TestSolve:
         assert rep.status in (bnb.STATUS_TIME_LIMIT, bnb.STATUS_OPTIMAL)
         if rep.status == bnb.STATUS_TIME_LIMIT:
             assert rep.best is not None  # incumbent still reported
+
+    def test_time_limit_stops_root_branch_and_prune(self):
+        inst = make_instance(50, density=100, seed=13)
+        assert inst.k <= SolverConfig().bnp_root_k  # the whole solve is B&P
+        t0 = time.perf_counter()
+        rep = solve(inst, SolverConfig(time_limit_s=0.5))
+        assert time.perf_counter() - t0 < 1.5
+        assert rep.status == bnb.STATUS_TIME_LIMIT
+        assert inst.is_feasible(rep.best.x)
+        assert rep.best.value == inst.objective(rep.best.x)
+        assert not np.isfinite(rep.root_bound)
 
     def test_report_consistency(self):
         inst = make_instance(12, seed=6)

@@ -4,14 +4,12 @@ import pytest
 from kqkp import bundle, cuts, relaxation
 from kqkp.bundle import BundleConfig, minimize, oracle_eval
 from kqkp.cuts import CutPool
-from kqkp.instance import preprocess
 from kqkp.oracle import enumerate_exact
 from conftest import make_instance
 
 
 def _data(inst):
-    padded, _ = relaxation.ensure_projectable(inst)
-    return relaxation.build(padded, preprocess(padded))
+    return relaxation.build(inst)
 
 
 def _seeded_pool(data, n_cuts=40):
@@ -102,7 +100,7 @@ class TestMinimize:
         res = minimize(_data(make_instance(14, seed=7)), float("-inf"),
                        BundleConfig(max_evals=25))
         pool = res.pool
-        assert len(set(pool.cuts)) == len(pool.cuts)
+        assert len(np.unique(pool.cuts, axis=0)) == len(pool.cuts)
         assert len(pool.gamma) == len(pool.cuts)
         assert (pool.gamma >= 0).all()
         assert len(pool) <= pool.capacity

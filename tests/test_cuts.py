@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqkp import cuts
-from kqkp.cuts import SIGN_PATTERNS, CutPool, TriangleCut, adjoint_apply, evaluate, separate
+from kqkp import ipm, relaxation
+from kqkp.cuts import CutPool, adjoint_apply, evaluate, separate
+from _reference import naive_separate
+from conftest import make_instance
 
 
 def all_cuts(n):
-    return [TriangleCut(i, j, k, kind)
-            for i, j, k in combinations(range(n), 3)
-            for kind in range(4)]
+    return np.array([(i, j, k, kind)
+                     for i, j, k in combinations(range(n), 3)
+                     for kind in range(4)], dtype=np.int64)
+
+
+def rows(*cuts):
+    return np.array(cuts, dtype=np.int64).reshape(-1, 4)
 
 
 class TestEvaluate:
@@ -24,9 +30,9 @@ class TestEvaluate:
         X = -np.ones((4, 4)) + 2 * np.eye(4)
         catalog = all_cuts(4)
         slack = evaluate(catalog, X)
-        violated = [c for c, s in zip(catalog, slack) if s < 0]
+        violated = catalog[slack < 0]
         assert len(violated) == 4  # one (+,+,+) cut per triple
-        assert all(c.kind == 0 for c in violated)
+        assert (violated[:, 3] == 0).all()
 
     def test_valid_on_all_sign_vectors(self):
         n = 6
@@ -36,18 +42,18 @@ class TestEvaluate:
             assert (evaluate(catalog, X) >= 0).all()
 
     def test_empty_pool(self):
-        assert evaluate([], np.eye(3)).shape == (0,)
+        assert evaluate(rows(), np.eye(3)).shape == (0,)
 
 
 class TestSeparate:
     def test_identity_no_violations(self):
-        assert separate(np.eye(6), 10) == []
+        assert separate(np.eye(6), 10).shape == (0, 4)
 
     def test_all_minus_one_returns_triple_cuts(self):
         X = -np.ones((4, 4)) + 2 * np.eye(4)
         out = separate(X, 2)
         assert len(out) == 2
-        assert all(c.kind == 0 for c in out)
+        assert (out[:, 3] == 0).all()
         assert np.allclose(evaluate(out, X), -2.0)
 
     def test_prefix_of_full_sorted_scan(self):
@@ -57,20 +63,44 @@ class TestSeparate:
         d = np.sqrt(np.diag(X))
         X = X / np.outer(d, d)
         full = separate(X, 10 ** 6)
-        assert separate(X, 5) == full[:5]
+        assert np.array_equal(separate(X, 5), full[:5])
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         B = rng.standard_normal((7, 7))
         X = B @ B.T / 7
         np.fill_diagonal(X, 1.0)
-        assert separate(X, 20) == separate(X, 20)
+        assert np.array_equal(separate(X, 20), separate(X, 20))
 
     def test_exclusion(self):
         X = -np.ones((4, 4)) + 2 * np.eye(4)
         first = separate(X, 1)
         rest = separate(X, 10, exclude=first)
-        assert first[0] not in rest
+        assert not (rest == first[0]).all(axis=1).any()
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_matches_naive_reference_on_ipm_solution(self, n):
+        data = relaxation.build(make_instance(n, seed=3))
+        X = ipm.solve(data, tol=1e-5).X
+        full = naive_separate(X, 10 ** 6)
+        assert len(full) > 20
+        for m in (1, 20, 10 ** 6):
+            assert separate(X, m).tolist() == full[:m]
+        exclude = full[1::3]
+        expect = naive_separate(X, 10 ** 6, exclude=exclude)
+        for m in (1, 20, 10 ** 6):
+            out = separate(X, m, exclude=np.array(exclude, dtype=np.int64))
+            assert out.tolist() == expect[:m]
+
+    def test_tie_order_matches_naive_reference(self):
+        # entries on a 0.5 grid make many slacks tie exactly, across
+        # triples and across sign patterns of one triple
+        rng = np.random.default_rng(5)
+        X = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(9, 9))
+        X = np.triu(X, 1) + np.triu(X, 1).T + np.eye(9)
+        full = naive_separate(X, 10 ** 6)
+        assert len(np.unique(evaluate(np.array(full), X))) < len(full) / 4
+        assert separate(X, 10 ** 6).tolist() == full
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -83,8 +113,7 @@ class TestAdjoint:
         assert np.allclose(adjoint_apply(pool, np.zeros(len(pool)), 5), 0)
 
     def test_single_cut_structure(self):
-        cut = TriangleCut(0, 2, 3, 0)
-        G = adjoint_apply([cut], np.array([1.0]), 5)
+        G = adjoint_apply(rows(0, 2, 3, 0), np.array([1.0]), 5)
         assert np.allclose(G, G.T)
         assert np.count_nonzero(G) == 6
         assert np.allclose(np.abs(G[G != 0]), 0.5)
@@ -97,8 +126,8 @@ class TestAdjoint:
         n = int(rng.integers(4, 9))
         catalog = all_cuts(n)
         pick = rng.random(len(catalog)) < 0.5
-        sel = [c for c, p in zip(catalog, pick) if p]
-        if not sel:
+        sel = catalog[pick]
+        if len(sel) == 0:
             return
         gamma = rng.random(len(sel))
         B = rng.standard_normal((n, n))
@@ -112,14 +141,24 @@ class TestAdjoint:
 class TestCutPool:
     def test_no_duplicates(self):
         pool = CutPool(6)
-        c = TriangleCut(0, 1, 2, 1)
-        assert pool.add([c, c]) == 1
-        assert pool.add([c]) == 0
-        assert len(pool) == 1 and c in pool
+        c = (0, 1, 2, 1)
+        assert pool.add(rows(c, c)) == 1
+        assert pool.add(rows(c)) == 0
+        assert len(pool) == 1 and np.array_equal(pool.cuts, rows(c))
+
+    def test_in_batch_duplicates_keep_first_occurrence_and_order(self):
+        pool = CutPool(6)
+        pool.add(rows((1, 2, 3, 0)))
+        batch = rows((2, 3, 4, 1), (0, 1, 2, 3), (2, 3, 4, 1), (1, 2, 3, 0),
+                     (0, 1, 2, 3), (0, 1, 2, 2))
+        assert pool.add(batch) == 3
+        assert np.array_equal(pool.cuts, rows((1, 2, 3, 0), (2, 3, 4, 1),
+                                              (0, 1, 2, 3), (0, 1, 2, 2)))
+        assert np.array_equal(pool.gamma, np.zeros(4))
 
     def test_drop_small(self):
         pool = CutPool(6)
-        pool.add([TriangleCut(0, 1, 2, 0), TriangleCut(0, 1, 3, 0)])
+        pool.add(rows((0, 1, 2, 0), (0, 1, 3, 0)))
         pool.set_gamma(np.array([1e-7, 0.5]))
         assert pool.drop_small(1e-5) == 1
         assert len(pool) == 1
@@ -127,7 +166,7 @@ class TestCutPool:
 
     def test_capacity_drops_lowest_gamma(self):
         pool = CutPool(6, capacity=2)
-        pool.add([TriangleCut(0, 1, 2, k) for k in range(4)])
+        pool.add(rows(*[(0, 1, 2, k) for k in range(4)]))
         pool.set_gamma(np.array([0.4, 0.1, 0.3, 0.2]))
         pool.enforce_capacity()
         assert len(pool) == 2
@@ -135,7 +174,7 @@ class TestCutPool:
 
     def test_gamma_validation(self):
         pool = CutPool(6)
-        pool.add([TriangleCut(0, 1, 2, 0)])
+        pool.add(rows((0, 1, 2, 0)))
         with pytest.raises(ValueError):
             pool.set_gamma(np.array([-0.1]))
         with pytest.raises(ValueError):

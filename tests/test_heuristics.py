@@ -11,11 +11,9 @@ from conftest import make_instance
 
 
 def _root_fractional(inst):
-    padded, flag = relaxation.ensure_projectable(inst)
-    data = relaxation.build(padded, preprocess(padded))
+    data = relaxation.build(inst)
     sol = ipm_solve(data, tol=1e-5)
-    x = relaxation.extract_fractional(sol.X, data)
-    return x[:-1] if flag else x
+    return relaxation.extract_fractional(sol.X, data)
 
 
 class TestPrimal:

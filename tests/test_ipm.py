@@ -10,8 +10,7 @@ from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, mak
 
 
 def _data(inst):
-    padded, _ = relaxation.ensure_projectable(inst)
-    return relaxation.build(padded, preprocess(padded))
+    return relaxation.build(inst)
 
 
 class TestSchurAssembly:

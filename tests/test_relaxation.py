@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-from kqkp import relaxation
-from kqkp.instance import Instance, preprocess
+from kqkp import ipm
+from kqkp.instance import Instance
 from kqkp.oracle import enumerate_exact
 from kqkp.relaxation import (
     CardinalityMismatch,
-    DegenerateCardinality,
     build,
-    ensure_projectable,
     extract_fractional,
     feasible_X_from_binary,
 )
 from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
-
-
-def _data(inst):
-    return build(inst, preprocess(inst))
 
 
 def _random_feasible_x(rng, n, k):
@@ -29,7 +23,7 @@ class TestBuild:
     def test_objective_identity_on_binary_points(self, rng):
         # defining identity: <C_bar, X(x)> + const == f(x) on cardinality-k x
         inst = make_instance(11, seed=8)
-        data = _data(inst)
+        data = build(inst)
         for _ in range(100):
             x = _random_feasible_x(rng, inst.n, inst.k)
             X = feasible_X_from_binary(x, inst.k)
@@ -39,7 +33,7 @@ class TestBuild:
     def test_identity_with_offset(self, rng):
         inst0 = make_instance(11, seed=8)
         inst = Instance(inst0.k, inst0.a, inst0.b, inst0.C, offset=17)
-        data = _data(inst)
+        data = build(inst)
         x = _random_feasible_x(rng, inst.n, inst.k)
         X = feasible_X_from_binary(x, inst.k)
         assert abs(float(np.tensordot(data.C_bar, X)) + data.const_term
@@ -48,7 +42,7 @@ class TestBuild:
     def test_a_bar_hand_evaluated(self):
         inst = Instance(2, np.array([2, 3, 4, 5, 6]), 8,
                         np.zeros((5, 5), dtype=np.int64))
-        data = _data(inst)
+        data = build(inst)
         assert np.allclose(data.a_bar, [-5, -4, -3, -2, -1])
         assert data.rhs_cap == (8 - 5) ** 2
         assert data.rhs_card == (2 * 2 - 5) ** 2
@@ -61,24 +55,17 @@ class TestBuild:
         e_tilde = np.concatenate([[n - 2 * k], np.ones(n)])
         assert np.allclose(V.T @ e_tilde, 0)
 
-    def test_degenerate_cardinality_raises(self):
-        inst = Instance(3, np.ones(6, dtype=np.int64), 4,
-                        np.zeros((6, 6), dtype=np.int64))
-        with pytest.raises(DegenerateCardinality):
-            _data(inst)
-
-    def test_ensure_projectable_pads_and_preserves_optimum(self):
+    def test_n_equals_2k_is_padded_inside_build(self):
+        # the projection scale 1/(2k-n) is undefined at n == 2k; build
+        # appends a never-selectable dummy and hides its coordinate
         inst = make_instance(10, seed=5)
         inst = Instance(5, inst.a, int(np.sort(inst.a)[:6].sum()), inst.C)
-        padded, flag = ensure_projectable(inst)
-        assert flag and padded.n == 11
-        assert enumerate_exact(inst).value == enumerate_exact(padded).value
-        _data(padded)  # builds without raising
-
-    def test_ensure_projectable_noop_otherwise(self):
-        inst = make_instance(9, seed=1)
-        out, flag = ensure_projectable(inst)
-        assert out is inst and not flag
+        data = build(inst)
+        assert data.dim == inst.n + 1
+        sol = ipm.solve(data, tol=1e-7)
+        assert sol.status == ipm.OPTIMAL
+        assert sol.certified_dual + data.const_term >= enumerate_exact(inst).value - 1e-6
+        assert extract_fractional(sol.X, data).shape == (inst.n,)
 
 
 class TestFeasibleX:
@@ -93,7 +80,7 @@ class TestFeasibleX:
 
     def test_all_feasible_x_satisfy_sdp_constraints(self, rng):
         inst = make_instance(8, seed=9)
-        data = _data(inst)
+        data = build(inst)
         from itertools import combinations
         for sel in combinations(range(inst.n), inst.k):
             x = np.zeros(inst.n, dtype=np.int64)
@@ -113,7 +100,7 @@ class TestFeasibleX:
         witnessed = False
         for seed in range(20):
             inst = make_instance(8, seed=seed)
-            data = _data(inst)
+            data = build(inst)
             from itertools import combinations
             for sel in combinations(range(inst.n), inst.k):
                 x = np.zeros(inst.n, dtype=np.int64)
@@ -132,7 +119,7 @@ class TestFeasibleX:
 class TestExtractFractional:
     def test_round_trip_on_rank_one(self, rng):
         inst = make_instance(10, seed=3)
-        data = _data(inst)
+        data = build(inst)
         for _ in range(20):
             x = _random_feasible_x(rng, inst.n, inst.k)
             X = feasible_X_from_binary(x, inst.k)
@@ -140,7 +127,7 @@ class TestExtractFractional:
 
     def test_range_clamped(self):
         inst = make_instance(7, seed=4)
-        data = _data(inst)
+        data = build(inst)
         X = 5.0 * np.ones((7, 7))  # wildly infeasible on purpose
         out = extract_fractional(X, data)
         assert (out >= 0).all() and (out <= 1).all()
@@ -149,7 +136,7 @@ class TestExtractFractional:
 def test_relaxation_dominates_optimum_by_enumeration():
     # max over rank-one feasible X of <C_bar, X> + const >= integer optimum
     inst = make_instance(9, seed=12)
-    data = _data(inst)
+    data = build(inst)
     opt = enumerate_exact(inst)
     from itertools import combinations
     best = -np.inf
@@ -169,7 +156,7 @@ class TestKLightestReduction:
     def test_seed6_tightened_instance_has_no_sdp_left(self):
         inst0 = make_instance(12, seed=6)
         inst = Instance(inst0.k, inst0.a, inst0.b - 1, inst0.C)
-        data = _data(inst)
+        data = build(inst)
         opt = enumerate_exact(inst)
         assert data.dim == 0
         assert data.const_term == opt.value
@@ -180,7 +167,7 @@ class TestKLightestReduction:
     def test_fixed_coordinates_and_capacity_row(self, name):
         inst = k_lightest_instance(name)
         lighter, tie, heavier, need = k_lightest_face(inst)
-        data = _data(inst)
+        data = build(inst)
         if need in (1, tie.sum()):
             # one selection, or one item of T to choose: solved exactly
             assert data.dim == 0
@@ -200,7 +187,7 @@ class TestKLightestReduction:
         # every feasible selection lifts to a point of the reduced SDP with
         # the same objective, and maps back to itself
         inst = k_lightest_instance(name, seed=4)
-        data = _data(inst)
+        data = build(inst)
         lighter, tie, heavier, need = k_lightest_face(inst)
         from itertools import combinations
         for sel in combinations(np.flatnonzero(tie), need):
@@ -218,12 +205,13 @@ class TestKLightestReduction:
             assert np.allclose(extract_fractional(X, data), x, atol=1e-9)
 
     def test_caller_padding_is_dropped_by_the_reduction(self):
-        # an n == 2k instance padded by ensure_projectable keeps b == b';
-        # the reduction fixes the b+1 dummy to 0
+        # a caller's zero-profit b+1 dummy on an n == 2k instance keeps
+        # b == b'; the reduction fixes it to 0
         inst = Instance(3, np.array([10, 20, 20, 20, 20, 30]), 50,
                         make_instance(6, seed=1).C)
-        padded, flag = ensure_projectable(inst)
-        assert flag
-        data = _data(padded)
+        C = np.zeros((7, 7), dtype=np.int64)
+        C[:6, :6] = inst.C
+        padded = Instance(3, np.append(inst.a, inst.b + 1), inst.b, C)
+        data = build(padded)
         x = extract_fractional(np.eye(data.dim), data)
         assert x.shape == (7,) and x[-1] == 0 and x[0] == 1
