@@ -28,10 +28,13 @@ DEFAULT_GAMMA_DROP = 1e-5
 
 
 @lru_cache(maxsize=8)
-def _triples(n: int):
-    """I, J, K of all triples i < j < k in lexicographic order."""
+def _triples(n: int) -> np.ndarray:
+    """Flat indices i*n+j, i*n+k, j*n+k of the entries (i, j), (i, k), (j, k)
+    of an n x n matrix, one column per triple i < j < k in lexicographic
+    order: a (3, C(n,3)) array."""
     arr = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
+    I, J, K = arr.T
+    return np.stack([I * n + J, I * n + K, J * n + K])
 
 
 def _keys(cuts: np.ndarray, n: int) -> np.ndarray:
@@ -58,15 +61,26 @@ def separate(X: np.ndarray, m: int, exclude: np.ndarray | None = None,
     if m < 1:
         raise ValueError("m must be >= 1")
     n = X.shape[0]
-    I, J, K = _triples(n)
+    pairs = _triples(n)
+    x_ij, x_ik, x_jk = X.take(pairs)
     # (4, C(n,3)) slack block, row = kind
-    slack = (1.0 + SIGNS[:, 0:1] * X[I, J] + SIGNS[:, 1:2] * X[I, K]
-             + SIGNS[:, 2:3] * X[J, K])
-    kind, tri = np.nonzero(slack < -tol)
+    slack = 1.0 + SIGNS[:, 0:1] * x_ij
+    slack += SIGNS[:, 1:2] * x_ik
+    slack += SIGNS[:, 2:3] * x_jk
+    flat = np.flatnonzero(slack < -tol)
+    hits = slack.take(flat)
+    # at most len(exclude) of the first m + len(exclude) rows are skipped, so
+    # only hits up to that rank's slack are sorted; all ties with it are kept
+    keep = m + (0 if exclude is None else len(exclude))
+    if len(hits) > keep:
+        near = hits <= np.partition(hits, keep - 1)[keep - 1]
+        flat, hits = flat[near], hits[near]
+    kind, tri = np.divmod(flat, pairs.shape[1])
     # triples are enumerated in (i, j, k) order, so tri orders ties by (i, j, k)
-    order = np.lexsort((kind, tri, slack[kind, tri]))
+    order = np.lexsort((kind, tri, hits))
     kind, tri = kind[order], tri[order]
-    out = np.column_stack([I[tri], J[tri], K[tri], kind])
+    ij, ik = pairs[0, tri], pairs[1, tri]
+    out = np.column_stack([ij // n, ij % n, ik % n, kind])
     if exclude is not None:
         out = out[~np.isin(_keys(out, n), _keys(exclude, n))]
     return out[:m]

@@ -5,7 +5,11 @@ The constraint set is fixed: n diagonal constraints, one rank-one equality
 <ee', X> = (2k-n)^2 and one rank-one inequality <a_bar a_bar', X> <= (b-b')^2
 with primal slack s and dual slack t.  All Schur-complement inner products
 collapse to O(n^2) thanks to the rank-one structure, so one iteration costs
-O(n^3) overall (dominated by the factorizations).
+O(n^3) overall.  Per iteration each iterate P in {X, Z} is factored once,
+P = L L', and its triangular inverse L^{-1} is formed once; Z^{-1} is
+L_Z^{-T} L_Z^{-1}.  Each step-length test (predictor, corrector and every
+centering retry, for X and for Z) then costs two matrix products,
+W = L^{-1} dP L^{-T}, and one smallest-eigenvalue LAPACK call on W.
 
 HKM scaling (Z^{-1}-weighted), infeasible start, Mehrotra-style corrector
 with a centering fallback: if the corrector step would inflate the duality
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .relaxation import RelaxationData
 
@@ -91,12 +96,29 @@ def _adjoint_op(y: np.ndarray, Emat: np.ndarray, Amat: np.ndarray) -> np.ndarray
     return np.diag(y[:n]) + y[n] * Emat + y[n + 1] * Amat
 
 
-def _max_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:
-    """Largest alpha keeping P + alpha*dP psd and scal + alpha*dscal >= 0."""
-    L = np.linalg.cholesky(P)
-    W = sla.solve_triangular(L, dP, lower=True)
-    W = sla.solve_triangular(L, W.T, lower=True)
-    lam = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
+def _inv_factor(P: np.ndarray) -> np.ndarray:
+    """L^{-1} for the Cholesky factor P = L L'; LinAlgError if P is not pd."""
+    Li, info = lapack.dtrtri(np.linalg.cholesky(P), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular Cholesky factor")
+    return Li
+
+
+def _lambda_min(S: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric matrix S (one triangle is read)."""
+    w, _, found, _, info = lapack.dsyevr(S, compute_v=0, range="I", il=1, iu=1)
+    if info != 0 or found != 1:
+        raise np.linalg.LinAlgError("smallest eigenvalue did not converge")
+    return float(w[0])
+
+
+def _max_step(Li: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:
+    """Largest alpha keeping P + alpha*dP psd and scal + alpha*dscal >= 0.
+
+    ``Li`` is the inverse Cholesky factor of P (``_inv_factor(P)``).
+    """
+    W = Li @ dP @ Li.T
+    lam = _lambda_min(0.5 * (W + W.T))
     alpha = np.inf if lam >= -1e-14 else -1.0 / lam
     if dscal < 0:
         alpha = min(alpha, -scal / dscal)
@@ -110,7 +132,7 @@ def certify_dual(y: np.ndarray, C: np.ndarray, Emat: np.ndarray, Amat: np.ndarra
     y = y.copy()
     y[n + 1] = max(y[n + 1], 0.0)
     Zc = _adjoint_op(y, Emat, Amat) - C
-    lam = float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0])
+    lam = _lambda_min(0.5 * (Zc + Zc.T))
     if lam < 0:
         y[:n] += -lam * (1.0 + 1e-12) + 1e-14
     return float(rhs @ y)
@@ -199,14 +221,18 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
             break
 
         try:
-            Lz = np.linalg.cholesky(Z)
+            LZi = _inv_factor(Z)
         except np.linalg.LinAlgError:
             if it == 0:
                 raise NumericalBreakdown("dual iterate lost positive definiteness")
             status = SLOW_PROGRESS
             break
-        Zi = sla.cho_solve((Lz, True), np.eye(n))
-        Zi = 0.5 * (Zi + Zi.T)
+        try:
+            LXi = _inv_factor(X)
+        except np.linalg.LinAlgError:
+            status = SLOW_PROGRESS
+            break
+        Zi = LZi.T @ LZi
         M = assemble_schur(Zi, X, a_bar, s, t)
         try:
             lu = sla.lu_factor(M)
@@ -234,8 +260,8 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         try:
             # predictor (affine scaling)
             dXa, dsa, dya, dZa, dta = direction(0.0, None, 0.0)
-            ap = min(1.0, _max_step(X, dXa, s, dsa))
-            ad = min(1.0, _max_step(Z, dZa, t, dta))
+            ap = min(1.0, _max_step(LXi, dXa, s, dsa))
+            ad = min(1.0, _max_step(LZi, dZa, t, dta))
             gap_aff = float(np.tensordot(X + ap * dXa, Z + ad * dZa)) \
                 + (s + ap * dsa) * (t + ad * dta)
             sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-8, 1.0))
@@ -247,8 +273,8 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
             best = None
             for sg in (sigma, min(1.0, max(8 * sigma, 0.3)), 1.0):
                 dX, ds, dy, dZ, dt = direction(sg * mu, Corr, scorr)
-                ap = min(1.0, STEP_FACTOR * _max_step(X, dX, s, ds))
-                ad = min(1.0, STEP_FACTOR * _max_step(Z, dZ, t, dt))
+                ap = min(1.0, STEP_FACTOR * _max_step(LXi, dX, s, ds))
+                ad = min(1.0, STEP_FACTOR * _max_step(LZi, dZ, t, dt))
                 Xn = X + ap * dX
                 sn = s + ap * ds
                 yn = y + ad * dy

@@ -5,6 +5,9 @@ m_ij = trace(Z^{-1} A_j X A_i) with the constraint matrices materialized,
 so it shares no code with the specialized rank-one version it checks.
 The naive triangle separation enumerates every cut one by one and sorts
 Python tuples, so it shares no code with the vectorized ``cuts.separate``.
+The naive step length factors P afresh, applies L^{-1} by two triangular
+solves and takes the full spectrum, where ``ipm._max_step`` reuses an
+inverse factor and asks LAPACK for one eigenvalue.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def constraint_matrices(n: int, a_bar: np.ndarray) -> list[np.ndarray]:
@@ -36,6 +40,18 @@ def naive_schur(Zi: np.ndarray, X: np.ndarray, a_bar: np.ndarray,
             M[i, j] = np.trace(Zi @ mats[j] @ X @ mats[i])
     M[m - 1, m - 1] += s / t
     return M
+
+
+def naive_max_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:
+    """Largest alpha keeping P + alpha*dP psd and scal + alpha*dscal >= 0."""
+    L = np.linalg.cholesky(P)
+    W = sla.solve_triangular(L, dP, lower=True)
+    W = sla.solve_triangular(L, W.T, lower=True)
+    lam = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
+    alpha = np.inf if lam >= -1e-14 else -1.0 / lam
+    if dscal < 0:
+        alpha = min(alpha, -scal / dscal)
+    return alpha
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:

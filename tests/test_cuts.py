@@ -95,12 +95,21 @@ class TestSeparate:
     def test_tie_order_matches_naive_reference(self):
         # entries on a 0.5 grid make many slacks tie exactly, across
         # triples and across sign patterns of one triple
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(0)
         X = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(9, 9))
         X = np.triu(X, 1) + np.triu(X, 1).T + np.eye(9)
         full = naive_separate(X, 10 ** 6)
-        assert len(np.unique(evaluate(np.array(full), X))) < len(full) / 4
+        slack = evaluate(np.array(full), X)
+        assert len(np.unique(slack)) < len(full) / 4
         assert separate(X, 10 ** 6).tolist() == full
+        # separate sorts only the hits up to rank m + len(exclude); each case
+        # puts that rank inside a class of tied slacks
+        for m in (1, 3):
+            for exclude in ([], full[1:3]):
+                rank = m + len(exclude)
+                assert slack[rank - 1] == slack[rank]
+                out = separate(X, m, exclude=rows(*exclude) if exclude else None)
+                assert out.tolist() == naive_separate(X, m, exclude=exclude)
 
     def test_m_validation(self):
         with pytest.raises(ValueError):

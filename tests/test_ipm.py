@@ -3,9 +3,9 @@ import pytest
 
 from kqkp import ipm, relaxation
 from kqkp.instance import Instance, preprocess
-from kqkp.ipm import assemble_schur, bound, certify_dual, solve
+from kqkp.ipm import _inv_factor, _max_step, assemble_schur, bound, certify_dual, solve
 from kqkp.oracle import enumerate_exact
-from _reference import naive_schur, random_spd
+from _reference import naive_max_step, naive_schur, random_spd
 from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
 
 
@@ -36,6 +36,57 @@ class TestSchurAssembly:
         Zi = 0.5 * (Zi + Zi.T)
         M = assemble_schur(Zi, X, rng.standard_normal(n), 1.0, 1.0)
         assert np.allclose(M, M.T)
+
+
+class TestStepLength:
+    def test_matches_naive_reference_randomized(self, rng):
+        for trial in range(100):
+            n = int(rng.integers(2, 61))
+            P = random_spd(rng, n)
+            B = rng.standard_normal((n, n))
+            dP = B + B.T
+            got = _max_step(_inv_factor(P), dP, 1.0, 0.0)
+            assert got == pytest.approx(naive_max_step(P, dP, 1.0, 0.0), rel=1e-9)
+
+    def test_psd_direction_gives_inf(self, rng):
+        P = random_spd(rng, 15)
+        B = rng.standard_normal((15, 15))
+        assert _max_step(_inv_factor(P), B @ B.T, 1.0, 0.0) == np.inf
+        assert _max_step(_inv_factor(P), np.zeros((15, 15)), 1.0, 2.0) == np.inf
+
+    def test_scalar_slack_caps_the_step(self, rng):
+        P = random_spd(rng, 15)
+        Li = _inv_factor(P)
+        B = rng.standard_normal((15, 15))
+        assert _max_step(Li, B @ B.T, 0.25, -0.5) == 0.5
+        dP = B + B.T
+        free = _max_step(Li, dP, 1.0, 0.0)
+        assert _max_step(Li, dP, 1.0, -4.0 / free) == pytest.approx(0.25 * free)
+        assert _max_step(Li, dP, 1.0, -0.25 / free) == free
+
+    def test_inverse_factor_gives_inverse(self, rng):
+        for n in (1, 2, 17, 60):
+            Z = random_spd(rng, n)
+            Li = _inv_factor(Z)
+            assert np.array_equal(Li, np.tril(Li))
+            Zi = np.linalg.inv(Z)
+            assert np.abs(Li.T @ Li - Zi).max() <= 1e-12 * np.abs(Zi).max()
+        with pytest.raises(np.linalg.LinAlgError):
+            _inv_factor(np.diag([1.0, -1.0, 2.0]))
+
+    def test_failed_primal_factorization_ends_as_slow_progress(self, monkeypatch):
+        # the first iterate pairs Z = zeta*I with a dense X, so X is the only
+        # non-diagonal matrix factored; its factorization fails
+        factor = ipm._inv_factor
+
+        def failing(P):
+            if np.count_nonzero(P - np.diag(np.diag(P))):
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(P)
+
+        monkeypatch.setattr(ipm, "_inv_factor", failing)
+        sol = solve(_data(make_instance(10, seed=0)))
+        assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
 
 
 class TestSolve:
