@@ -57,7 +57,6 @@ class SolverConfig:
     bnp_node_k: int = 5
     bnp_root_k: int = 10
     use_cuts: bool = True
-    threads: int = 1
     trace: bool = False
 
     def bundle_config(self, root: bool, deadline: float | None = None) -> bundle_mod.BundleConfig:
@@ -98,22 +97,6 @@ class TimeLimitReached(Exception):
     def __init__(self, best: Incumbent | None = None):
         super().__init__("time limit reached")
         self.best = best
-
-
-class _Timer:
-    def __init__(self, limit_s: float):
-        self.t0 = time.perf_counter()
-        self.limit = limit_s
-
-    @property
-    def deadline(self) -> float:
-        return self.t0 + self.limit
-
-    def expired(self) -> bool:
-        return time.perf_counter() - self.t0 > self.limit
-
-    def ms(self) -> int:
-        return int(1000 * (time.perf_counter() - self.t0))
 
 
 def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None,
@@ -192,10 +175,15 @@ def _lift_incumbent(root: Instance, node: Node, sub: Incumbent, source: str) -> 
     return Incumbent(x, root.objective(x), source)
 
 
-def _node_bound(reduced: Instance, cfg: SolverConfig, lower_bound: float,
-                root: bool, deadline: float | None = None):
-    """Bundle (or plain SDP) bound for a reduced instance: (bound, x_frac, evals)."""
-    data = relaxation.build(reduced)
+def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
+               root: bool, deadline: float | None = None):
+    """Bundle (or plain SDP) bound for an instance: (bound, x_frac, evals).
+
+    ``lower_bound`` lets the bundle stop once the bound proves the node
+    prunable (``-inf`` disables that); ``deadline`` is a
+    ``time.perf_counter()`` value after which no further evaluation starts.
+    """
+    data = relaxation.build(inst)
     res = bundle_mod.minimize(data, lower_bound, cfg.bundle_config(root, deadline))
     return res.bound, relaxation.extract_fractional(res.X_last, data), res.evals
 
@@ -203,7 +191,8 @@ def _node_bound(reduced: Instance, cfg: SolverConfig, lower_bound: float,
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     """Exact solve; status is time_limit if the limit cuts the search short."""
     cfg = config or SolverConfig()
-    timer = _Timer(cfg.time_limit_s)
+    t0 = time.perf_counter()
+    deadline = t0 + cfg.time_limit_s
     root = inst
     trace: list = []
     prep = preprocess(root)
@@ -213,7 +202,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         if best is not None and best.value > 0 and np.isfinite(root_bound):
             gap = 100.0 * (root_bound - best.value) / best.value
         return SolveReport(status, best, float(root_bound), gap, nodes,
-                           timer.ms(), evals, trace)
+                           int(1000 * (time.perf_counter() - t0)), evals, trace)
 
     if prep.status == INFEASIBLE:
         return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0)
@@ -224,7 +213,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         return report(STATUS_OPTIMAL, best, best.value, 1, 0)
     if root.k <= cfg.bnp_root_k:
         try:
-            best = branch_and_prune(root, primal_heuristic(root, prep), timer.deadline)
+            best = branch_and_prune(root, primal_heuristic(root, prep), deadline)
         except TimeLimitReached as stop:
             # the incumbent's value is no bound: the search did not finish
             return report(STATUS_TIME_LIMIT, stop.best, float("inf"), 1, 0)
@@ -233,8 +222,8 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     best = primal_heuristic(root, prep)
     evals = 0
     try:
-        root_bound, x_frac, used = _node_bound(root, cfg, best.value, root=True,
-                                               deadline=timer.deadline)
+        root_bound, x_frac, used = node_bound(root, cfg, best.value, root=True,
+                                              deadline=deadline)
         evals += used
         cand = varfix_heuristic(root, prep, x_frac, best)
         if cand.value > best.value:
@@ -253,7 +242,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     heapq.heappush(heap, (-root_bound, -0, seq, root_node, x_frac))
 
     while heap:
-        if timer.expired():
+        if time.perf_counter() > deadline:
             return report(STATUS_TIME_LIMIT, best, root_bound, nodes, evals)
         neg_bound, _, _, node, node_xfrac = heapq.heappop(heap)
         if -neg_bound < best.value + 1 - 1e-6:
@@ -276,7 +265,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             if red.k <= cfg.bnp_node_k or red.k == red.n:
                 stopped = False
                 try:
-                    sub = branch_and_prune(red, deadline=timer.deadline)
+                    sub = branch_and_prune(red, deadline=deadline)
                 except TimeLimitReached as stop:
                     sub, stopped = stop.best, True
                 if sub is not None:
@@ -289,8 +278,8 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 continue
             # refine the inherited bound
             try:
-                nb, node_xfrac, used = _node_bound(red, cfg, best.value, root=False,
-                                                   deadline=timer.deadline)
+                nb, node_xfrac, used = node_bound(red, cfg, best.value, root=False,
+                                                  deadline=deadline)
                 evals += used
                 node.bound = min(node.bound, nb)
             except NumericalBreakdown:

@@ -31,6 +31,12 @@ from . import ipm
 from .cuts import CutPool
 from .relaxation import RelaxationData
 
+DESCENT_RATIO = 0.1  # m_L: share of the predicted decrease a descent step must reach
+STALL_TOL = 1e-6  # relative predicted decrease below which the loop stops
+U_INIT = 1.0  # initial proximal weight
+BUNDLE_MAX = 25  # linearizations kept in the cutting-plane model
+POOL_CAPACITY_FACTOR = 10  # cut pool holds at most this many cuts per item
+
 
 @dataclass
 class BundleConfig:
@@ -38,12 +44,7 @@ class BundleConfig:
     cuts_per_update: int | None = None  # default min(5n, 300)
     gamma_drop: float = 1e-5
     update_period: int = 5  # descent steps between pool updates
-    descent_ratio: float = 0.1  # m_L
-    stall_tol: float = 1e-6
-    u_init: float = 1.0
-    bundle_max: int = 25
     ipm_tol: float = 1e-5
-    pool_capacity_factor: int = 10
     deadline: float | None = None  # absolute time.perf_counter() cutoff
 
     def m_for(self, n: int) -> int:
@@ -66,7 +67,6 @@ class BundleResult:
     X_last: np.ndarray
     pool: CutPool
     evals: int
-    descents: int
     reason: str  # pruned | stalled | budget | no_cuts
     bound_samples: list = field(default_factory=list)  # certified value per eval
     f_center_history: list = field(default_factory=list)
@@ -125,8 +125,7 @@ def _solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray, u: float)
     return cand, model
 
 
-def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig,
-             trace_rows: list | None = None) -> BundleResult:
+def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig) -> BundleResult:
     """Bundle loop; ``lower_bound`` enables early pruning (use -inf to disable).
 
     Stops when (a) the certified bound dips below lower_bound + 1 (objective
@@ -134,27 +133,25 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig,
     stalls, or (c) the evaluation budget is exhausted.
     """
     n = relax.dim
-    pool = CutPool(n, capacity=config.pool_capacity_factor * n)
+    pool = CutPool(n, capacity=POOL_CAPACITY_FACTOR * n)
     first = oracle_eval(pool, np.zeros(0), relax, config.ipm_tol)
     evals = 1
     best_bound = first.bound
     bound_samples = [first.bound]
-    if trace_rows is not None:
-        trace_rows.append((evals, first.value, len(pool), "init"))
 
-    def result(reason, X_last, f_hist, descents):
-        return BundleResult(best_bound, X_last, pool, evals, descents, reason,
+    def result(reason, X_last, f_hist):
+        return BundleResult(best_bound, X_last, pool, evals, reason,
                             bound_samples, f_hist)
 
     if best_bound < lower_bound + 1.0:
-        return result("pruned", first.X, [first.value], 0)
+        return result("pruned", first.X, [first.value])
     if evals >= config.max_evals or n < 3:
-        return result("budget", first.X, [first.value], 0)
+        return result("budget", first.X, [first.value])
 
     m = config.m_for(n)
     pool.add(cuts_mod.separate(first.X, m))
     if len(pool) == 0:
-        return result("no_cuts", first.X, [first.value], 0)
+        return result("no_cuts", first.X, [first.value])
 
     center = np.zeros(len(pool))
     f_center = first.value
@@ -164,7 +161,7 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig,
     # linearizations stored as (constant, gradient): lin(gamma) = c + g'gamma
     lin_c = [f_center - g_center @ center]
     lin_g = [g_center]
-    u = config.u_init
+    u = U_INIT
     descents = 0
     nulls_in_row = 0
     reason = "budget"
@@ -176,7 +173,7 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig,
         G = np.column_stack(lin_g)
         cand, model = _solve_model(np.array(lin_c), G, center, u)
         predicted = f_center - model
-        if predicted <= config.stall_tol * (1.0 + abs(f_center)):
+        if predicted <= STALL_TOL * (1.0 + abs(f_center)):
             reason = "stalled"
             break
 
@@ -187,19 +184,17 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig,
         if best_bound < lower_bound + 1.0:
             X_center = out.X
             reason = "pruned"
-            if trace_rows is not None:
-                trace_rows.append((evals, out.value, len(pool), "pruned"))
             break
 
         lin_c.append(out.value - out.g @ cand)
         lin_g.append(out.g)
-        if len(lin_c) > config.bundle_max:
+        if len(lin_c) > BUNDLE_MAX:
             # aggregate the two oldest pieces into their pointwise max proxy
             # (keep the tighter one at the candidate); cheap and sufficient
             drop = 0 if lin_c[0] + lin_g[0] @ cand <= lin_c[1] + lin_g[1] @ cand else 1
             del lin_c[drop], lin_g[drop]
 
-        if out.value <= f_center - config.descent_ratio * predicted:
+        if out.value <= f_center - DESCENT_RATIO * predicted:
             # descent step
             center = cand
             f_center = out.value
@@ -208,8 +203,6 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig,
             nulls_in_row = 0
             u = max(u * 0.5, 1e-3)
             f_hist.append(f_center)
-            if trace_rows is not None:
-                trace_rows.append((evals, out.value, len(pool), "descent"))
             if descents % config.update_period == 0:
                 pool.set_gamma(center)
                 pool.drop_small(config.gamma_drop)
@@ -225,9 +218,7 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig,
             if nulls_in_row >= 3:
                 u = min(u * 2.0, 1e4)
                 nulls_in_row = 0
-            if trace_rows is not None:
-                trace_rows.append((evals, out.value, len(pool), "null"))
 
     if len(center) == len(pool):
         pool.set_gamma(center)
-    return result(reason, X_center, f_hist, descents)
+    return result(reason, X_center, f_hist)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -21,34 +22,32 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bnb, bundle, generator, oracle, relaxation
-from .heuristics import primal_heuristic
+from . import __version__, bnb, generator, oracle
 from .instance import SOLVABLE, TRIVIAL_K1, Instance, InstanceError, load, preprocess, validate
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_TIME_LIMIT = 2
 
+# flag defaults are read from SolverConfig, the one place they are set
+_DEFAULT = bnb.SolverConfig()
+
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--time-limit", type=float, default=10800.0, metavar="S",
+    p.add_argument("--time-limit", type=float, default=_DEFAULT.time_limit_s, metavar="S",
                    help="wall-clock limit in seconds (default 3 hours)")
-    p.add_argument("--tol", type=float, default=1e-7,
+    p.add_argument("--tol", type=float, default=_DEFAULT.ipm_tol_root,
                    help="interior-point relative gap tolerance at the root")
-    p.add_argument("--cuts-m", type=int, default=None, metavar="M",
+    p.add_argument("--cuts-m", type=int, default=_DEFAULT.cuts_per_update, metavar="M",
                    help="triangle cuts added per pool update (default min(5n, 300))")
-    p.add_argument("--cut-update-period", type=int, default=5, metavar="P",
-                   help="descent steps between cut pool updates")
-    p.add_argument("--gamma-drop", type=float, default=1e-5,
+    p.add_argument("--cut-update-period", type=int, default=_DEFAULT.cut_update_period,
+                   metavar="P", help="descent steps between cut pool updates")
+    p.add_argument("--gamma-drop", type=float, default=_DEFAULT.gamma_drop,
                    help="multiplier threshold below which cuts are dropped")
-    p.add_argument("--bnp-node-k", type=int, default=5, metavar="K",
+    p.add_argument("--bnp-node-k", type=int, default=_DEFAULT.bnp_node_k, metavar="K",
                    help="switch to branch-and-prune when node cardinality <= K")
-    p.add_argument("--bnp-root-k", type=int, default=10, metavar="K",
+    p.add_argument("--bnp-root-k", type=int, default=_DEFAULT.bnp_root_k, metavar="K",
                    help="solve the whole instance by branch-and-prune when k <= K")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for bench (default KQKP_THREADS or 1)")
-    p.add_argument("--trace-dir", type=Path, default=None,
-                   help="write per-instance node trace CSVs into this directory")
     p.add_argument("--output", "-o", type=Path, default=None,
                    help="also write the JSON report to this path")
 
@@ -57,37 +56,25 @@ def _config_from_args(args) -> bnb.SolverConfig:
     return bnb.SolverConfig(
         time_limit_s=args.time_limit,
         ipm_tol_root=args.tol,
-        ipm_tol_node=max(args.tol, 1e-5),
+        ipm_tol_node=max(args.tol, _DEFAULT.ipm_tol_node),
         cuts_per_update=args.cuts_m,
         gamma_drop=args.gamma_drop,
         cut_update_period=args.cut_update_period,
         bnp_node_k=args.bnp_node_k,
         bnp_root_k=args.bnp_root_k,
-        threads=_threads(args),
-        trace=args.trace_dir is not None,
     )
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("KQKP_THREADS")
     return max(1, int(env)) if env else 1
 
 
-def _config_echo(cfg: bnb.SolverConfig) -> dict:
-    return {
-        "time_limit_s": cfg.time_limit_s,
-        "ipm_tol_root": cfg.ipm_tol_root,
-        "ipm_tol_node": cfg.ipm_tol_node,
-        "cuts_per_update": cfg.cuts_per_update,
-        "gamma_drop": cfg.gamma_drop,
-        "cut_update_period": cfg.cut_update_period,
-        "bnp_node_k": cfg.bnp_node_k,
-        "bnp_root_k": cfg.bnp_root_k,
-        "use_cuts": cfg.use_cuts,
-        "threads": cfg.threads,
-    }
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no infinities or NaN; a bound that is not finite prints as null."""
+    return x if np.isfinite(x) else None
 
 
 def _load_validated(path) -> Instance:
@@ -114,12 +101,12 @@ def _solve_payload(path: Path, cfg: bnb.SolverConfig) -> tuple[dict, bnb.SolveRe
         "selection": None if report.best is None
         else [int(i) for i in np.nonzero(report.best.x)[0]],
         "incumbent_source": None if report.best is None else report.best.source,
-        "root_bound": None if not np.isfinite(report.root_bound) else report.root_bound,
+        "root_bound": _finite_or_none(report.root_bound),
         "root_gap_percent": report.root_gap_percent,
         "nodes": report.nodes,
         "evals": report.evals,
         "time_ms": report.time_ms,
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "version": __version__,
     }
     return payload, report
@@ -135,7 +122,9 @@ def _write_trace(trace_dir: Path, path: Path, report: bnb.SolveReport) -> None:
 
 
 def cmd_solve(args) -> int:
-    payload, report = _solve_payload(args.path, _config_from_args(args))
+    cfg = _config_from_args(args)
+    cfg.trace = args.trace_dir is not None
+    payload, report = _solve_payload(args.path, cfg)
     if args.trace_dir is not None:
         _write_trace(args.trace_dir, args.path, report)
     _emit(payload, args.output)
@@ -144,28 +133,22 @@ def cmd_solve(args) -> int:
 
 def cmd_bound(args) -> int:
     cfg = _config_from_args(args)
+    cfg.use_cuts = args.mode == "sdpmet"
     inst = _load_validated(args.path)
     prep = preprocess(inst)
     t0 = time.perf_counter()
-    if prep.status != SOLVABLE:
+    if prep.status == SOLVABLE:
+        bound, _, evals = bnb.node_bound(inst, cfg, float("-inf"), root=True,
+                                         deadline=t0 + cfg.time_limit_s)
+    else:
         # nothing to relax; the bound equals the (trivial) optimum
-        val = prep.trivial_value if prep.status == TRIVIAL_K1 else float("-inf")
-        payload = {"instance": str(args.path), "mode": args.mode,
-                   "bound": val, "evals": 0,
-                   "time_ms": int(1000 * (time.perf_counter() - t0)),
-                   "version": __version__}
-        _emit(payload, args.output)
-        return EXIT_OK
-    data = relaxation.build(inst)
-    bcfg = cfg.bundle_config(root=True)
-    if args.mode == "sdp":
-        bcfg.max_evals = 1
-    res = bundle.minimize(data, float("-inf"), bcfg)
+        bound = prep.trivial_value if prep.status == TRIVIAL_K1 else float("-inf")
+        evals = 0
     payload = {
         "instance": str(args.path),
         "mode": args.mode,
-        "bound": res.bound,
-        "evals": res.evals,
+        "bound": _finite_or_none(bound),
+        "evals": evals,
         "time_ms": int(1000 * (time.perf_counter() - t0)),
         "version": __version__,
     }
@@ -210,9 +193,10 @@ def _bench_one(path_str: str, cfg: bnb.SolverConfig) -> tuple:
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
+    threads = _threads(args)
     paths = sorted(str(p) for p in Path(args.dir).glob("*.txt"))
-    if cfg.threads > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    if threads > 1 and len(paths) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_bench_one, paths, [cfg] * len(paths)))
     else:
         rows = [_bench_one(p, cfg) for p in paths]
@@ -261,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file to optimality")
     p.add_argument("path", type=Path)
     _add_solver_flags(p)
+    p.add_argument("--trace-dir", type=Path, default=None,
+                   help="write per-instance node trace CSVs into this directory")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bound", help="compute the root bound only")
@@ -280,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="solve every *.txt in a directory, emit CSV")
     p.add_argument("dir", type=Path)
     _add_solver_flags(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes (default KQKP_THREADS or 1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="compare against brute-force enumeration")

@@ -38,13 +38,8 @@ def _completion_sums(a: np.ndarray, free_mask: np.ndarray, need: int) -> np.ndar
     if need <= 0:
         return np.zeros(n)
     free_w = np.sort(a[free_mask])
-    if len(free_w) < need + 1:
-        if len(free_w) < need:
-            return np.full(n, np.inf)
-        # exactly `need` other items only if j is outside the free set, so
-        # every free j leaves need-1+... short by one -> infeasible unless
-        # j itself is not counted; with need == len(free_w) any free j leaves
-        # need-1 items, too few
+    if len(free_w) <= need:
+        # a free j leaves at most need - 1 other free items
         return np.full(n, np.inf)
     prefix = int(free_w[:need].sum())
     threshold = free_w[need - 1]

@@ -91,12 +91,10 @@ class Preprocessed:
     trivial_index: int | None = None
 
 
-def validate(inst: Instance, symmetrize: bool = False, root: bool = True) -> Instance:
-    """Check instance invariants; returns the (possibly symmetrized) instance.
+def validate(inst: Instance) -> Instance:
+    """Check the root-instance invariants and return the instance unchanged.
 
-    Root instances additionally need max_j a_j <= b < sum_j a_j.  Subproblems
-    created by variable fixing may violate that range, so they are checked
-    with ``root=False`` (nonnegativity and symmetry only).
+    Data must be nonnegative, C symmetric, and max_j a_j <= b < sum_j a_j.
     """
     if inst.n == 0:
         raise InstanceError("instance has no items")
@@ -104,23 +102,14 @@ def validate(inst: Instance, symmetrize: bool = False, root: bool = True) -> Ins
         raise InstanceError(f"C must be {inst.n}x{inst.n}, got {inst.C.shape}")
     if inst.k < 0 or inst.b < 0 or (inst.a < 0).any() or (inst.C < 0).any():
         raise NegativeData("k, b, weights and profits must be nonnegative")
-    C = inst.C
-    if not np.array_equal(C, C.T):
-        if not symmetrize:
-            raise NonSymmetric("profit matrix is not symmetric")
-        S = C + C.T
-        if np.issubdtype(S.dtype, np.integer) and not (S % 2).any():
-            C = S // 2
-        else:
-            C = S / 2.0
-        inst = Instance(inst.k, inst.a, inst.b, C, inst.offset)
-    if root:
-        total = int(inst.a.sum())
-        if not (int(inst.a.max()) <= inst.b < total):
-            raise CapacityOutOfRange(
-                f"need max a_j <= b < sum a_j, got max={int(inst.a.max())} "
-                f"b={inst.b} sum={total}"
-            )
+    if not np.array_equal(inst.C, inst.C.T):
+        raise NonSymmetric("profit matrix is not symmetric")
+    total = int(inst.a.sum())
+    if not (int(inst.a.max()) <= inst.b < total):
+        raise CapacityOutOfRange(
+            f"need max a_j <= b < sum a_j, got max={int(inst.a.max())} "
+            f"b={inst.b} sum={total}"
+        )
     return inst
 
 

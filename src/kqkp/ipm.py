@@ -139,13 +139,10 @@ def certify_dual(y: np.ndarray, C: np.ndarray, Emat: np.ndarray, Amat: np.ndarra
 
 
 def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
-          tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
-          log_rows: list | None = None) -> SdpSolution:
+          tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
     """Solve the relaxation (optionally with a replacement cost matrix).
 
     ``cost_override`` is used by the bundle method to pass C_bar - T'(gamma).
-    ``log_rows``, when given, collects per-iteration tuples
-    (iteration, primal_obj, dual_obj, relgap, alpha_p, alpha_d).
     """
     n = data.dim
     C = data.C_bar if cost_override is None else np.asarray(cost_override, dtype=float)
@@ -207,8 +204,6 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         card_res = abs(AX[n] - data.rhs_card)
         gap_history.append(relgap)
         feas_history.append(max(rp_rel, rd_rel))
-        if log_rows is not None:
-            log_rows.append((it, pobj, dobj, relgap, np.nan, np.nan))
 
         if (relgap <= tol and rp_rel <= feas_tol and rd_rel <= feas_tol
                 and cap_viol <= res_abs and diag_res <= res_abs
@@ -284,15 +279,13 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
                 dn = float(rhs @ yn)
                 rg_new = abs(pn - dn) / (1.0 + abs(dn))
                 if best is None or rg_new < best[0]:
-                    best = (rg_new, Xn, sn, yn, Zn, tn, min(ap, ad), ap, ad)
+                    best = (rg_new, Xn, sn, yn, Zn, tn, min(ap, ad))
                 if rg_new <= max(relgap * (1.0 + 1e-9), 0.5 * tol):
                     break
-            _, Xn, sn, yn, Zn, tn, last_min_step, ap, ad = best
+            _, Xn, sn, yn, Zn, tn, last_min_step = best
         except np.linalg.LinAlgError:
             status = SLOW_PROGRESS
             break
-        if log_rows is not None:
-            log_rows[-1] = (it, pobj, dobj, relgap, ap, ad)
 
         X = 0.5 * (Xn + Xn.T)
         s = sn

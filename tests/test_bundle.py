@@ -117,12 +117,6 @@ class TestMinimize:
         assert len(res.bound_samples) == res.evals
         assert all(b >= opt.value - 1e-6 for b in res.bound_samples)
 
-    def test_trace_rows(self):
-        rows = []
-        minimize(_data(make_instance(10, seed=0)), float("-inf"),
-                 BundleConfig(max_evals=8), trace_rows=rows)
-        assert rows and all(len(r) == 4 for r in rows)
-
     def test_deadline_stops_early(self):
         import time
         cfg = BundleConfig(max_evals=50, deadline=time.perf_counter())

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from kqkp import cli, generator
-from kqkp.instance import dump, load
+from kqkp import cli, generator, ipm, relaxation
+from kqkp.bnb import SolverConfig
+from kqkp.heuristics import primal_heuristic
+from kqkp.instance import Instance, dump, load, preprocess
 from kqkp.oracle import enumerate_exact
 from conftest import make_instance
 
@@ -19,6 +22,13 @@ def _run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _strict_json(text):
+    """json.loads that rejects the non-standard Infinity and NaN tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestSolve:
@@ -61,6 +71,11 @@ class TestSolve:
         _run(capsys, ["solve", str(path), "-o", str(out_json)])
         assert json.loads(out_json.read_text())["status"] == "Optimal"
 
+    def test_config_is_solver_defaults(self, tmp_path, capsys):
+        path = _write(tmp_path, make_instance(8, seed=1))
+        _, out = _run(capsys, ["solve", str(path)])
+        assert json.loads(out)["config"] == dataclasses.asdict(SolverConfig())
+
     def test_matches_oracle_via_check(self, tmp_path, capsys):
         inst = make_instance(12, seed=7)
         path = _write(tmp_path, inst)
@@ -80,8 +95,6 @@ class TestBound:
         assert json.loads(out2)["bound"] <= json.loads(out1)["bound"] + 1e-6
 
     def test_bound_at_least_heuristic(self, tmp_path, capsys):
-        from kqkp.heuristics import primal_heuristic
-        from kqkp.instance import preprocess
         inst = make_instance(14, seed=5)
         inc = primal_heuristic(inst, preprocess(inst))
         path = _write(tmp_path, inst)
@@ -89,12 +102,36 @@ class TestBound:
         assert json.loads(out)["bound"] >= inc.value - 1e-6
 
     def test_zero_cost_bound_zero(self, tmp_path, capsys):
-        from kqkp.instance import Instance
         inst = Instance(2, np.array([1, 2, 3, 4]), 6,
                         np.zeros((4, 4), dtype=np.int64))
         path = _write(tmp_path, inst)
         _, out = _run(capsys, ["bound", str(path)])
         assert abs(json.loads(out)["bound"]) < 1e-4
+
+    def test_sdp_mode_is_plain_relaxation(self, tmp_path, capsys):
+        inst = make_instance(14, seed=4)
+        path = _write(tmp_path, inst)
+        _, out = _run(capsys, ["bound", str(path), "--mode", "sdp"])
+        payload = json.loads(out)
+        ref = ipm.bound(relaxation.build(inst), tol=1e-7)
+        assert payload["evals"] == 1
+        assert abs(payload["bound"] - ref) <= 1e-9 * abs(ref)
+
+    def test_time_limit_honoured(self, tmp_path, capsys):
+        inst = generator.generate(generator.GenSpec(n=30, density_percent=50, seed=1))
+        path = _write(tmp_path, inst)
+        _, out = _run(capsys, ["bound", str(path), "--time-limit", "0"])
+        payload = json.loads(out)
+        assert payload["evals"] == 1
+        assert payload["bound"] >= primal_heuristic(inst, preprocess(inst)).value
+
+    def test_infeasible_bound_is_strict_json_null(self, tmp_path, capsys):
+        # k = 3 exceeds k_max = 2: the two lightest weights already fill b = 4
+        inst = Instance(3, np.array([1, 2, 3, 4]), 4, np.zeros((4, 4), dtype=np.int64))
+        path = _write(tmp_path, inst)
+        code, out = _run(capsys, ["bound", str(path)])
+        assert code == 0
+        assert _strict_json(out)["bound"] is None
 
 
 class TestGenerate:

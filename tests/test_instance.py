@@ -32,11 +32,6 @@ class TestValidate:
         with pytest.raises(NonSymmetric):
             validate(inst)
 
-    def test_asymmetric_symmetrized_on_request(self):
-        inst = Instance(1, np.array([1, 1]), 1, np.array([[1, 2], [4, 1]]))
-        out = validate(inst, symmetrize=True)
-        assert np.array_equal(out.C, [[1, 3], [3, 1]])
-
     def test_capacity_at_total_weight_rejected(self):
         inst = Instance(1, np.array([2, 3]), 5, np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(CapacityOutOfRange):
@@ -46,10 +41,6 @@ class TestValidate:
         inst = Instance(1, np.array([2, 3]), 2, np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(CapacityOutOfRange):
             validate(inst)
-
-    def test_subproblem_skips_capacity_range(self):
-        inst = Instance(1, np.array([2, 3]), 2, np.zeros((2, 2), dtype=np.int64))
-        assert validate(inst, root=False) is inst
 
     def test_negative_data_rejected(self):
         inst = Instance(1, np.array([1, -1]), 1, np.zeros((2, 2), dtype=np.int64))

@@ -173,12 +173,6 @@ class TestSolve:
             opt = enumerate_exact(inst)
             assert sol.certified_dual + data.const_term >= opt.value - 1e-6
 
-    def test_log_rows_collected(self):
-        rows = []
-        sol = solve(_data(make_instance(10, seed=0)), log_rows=rows)
-        assert len(rows) == len(sol.gap_history)
-        assert all(len(r) == 6 for r in rows)
-
     def test_cost_override_shape_checked(self):
         data = _data(make_instance(8, seed=0))
         with pytest.raises(ValueError):
