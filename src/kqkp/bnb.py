@@ -6,13 +6,21 @@ bound (largest first; we maximize), ties broken by depth (deeper first).
 Pruning uses incumbent + 1: all data are integers, so the optimum is
 integral.
 
+The root is the first queue entry, with an infinite bound, and one loop
+body processes every node, root included: an infeasible or k = 1 leaf, a
+branch-and-prune leaf, or the bundle bound, prune, variable fixing, prune
+and branching on the most fractional variable.  At depth 0 only the
+branch-and-prune threshold and the bundle's tolerance and evaluation
+budget differ; the primal heuristic's incumbent is found before the loop.
+
 For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
 pruning by cardinality/capacity feasibility only.  It is exact for its
-subtree and kicks in at the root for k <= 10 and inside the tree once the
-remaining cardinality drops to <= 5.  At the root it starts from the primal
-heuristic's incumbent.  It honours the time limit like the rest of the
-search: stopped at the root, the solve returns its incumbent with no bound.
+subtree and takes over at the root for k <= 10 and at a node once the
+remaining cardinality drops to <= 5 (or equals the number of free items).
+It reports only selections that beat the incumbent.  It honours the time
+limit like the rest of the search: stopped at the root, the solve returns
+its incumbent with no bound.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from .instance import (
     fix_variable,
     preprocess,
 )
-from .ipm import NumericalBreakdown
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
@@ -92,22 +99,24 @@ class SolveReport:
 
 
 class TimeLimitReached(Exception):
-    """A deadline stopped branch-and-prune; ``best`` is its incumbent then."""
+    """A deadline stopped branch-and-prune; ``best`` is its best selection
+    above the floor by then, or None."""
 
     def __init__(self, best: Incumbent | None = None):
         super().__init__("time limit reached")
         self.best = best
 
 
-def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None,
+def branch_and_prune(inst: Instance, floor: float = float("-inf"),
                      deadline: float | None = None) -> Incumbent | None:
     """Exhaustive DFS pruned by feasibility only; exact for its input.
 
     Branches x_j = 1 before x_j = 0 in index order; prunes on remaining
     cardinality and on the lightest possible completion exceeding capacity.
-    Values are in the instance's units (offset included).  Past ``deadline``
-    (a ``time.perf_counter()`` value) it raises TimeLimitReached carrying
-    the best selection found so far.
+    Returns the best selection whose value, in the instance's units (offset
+    included), exceeds ``floor``, or None if there is none.  Past
+    ``deadline`` (a ``time.perf_counter()`` value) it raises
+    TimeLimitReached carrying the best such selection found so far.
     """
     n, k, a, b, C = inst.n, inst.k, inst.a, inst.b, inst.C
     a_int = a.astype(np.int64)
@@ -117,39 +126,41 @@ def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None,
         w = np.sort(a_int[j:])
         suffix_light.append(np.concatenate([[0], np.cumsum(w)]))
 
-    best_val = incumbent.value if incumbent is not None else None
+    best_val = floor
     best_sel: list[int] | None = None
     chosen: list[int] = []
     calls = 0
 
     def rec(j: int, weight: int, value: int):
+        # x_i = 0 is the next loop step, not a call, so the recursion is at
+        # most k deep.  An n-deep one ran up to 1.8x slower at some caller
+        # stack depths: CPython 3.11 frees and re-maps a frame-stack chunk
+        # each time the recursion crosses a chunk boundary.
         nonlocal best_val, best_sel, calls
-        calls += 1
-        if calls % DEADLINE_CHECK_CALLS == 0 and deadline is not None \
-                and time.perf_counter() > deadline:
-            raise TimeLimitReached
         need = k - len(chosen)
-        if need == 0:
-            total = value + inst.offset
-            if best_val is None or total > best_val:
-                best_val = total
-                best_sel = chosen.copy()
-            return
-        if n - j < need:
-            return
-        if weight + int(suffix_light[j][need]) > b:
-            return
-        aj = int(a_int[j])
-        if weight + aj <= b:
-            dv = int(C[j, j]) + 2 * int(C[j, chosen].sum()) if chosen else int(C[j, j])
-            chosen.append(j)
-            rec(j + 1, weight + aj, value + dv)
-            chosen.pop()
-        rec(j + 1, weight, value)
+        for i in range(j, n + 1):
+            calls += 1
+            if calls % DEADLINE_CHECK_CALLS == 0 and deadline is not None \
+                    and time.perf_counter() > deadline:
+                raise TimeLimitReached
+            if need == 0:
+                total = value + inst.offset
+                if total > best_val:
+                    best_val = total
+                    best_sel = chosen.copy()
+                return
+            if n - i < need or weight + int(suffix_light[i][need]) > b:
+                return
+            ai = int(a_int[i])
+            if weight + ai <= b:
+                dv = int(C[i, i]) + 2 * int(C[i, chosen].sum()) if chosen else int(C[i, i])
+                chosen.append(i)
+                rec(i + 1, weight + ai, value + dv)
+                chosen.pop()
 
     def best():
         if best_sel is None:
-            return incumbent
+            return None
         x = np.zeros(n, dtype=np.int64)
         x[best_sel] = 1
         return Incumbent(x, inst.objective(x), BRANCH_LEAF)
@@ -162,17 +173,12 @@ def branch_and_prune(inst: Instance, incumbent: Incumbent | None = None,
     return best()
 
 
-def _lift(n_root: int, free, fixed_ones, x_reduced) -> np.ndarray:
-    x = np.zeros(n_root, dtype=np.int64)
-    x[list(fixed_ones)] = 1
-    for pos, orig in enumerate(free):
-        x[orig] = int(x_reduced[pos])
-    return x
-
-
-def _lift_incumbent(root: Instance, node: Node, sub: Incumbent, source: str) -> Incumbent:
-    x = _lift(root.n, node.free, node.fixed_ones, sub.x)
-    return Incumbent(x, root.objective(x), source)
+def _lift_incumbent(root: Instance, node: Node, sub: Incumbent) -> Incumbent:
+    """A selection of the node's reduced instance as one of the root."""
+    x = np.zeros(root.n, dtype=np.int64)
+    x[list(node.fixed_ones)] = 1
+    x[list(node.free)] = sub.x
+    return Incumbent(x, root.objective(x), sub.source)
 
 
 def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
@@ -211,98 +217,70 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         x[prep.trivial_index] = 1
         best = Incumbent(x, root.objective(x), BRANCH_LEAF)
         return report(STATUS_OPTIMAL, best, best.value, 1, 0)
-    if root.k <= cfg.bnp_root_k:
-        try:
-            best = branch_and_prune(root, primal_heuristic(root, prep), deadline)
-        except TimeLimitReached as stop:
-            # the incumbent's value is no bound: the search did not finish
-            return report(STATUS_TIME_LIMIT, stop.best, float("inf"), 1, 0)
-        return report(STATUS_OPTIMAL, best, best.value, 1, 0)
 
     best = primal_heuristic(root, prep)
-    evals = 0
-    try:
-        root_bound, x_frac, used = node_bound(root, cfg, best.value, root=True,
-                                              deadline=deadline)
-        evals += used
-        cand = varfix_heuristic(root, prep, x_frac, best)
-        if cand.value > best.value:
-            best = cand
-    except NumericalBreakdown:
-        root_bound = float("inf")
-        x_frac = np.full(root.n, 0.5)
-
-    nodes = 1
-    if root_bound < best.value + 1 - 1e-6:
-        return report(STATUS_OPTIMAL, best, root_bound, nodes, evals)
-
-    seq = 0
-    heap: list = []
-    root_node = Node(root, tuple(range(root.n)), (), 0, root_bound)
-    heapq.heappush(heap, (-root_bound, -0, seq, root_node, x_frac))
+    evals = nodes = seq = 0
+    root_node = Node(root, tuple(range(root.n)), (), 0, float("inf"))
+    heap = [(-root_node.bound, 0, seq, root_node)]
 
     while heap:
         if time.perf_counter() > deadline:
-            return report(STATUS_TIME_LIMIT, best, root_bound, nodes, evals)
-        neg_bound, _, _, node, node_xfrac = heapq.heappop(heap)
+            return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals)
+        neg_bound, _, _, node = heapq.heappop(heap)
         if -neg_bound < best.value + 1 - 1e-6:
             break  # best-first: every remaining node is prunable
-        if node.depth > 0:
-            nodes += 1
-            red = node.reduced
-            red_prep = preprocess(red)
-            if red_prep.status == INFEASIBLE:
-                _trace(trace, cfg, node, "infeasible")
-                continue
-            if red_prep.status == TRIVIAL_K1:
-                xr = np.zeros(red.n, dtype=np.int64)
-                xr[red_prep.trivial_index] = 1
-                cand = _lift_incumbent(root, node, Incumbent(xr, red.objective(xr), BRANCH_LEAF), BRANCH_LEAF)
-                if cand.value > best.value:
-                    best = cand
-                _trace(trace, cfg, node, "leaf")
-                continue
-            if red.k <= cfg.bnp_node_k or red.k == red.n:
-                stopped = False
-                try:
-                    sub = branch_and_prune(red, deadline=deadline)
-                except TimeLimitReached as stop:
-                    sub, stopped = stop.best, True
-                if sub is not None:
-                    cand = _lift_incumbent(root, node, sub, BRANCH_LEAF)
-                    if cand.value > best.value:
-                        best = cand
-                _trace(trace, cfg, node, "bnp_leaf")
-                if stopped:
-                    return report(STATUS_TIME_LIMIT, best, root_bound, nodes, evals)
-                continue
-            # refine the inherited bound
+        nodes += 1
+        at_root = node.depth == 0
+        red = node.reduced
+        red_prep = prep if at_root else preprocess(red)
+        if red_prep.status == INFEASIBLE:
+            _trace(trace, cfg, node, "infeasible")
+            continue
+        if red_prep.status == TRIVIAL_K1:
+            xr = np.zeros(red.n, dtype=np.int64)
+            xr[red_prep.trivial_index] = 1
+            cand = _lift_incumbent(root, node, Incumbent(xr, red.objective(xr), BRANCH_LEAF))
+            if cand.value > best.value:
+                best = cand
+            _trace(trace, cfg, node, "leaf")
+            continue
+        if red.k <= (cfg.bnp_root_k if at_root else cfg.bnp_node_k) or red.k == red.n:
+            stopped = False
             try:
-                nb, node_xfrac, used = node_bound(red, cfg, best.value, root=False,
-                                                  deadline=deadline)
-                evals += used
-                node.bound = min(node.bound, nb)
-            except NumericalBreakdown:
-                pass  # keep the inherited bound; the node stays valid
-            if node.bound < best.value + 1 - 1e-6:
-                _trace(trace, cfg, node, "prune")
-                continue
-            cand = varfix_heuristic(red, red_prep, node_xfrac, None)
-            lifted = _lift_incumbent(root, node, cand, cand.source)
-            if lifted.value > best.value:
-                best = lifted
-            if node.bound < best.value + 1 - 1e-6:
-                _trace(trace, cfg, node, "prune")
-                continue
+                # a reduced objective, offset included, is the root objective
+                # of the lifted selection, so the incumbent is the floor as is
+                sub = branch_and_prune(red, best.value, deadline)
+            except TimeLimitReached as stop:
+                sub, stopped = stop.best, True
+            if sub is not None:
+                best = _lift_incumbent(root, node, sub)
+            _trace(trace, cfg, node, "bnp_leaf")
+            if stopped:
+                # the incumbent's value is no bound: the search did not finish
+                return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals)
+            node.bound = best.value  # nothing left in this subtree beats best
+            continue
+        nb, x_frac, used = node_bound(red, cfg, best.value, root=at_root, deadline=deadline)
+        evals += used
+        node.bound = min(node.bound, nb)
+        if node.bound < best.value + 1 - 1e-6:
+            _trace(trace, cfg, node, "prune")
+            continue
+        cand = _lift_incumbent(root, node, varfix_heuristic(red, red_prep, x_frac))
+        if cand.value > best.value:
+            best = cand
+        if node.bound < best.value + 1 - 1e-6:
+            _trace(trace, cfg, node, "prune")
+            continue
 
         # branch on the most fractional coordinate
-        v = int(np.argmin(np.abs(0.5 - np.asarray(node_xfrac))))
+        v = int(np.argmin(np.abs(0.5 - np.asarray(x_frac))))
         orig_v = node.free[v]
         _trace(trace, cfg, node, f"branch x{orig_v}")
         child_free = tuple(f for f in node.free if f != orig_v)
         for val in (1, 0):
             try:
-                child_red = fix_variable(node.reduced, v, val)
+                child_red = fix_variable(red, v, val)
             except InfeasibleFix:
                 continue
             child = Node(
@@ -312,11 +290,10 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 node.depth + 1,
                 node.bound,
             )
-            child_frac = np.delete(np.asarray(node_xfrac), v)
             seq += 1
-            heapq.heappush(heap, (-child.bound, -child.depth, seq, child, child_frac))
+            heapq.heappush(heap, (-child.bound, -child.depth, seq, child))
 
-    return report(STATUS_OPTIMAL, best, root_bound, nodes, evals)
+    return report(STATUS_OPTIMAL, best, root_node.bound, nodes, evals)
 
 
 def _trace(trace: list, cfg: SolverConfig, node: Node, action: str) -> None:

@@ -44,12 +44,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    metavar="P", help="descent steps between cut pool updates")
     p.add_argument("--gamma-drop", type=float, default=_DEFAULT.gamma_drop,
                    help="multiplier threshold below which cuts are dropped")
+    p.add_argument("--output", "-o", type=Path, default=None,
+                   help="also write the JSON report to this path")
+
+
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
+    """Branch-and-prune thresholds: read by a search, not by ``bound``."""
     p.add_argument("--bnp-node-k", type=int, default=_DEFAULT.bnp_node_k, metavar="K",
                    help="switch to branch-and-prune when node cardinality <= K")
     p.add_argument("--bnp-root-k", type=int, default=_DEFAULT.bnp_root_k, metavar="K",
                    help="solve the whole instance by branch-and-prune when k <= K")
-    p.add_argument("--output", "-o", type=Path, default=None,
-                   help="also write the JSON report to this path")
 
 
 def _config_from_args(args) -> bnb.SolverConfig:
@@ -60,8 +64,8 @@ def _config_from_args(args) -> bnb.SolverConfig:
         cuts_per_update=args.cuts_m,
         gamma_drop=args.gamma_drop,
         cut_update_period=args.cut_update_period,
-        bnp_node_k=args.bnp_node_k,
-        bnp_root_k=args.bnp_root_k,
+        bnp_node_k=getattr(args, "bnp_node_k", _DEFAULT.bnp_node_k),
+        bnp_root_k=getattr(args, "bnp_root_k", _DEFAULT.bnp_root_k),
     )
 
 
@@ -245,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file to optimality")
     p.add_argument("path", type=Path)
     _add_solver_flags(p)
+    _add_search_flags(p)
     p.add_argument("--trace-dir", type=Path, default=None,
                    help="write per-instance node trace CSVs into this directory")
     p.set_defaults(func=cmd_solve)
@@ -266,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="solve every *.txt in a directory, emit CSV")
     p.add_argument("dir", type=Path)
     _add_solver_flags(p)
+    _add_search_flags(p)
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default KQKP_THREADS or 1)")
     p.set_defaults(func=cmd_bench)
@@ -273,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="compare against brute-force enumeration")
     p.add_argument("path", type=Path)
     _add_solver_flags(p)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_check)
 
     return parser

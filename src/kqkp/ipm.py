@@ -42,10 +42,6 @@ MAX_ITER = 100
 STEP_FACTOR = 0.98
 
 
-class NumericalBreakdown(RuntimeError):
-    """Loss of positive definiteness not recoverable by step shortening."""
-
-
 @dataclass
 class SdpSolution:
     X: np.ndarray
@@ -217,12 +213,6 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
 
         try:
             LZi = _inv_factor(Z)
-        except np.linalg.LinAlgError:
-            if it == 0:
-                raise NumericalBreakdown("dual iterate lost positive definiteness")
-            status = SLOW_PROGRESS
-            break
-        try:
             LXi = _inv_factor(X)
         except np.linalg.LinAlgError:
             status = SLOW_PROGRESS
@@ -303,9 +293,3 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         feas_history=feas_history,
     )
 
-
-def bound(data: RelaxationData, cost_override: np.ndarray | None = None,
-          tol: float = DEFAULT_TOL) -> float:
-    """Certified upper bound in original objective units."""
-    sol = solve(data, cost_override=cost_override, tol=tol)
-    return sol.certified_dual + data.const_term

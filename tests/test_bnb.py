@@ -5,7 +5,8 @@ import pytest
 
 from kqkp import bnb
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
-from kqkp.instance import Instance
+from kqkp.heuristics import primal_heuristic
+from kqkp.instance import Instance, preprocess
 from kqkp.oracle import enumerate_exact
 from conftest import K_LIGHTEST_CASES, k_lightest_instance, make_instance
 
@@ -27,15 +28,35 @@ class TestBranchAndPrune:
         inst = Instance(3, a, 6, np.ones((3, 3), dtype=np.int64))
         out = branch_and_prune(inst)
         assert np.array_equal(out.x, [1, 1, 1])
+        # one selection: the solve enumerates it at the root, whatever the threshold
+        rep = solve(inst, SDP_CFG)
+        assert np.array_equal(rep.best.x, [1, 1, 1])
+        assert (rep.nodes, rep.evals, rep.root_bound) == (1, 0, rep.best.value)
 
-    def test_incumbent_passthrough_when_nothing_better(self):
+    def test_floor_contract(self):
         inst = make_instance(8, seed=2)
-        opt = enumerate_exact(inst)
+        opt = enumerate_exact(inst).value
+        assert branch_and_prune(inst, floor=opt) is None
+        out = branch_and_prune(inst, floor=opt - 1)
+        assert out.value == opt and inst.is_feasible(out.x)
 
-        class Fake:
-            value = opt.value + 100
-            x = None
-        assert branch_and_prune(inst, Fake()) is not None
+    def test_time_limit_carries_only_selections_above_floor(self):
+        # C(30, 5) selections: the search reaches its first deadline check,
+        # and the deadline has passed by then
+        inst0 = make_instance(30, seed=1)
+        inst = Instance(5, inst0.a, inst0.b, inst0.C)
+
+        def stopped_at(floor):
+            with pytest.raises(bnb.TimeLimitReached) as stop:
+                branch_and_prune(inst, floor, deadline=time.perf_counter() - 1)
+            return stop.value.best
+
+        first = stopped_at(float("-inf"))
+        assert inst.is_feasible(first.x) and first.value == inst.objective(first.x)
+        again = stopped_at(first.value - 1)
+        assert again.value == first.value and inst.is_feasible(again.x)
+        # the same calls visit the same selections, none above their best
+        assert stopped_at(first.value) is None
 
     def test_respects_offset(self):
         inst0 = make_instance(8, seed=3)
@@ -94,6 +115,15 @@ class TestSolve:
         if rep.status == bnb.STATUS_TIME_LIMIT:
             assert rep.best is not None  # incumbent still reported
 
+    def test_zero_time_limit_stops_before_the_root(self):
+        inst = make_instance(12, seed=0)
+        rep = solve(inst, SolverConfig(time_limit_s=0, bnp_root_k=0, bnp_node_k=0))
+        assert rep.status == bnb.STATUS_TIME_LIMIT
+        assert rep.best.value == primal_heuristic(inst, preprocess(inst)).value
+        assert inst.is_feasible(rep.best.x)
+        assert not np.isfinite(rep.root_bound)
+        assert rep.evals == 0
+
     def test_time_limit_stops_root_branch_and_prune(self):
         inst = make_instance(50, density=100, seed=13)
         assert inst.k <= SolverConfig().bnp_root_k  # the whole solve is B&P
@@ -118,8 +148,10 @@ class TestSolve:
         inst = make_instance(12, seed=1)
         cfg = SolverConfig(bnp_root_k=0, bnp_node_k=0, trace=True)
         rep = solve(inst, cfg)
-        if rep.nodes > 1:
-            assert rep.node_trace
+        assert len(rep.node_trace) == rep.nodes
+        # the root is processed in the loop like every node, so it is row 0
+        depth, fixed_ones, bound, _ = rep.node_trace[0]
+        assert (depth, fixed_ones, bound) == (0, 0, round(rep.root_bound, 3))
 
     def test_degenerate_root_cardinality(self):
         inst0 = make_instance(12, seed=10)

@@ -113,7 +113,8 @@ class TestBound:
         path = _write(tmp_path, inst)
         _, out = _run(capsys, ["bound", str(path), "--mode", "sdp"])
         payload = json.loads(out)
-        ref = ipm.bound(relaxation.build(inst), tol=1e-7)
+        data = relaxation.build(inst)
+        ref = ipm.solve(data, tol=1e-7).certified_dual + data.const_term
         assert payload["evals"] == 1
         assert abs(payload["bound"] - ref) <= 1e-9 * abs(ref)
 
@@ -124,6 +125,14 @@ class TestBound:
         payload = json.loads(out)
         assert payload["evals"] == 1
         assert payload["bound"] >= primal_heuristic(inst, preprocess(inst)).value
+
+    def test_branch_and_prune_flags_rejected(self, tmp_path, capsys):
+        # the bound pipeline has no branch-and-prune to configure
+        path = _write(tmp_path, make_instance(8, seed=0))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bound", str(path), "--bnp-root-k", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bnp-root-k" in capsys.readouterr().err
 
     def test_infeasible_bound_is_strict_json_null(self, tmp_path, capsys):
         # k = 3 exceeds k_max = 2: the two lightest weights already fill b = 4
