@@ -11,7 +11,10 @@ body processes every node, root included: an infeasible or k = 1 leaf, a
 branch-and-prune leaf, or the bundle bound, prune, variable fixing, prune
 and branching on the most fractional variable.  At depth 0 only the
 branch-and-prune threshold and the bundle's tolerance and evaluation
-budget differ; the primal heuristic's incumbent is found before the loop.
+budget differ: the root solves each IPM to ``ipm.DEFAULT_TOL`` within
+``root_evals`` evaluations, other nodes to the looser ``NODE_IPM_TOL``
+within ``node_evals``.  The primal heuristic's incumbent is found before
+the loop.  Every processed node appends one row to the report's node trace.
 
 For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundle as bundle_mod
-from . import relaxation
+from . import ipm, relaxation
 from .heuristics import BRANCH_LEAF, Incumbent, primal_heuristic, varfix_heuristic
 from .instance import (
     INFEASIBLE,
@@ -49,32 +52,18 @@ STATUS_INFEASIBLE = "infeasible"
 
 # branch-and-prune reads the clock once per this many search calls
 DEADLINE_CHECK_CALLS = 4096
+NODE_IPM_TOL = 1e-5  # IPM relative gap below the root; the root uses ipm.DEFAULT_TOL
 
 
 @dataclass
 class SolverConfig:
     time_limit_s: float = 10800.0
-    ipm_tol_root: float = 1e-7
-    ipm_tol_node: float = 1e-5
     root_evals: int = 30
     node_evals: int = 10
     cuts_per_update: int | None = None  # None -> min(5n, 300)
-    gamma_drop: float = 1e-5
-    cut_update_period: int = 5
     bnp_node_k: int = 5
     bnp_root_k: int = 10
-    use_cuts: bool = True
-    trace: bool = False
-
-    def bundle_config(self, root: bool, deadline: float | None = None) -> bundle_mod.BundleConfig:
-        return bundle_mod.BundleConfig(
-            max_evals=(self.root_evals if root else self.node_evals) if self.use_cuts else 1,
-            cuts_per_update=self.cuts_per_update,
-            gamma_drop=self.gamma_drop,
-            update_period=self.cut_update_period,
-            ipm_tol=self.ipm_tol_root if root else self.ipm_tol_node,
-            deadline=deadline,
-        )
+    use_cuts: bool = True  # False: one evaluation, the plain SDP bound
 
 
 @dataclass
@@ -190,7 +179,10 @@ def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
     ``time.perf_counter()`` value after which no further evaluation starts.
     """
     data = relaxation.build(inst)
-    res = bundle_mod.minimize(data, lower_bound, cfg.bundle_config(root, deadline))
+    max_evals = (cfg.root_evals if root else cfg.node_evals) if cfg.use_cuts else 1
+    res = bundle_mod.minimize(data, lower_bound, max_evals,
+                              ipm.DEFAULT_TOL if root else NODE_IPM_TOL,
+                              cfg.cuts_per_update, deadline)
     return res.bound, relaxation.extract_fractional(res.X_last, data), res.evals
 
 
@@ -234,7 +226,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         red = node.reduced
         red_prep = prep if at_root else preprocess(red)
         if red_prep.status == INFEASIBLE:
-            _trace(trace, cfg, node, "infeasible")
+            _trace(trace, node, "infeasible")
             continue
         if red_prep.status == TRIVIAL_K1:
             xr = np.zeros(red.n, dtype=np.int64)
@@ -242,7 +234,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             cand = _lift_incumbent(root, node, Incumbent(xr, red.objective(xr), BRANCH_LEAF))
             if cand.value > best.value:
                 best = cand
-            _trace(trace, cfg, node, "leaf")
+            _trace(trace, node, "leaf")
             continue
         if red.k <= (cfg.bnp_root_k if at_root else cfg.bnp_node_k) or red.k == red.n:
             stopped = False
@@ -254,7 +246,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 sub, stopped = stop.best, True
             if sub is not None:
                 best = _lift_incumbent(root, node, sub)
-            _trace(trace, cfg, node, "bnp_leaf")
+            _trace(trace, node, "bnp_leaf")
             if stopped:
                 # the incumbent's value is no bound: the search did not finish
                 return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals)
@@ -264,19 +256,19 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         evals += used
         node.bound = min(node.bound, nb)
         if node.bound < best.value + 1 - 1e-6:
-            _trace(trace, cfg, node, "prune")
+            _trace(trace, node, "prune")
             continue
         cand = _lift_incumbent(root, node, varfix_heuristic(red, red_prep, x_frac))
         if cand.value > best.value:
             best = cand
         if node.bound < best.value + 1 - 1e-6:
-            _trace(trace, cfg, node, "prune")
+            _trace(trace, node, "prune")
             continue
 
         # branch on the most fractional coordinate
         v = int(np.argmin(np.abs(0.5 - np.asarray(x_frac))))
         orig_v = node.free[v]
-        _trace(trace, cfg, node, f"branch x{orig_v}")
+        _trace(trace, node, f"branch x{orig_v}")
         child_free = tuple(f for f in node.free if f != orig_v)
         for val in (1, 0):
             try:
@@ -296,6 +288,5 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     return report(STATUS_OPTIMAL, best, root_node.bound, nodes, evals)
 
 
-def _trace(trace: list, cfg: SolverConfig, node: Node, action: str) -> None:
-    if cfg.trace:
-        trace.append((node.depth, len(node.fixed_ones), round(node.bound, 3), action))
+def _trace(trace: list, node: Node, action: str) -> None:
+    trace.append((node.depth, len(node.fixed_ones), round(node.bound, 3), action))

@@ -35,22 +35,8 @@ DESCENT_RATIO = 0.1  # m_L: share of the predicted decrease a descent step must 
 STALL_TOL = 1e-6  # relative predicted decrease below which the loop stops
 U_INIT = 1.0  # initial proximal weight
 BUNDLE_MAX = 25  # linearizations kept in the cutting-plane model
-POOL_CAPACITY_FACTOR = 10  # cut pool holds at most this many cuts per item
-
-
-@dataclass
-class BundleConfig:
-    max_evals: int = 30
-    cuts_per_update: int | None = None  # default min(5n, 300)
-    gamma_drop: float = 1e-5
-    update_period: int = 5  # descent steps between pool updates
-    ipm_tol: float = 1e-5
-    deadline: float | None = None  # absolute time.perf_counter() cutoff
-
-    def m_for(self, n: int) -> int:
-        if self.cuts_per_update is not None:
-            return self.cuts_per_update
-        return min(5 * n, 300)
+GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
+UPDATE_PERIOD = 5  # descent steps between cut pool updates
 
 
 @dataclass
@@ -73,7 +59,7 @@ class BundleResult:
 
 
 def oracle_eval(pool: CutPool, gamma: np.ndarray, relax: RelaxationData,
-                ipm_tol: float = 1e-5) -> OracleValue:
+                ipm_tol: float) -> OracleValue:
     """One evaluation of the dual functional; gamma conformal with pool."""
     gamma = np.asarray(gamma, dtype=float)
     if (gamma < 0).any():
@@ -125,16 +111,23 @@ def _solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray, u: float)
     return cand, model
 
 
-def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig) -> BundleResult:
+def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol: float,
+             cuts_per_update: int | None = None,
+             deadline: float | None = None) -> BundleResult:
     """Bundle loop; ``lower_bound`` enables early pruning (use -inf to disable).
 
-    Stops when (a) the certified bound dips below lower_bound + 1 (objective
-    is integral, so the node is prunable), (b) the predicted model decrease
-    stalls, or (c) the evaluation budget is exhausted.
+    Each of the at most ``max_evals`` evaluations is an interior-point solve
+    to relative gap ``ipm_tol``; every pool update adds up to
+    ``cuts_per_update`` cuts (default min(5n, 300)).  Stops when (a) the
+    certified bound dips below lower_bound + 1 (objective is integral, so
+    the node is prunable), (b) the predicted model decrease stalls, (c) the
+    evaluation budget is exhausted or (d) ``deadline``, a
+    ``time.perf_counter()`` value, has passed; the first evaluation always
+    runs.
     """
     n = relax.dim
-    pool = CutPool(n, capacity=POOL_CAPACITY_FACTOR * n)
-    first = oracle_eval(pool, np.zeros(0), relax, config.ipm_tol)
+    pool = CutPool(n)
+    first = oracle_eval(pool, np.zeros(0), relax, ipm_tol)
     evals = 1
     best_bound = first.bound
     bound_samples = [first.bound]
@@ -145,10 +138,10 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig) ->
 
     if best_bound < lower_bound + 1.0:
         return result("pruned", first.X, [first.value])
-    if evals >= config.max_evals or n < 3:
+    if evals >= max_evals or n < 3:
         return result("budget", first.X, [first.value])
 
-    m = config.m_for(n)
+    m = min(5 * n, 300) if cuts_per_update is None else cuts_per_update
     pool.add(cuts_mod.separate(first.X, m))
     if len(pool) == 0:
         return result("no_cuts", first.X, [first.value])
@@ -166,8 +159,8 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig) ->
     nulls_in_row = 0
     reason = "budget"
 
-    while evals < config.max_evals:
-        if config.deadline is not None and time.perf_counter() > config.deadline:
+    while evals < max_evals:
+        if deadline is not None and time.perf_counter() > deadline:
             reason = "budget"
             break
         G = np.column_stack(lin_g)
@@ -177,7 +170,7 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig) ->
             reason = "stalled"
             break
 
-        out = oracle_eval(pool, cand, relax, config.ipm_tol)
+        out = oracle_eval(pool, cand, relax, ipm_tol)
         evals += 1
         best_bound = min(best_bound, out.bound)
         bound_samples.append(out.bound)
@@ -203,9 +196,9 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig) ->
             nulls_in_row = 0
             u = max(u * 0.5, 1e-3)
             f_hist.append(f_center)
-            if descents % config.update_period == 0:
+            if descents % UPDATE_PERIOD == 0:
                 pool.set_gamma(center)
-                pool.drop_small(config.gamma_drop)
+                pool.drop_small(GAMMA_DROP)
                 pool.add(cuts_mod.separate(X_center, m, exclude=pool.cuts))
                 pool.enforce_capacity()
                 # rebuild the model in the new coordinate system
@@ -219,6 +212,5 @@ def minimize(relax: RelaxationData, lower_bound: float, config: BundleConfig) ->
                 u = min(u * 2.0, 1e4)
                 nulls_in_row = 0
 
-    if len(center) == len(pool):
-        pool.set_gamma(center)
+    pool.set_gamma(center)
     return result(reason, X_center, f_hist)

@@ -13,11 +13,9 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +31,22 @@ EXIT_TIME_LIMIT = 2
 _DEFAULT = bnb.SolverConfig()
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= lo, else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+    return integer
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=_DEFAULT.time_limit_s, metavar="S",
                    help="wall-clock limit in seconds (default 3 hours)")
-    p.add_argument("--tol", type=float, default=_DEFAULT.ipm_tol_root,
-                   help="interior-point relative gap tolerance at the root")
-    p.add_argument("--cuts-m", type=int, default=_DEFAULT.cuts_per_update, metavar="M",
+    p.add_argument("--cuts-m", type=_int_at_least(1), default=_DEFAULT.cuts_per_update,
+                   metavar="M",
                    help="triangle cuts added per pool update (default min(5n, 300))")
-    p.add_argument("--cut-update-period", type=int, default=_DEFAULT.cut_update_period,
-                   metavar="P", help="descent steps between cut pool updates")
-    p.add_argument("--gamma-drop", type=float, default=_DEFAULT.gamma_drop,
-                   help="multiplier threshold below which cuts are dropped")
     p.add_argument("--output", "-o", type=Path, default=None,
                    help="also write the JSON report to this path")
 
@@ -59,21 +62,10 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> bnb.SolverConfig:
     return bnb.SolverConfig(
         time_limit_s=args.time_limit,
-        ipm_tol_root=args.tol,
-        ipm_tol_node=max(args.tol, _DEFAULT.ipm_tol_node),
         cuts_per_update=args.cuts_m,
-        gamma_drop=args.gamma_drop,
-        cut_update_period=args.cut_update_period,
         bnp_node_k=getattr(args, "bnp_node_k", _DEFAULT.bnp_node_k),
         bnp_root_k=getattr(args, "bnp_root_k", _DEFAULT.bnp_root_k),
     )
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("KQKP_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -127,7 +119,6 @@ def _write_trace(trace_dir: Path, path: Path, report: bnb.SolveReport) -> None:
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    cfg.trace = args.trace_dir is not None
     payload, report = _solve_payload(args.path, cfg)
     if args.trace_dir is not None:
         _write_trace(args.trace_dir, args.path, report)
@@ -185,8 +176,7 @@ def _bench_meta(path: Path, inst: Instance) -> tuple[int, int]:
     return n, round(100.0 * nz / upper)
 
 
-def _bench_one(path_str: str, cfg: bnb.SolverConfig) -> tuple:
-    path = Path(path_str)
+def _bench_one(path: Path, cfg: bnb.SolverConfig) -> tuple:
     inst = _load_validated(path)
     report = bnb.solve(inst, cfg)
     n, delta = _bench_meta(path, inst)
@@ -197,13 +187,7 @@ def _bench_one(path_str: str, cfg: bnb.SolverConfig) -> tuple:
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    threads = _threads(args)
-    paths = sorted(str(p) for p in Path(args.dir).glob("*.txt"))
-    if threads > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_bench_one, paths, [cfg] * len(paths)))
-    else:
-        rows = [_bench_one(p, cfg) for p in paths]
+    rows = [_bench_one(p, cfg) for p in sorted(Path(args.dir).glob("*.txt"))]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "delta", "gap_root_percent", "time_s", "nodes"])
@@ -262,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("generate", help="write a random instance file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(2), required=True)
     p.add_argument("--density", type=int, required=True, choices=[25, 50, 75, 100])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", type=Path, default=None)
@@ -272,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir", type=Path)
     _add_solver_flags(p)
     _add_search_flags(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default KQKP_THREADS or 1)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="compare against brute-force enumeration")

@@ -24,7 +24,6 @@ import numpy as np
 SIGNS = np.array([(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)], dtype=float)
 
 DEFAULT_VIOLATION_TOL = 1e-4
-DEFAULT_GAMMA_DROP = 1e-5
 
 
 @lru_cache(maxsize=8)
@@ -109,7 +108,8 @@ def adjoint_apply(cuts: np.ndarray, gamma, n: int) -> np.ndarray:
 
 
 class CutPool:
-    """Active subset of triangle cuts with their multipliers gamma >= 0."""
+    """Active subset of triangle cuts with their multipliers gamma >= 0;
+    ``enforce_capacity`` trims it to ``capacity`` cuts (default 10 n)."""
 
     def __init__(self, n: int, capacity: int | None = None):
         self.n = n
@@ -138,7 +138,7 @@ class CutPool:
             raise ValueError("multipliers must be nonnegative")
         self.gamma = gamma
 
-    def drop_small(self, threshold: float = DEFAULT_GAMMA_DROP) -> int:
+    def drop_small(self, threshold: float) -> int:
         """Remove cuts whose multiplier is below threshold (inactive)."""
         return self._filter(self.gamma >= threshold)
 

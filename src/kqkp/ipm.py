@@ -135,7 +135,7 @@ def certify_dual(y: np.ndarray, C: np.ndarray, Emat: np.ndarray, Amat: np.ndarra
 
 
 def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
-          tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
+          tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve the relaxation (optionally with a replacement cost matrix).
 
     ``cost_override`` is used by the bundle method to pass C_bar - T'(gamma).
@@ -182,7 +182,7 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
     pobj = dobj = 0.0
     last_min_step = 1.0
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         iters = it
         AX = _constraint_op(X, a_bar)
         rp = rhs - AX
@@ -283,7 +283,7 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         Z = 0.5 * (Zn + Zn.T)
         t = tn
     else:
-        iters = max_iter
+        iters = MAX_ITER
 
     certified = certify_dual(y, C, Emat, Amat, rhs)
     return SdpSolution(

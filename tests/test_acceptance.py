@@ -14,7 +14,7 @@ import pytest
 
 from kqkp import bnb, bundle, cli, cuts, generator, ipm, relaxation
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
-from kqkp.bundle import BundleConfig, minimize, oracle_eval
+from kqkp.bundle import minimize, oracle_eval
 from kqkp.cuts import CutPool
 from kqkp.heuristics import primal_heuristic, varfix_heuristic
 from kqkp.instance import dump, preprocess
@@ -56,7 +56,7 @@ def test_criterion_02_bound_validity(suite):
     violations = 0
     for inst, opt in suite:
         data = relaxation.build(inst)
-        res = minimize(data, float("-inf"), BundleConfig(max_evals=6))
+        res = minimize(data, float("-inf"), max_evals=6, ipm_tol=1e-5)
         samples = res.bound_samples  # gamma = 0 first, then bundle iterates
         violations += sum(1 for b in samples if b < opt - 1e-6)
     _verdict(2, "bound validity", violations == 0,
@@ -74,7 +74,7 @@ def test_criterion_03_bound_ordering():
         data = relaxation.build(inst)
         sdp = oracle_eval(CutPool(data.dim), np.zeros(0), data, ipm_tol=1e-6).bound
         met = minimize(data, float("-inf"),
-                       BundleConfig(max_evals=10, ipm_tol=1e-6)).bound
+                       max_evals=10, ipm_tol=1e-6).bound
         if met <= sdp + 1e-6:
             ordered += 1
         inc = primal_heuristic(inst, preprocess(inst))
@@ -187,7 +187,7 @@ def test_criterion_07_root_gap():
             continue
         prep = preprocess(inst)
         data = relaxation.build(inst)
-        res = minimize(data, float("-inf"), BundleConfig(max_evals=30))
+        res = minimize(data, float("-inf"), max_evals=30, ipm_tol=1e-5)
         x_frac = relaxation.extract_fractional(res.X_last, data)
         inc = varfix_heuristic(inst, prep, x_frac,
                                primal_heuristic(inst, prep))

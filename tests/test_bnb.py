@@ -146,7 +146,7 @@ class TestSolve:
 
     def test_trace_collected(self):
         inst = make_instance(12, seed=1)
-        cfg = SolverConfig(bnp_root_k=0, bnp_node_k=0, trace=True)
+        cfg = SolverConfig(bnp_root_k=0, bnp_node_k=0)
         rep = solve(inst, cfg)
         assert len(rep.node_trace) == rep.nodes
         # the root is processed in the loop like every node, so it is row 0

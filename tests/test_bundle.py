@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kqkp import bundle, cuts, relaxation
-from kqkp.bundle import BundleConfig, minimize, oracle_eval
+from kqkp.bundle import minimize, oracle_eval
 from kqkp.cuts import CutPool
 from kqkp.oracle import enumerate_exact
 from conftest import make_instance
@@ -36,7 +36,7 @@ class TestOracleEval:
         if len(pool) == 0:
             pytest.skip("no violated cuts on this instance")
         with pytest.raises(ValueError):
-            oracle_eval(pool, -np.ones(len(pool)), data)
+            oracle_eval(pool, -np.ones(len(pool)), data, ipm_tol=1e-5)
 
     def test_bound_valid_for_random_gammas(self, rng):
         inst = make_instance(10, seed=3)
@@ -47,7 +47,7 @@ class TestOracleEval:
             pytest.skip("no violated cuts on this instance")
         for _ in range(10):
             gamma = rng.uniform(0, 2, size=len(pool))
-            out = oracle_eval(pool, gamma, data)
+            out = oracle_eval(pool, gamma, data, ipm_tol=1e-5)
             assert out.bound >= opt.value - 1e-6
 
     def test_subgradient_inequality(self, rng):
@@ -72,20 +72,20 @@ class TestMinimize:
         data = _data(inst)
         pool = CutPool(data.dim)
         f0 = oracle_eval(pool, np.zeros(0), data, ipm_tol=1e-5).bound
-        res = minimize(data, float("-inf"), BundleConfig(max_evals=15))
+        res = minimize(data, float("-inf"), max_evals=15, ipm_tol=1e-5)
         assert res.bound <= f0 + 1e-6
 
     def test_bound_valid_against_oracle(self):
         for seed in range(8):
             inst = make_instance(11, seed=seed)
             opt = enumerate_exact(inst)
-            res = minimize(_data(inst), float("-inf"), BundleConfig(max_evals=10))
+            res = minimize(_data(inst), float("-inf"), max_evals=10, ipm_tol=1e-5)
             assert res.bound >= opt.value - 1e-6
 
     def test_prunes_against_lower_bound(self):
         inst = make_instance(12, seed=5)
         opt = enumerate_exact(inst)
-        res = minimize(_data(inst), float(opt.value), BundleConfig(max_evals=30))
+        res = minimize(_data(inst), float(opt.value), max_evals=30, ipm_tol=1e-5)
         assert res.reason in ("pruned", "stalled", "budget", "no_cuts")
         assert res.bound >= opt.value - 1e-6
         if res.reason == "pruned":
@@ -93,13 +93,13 @@ class TestMinimize:
 
     def test_descent_history_monotone(self):
         res = minimize(_data(make_instance(14, seed=3)), float("-inf"),
-                       BundleConfig(max_evals=20))
+                       max_evals=20, ipm_tol=1e-5)
         hist = res.f_center_history
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_pool_hygiene(self):
         res = minimize(_data(make_instance(14, seed=7)), float("-inf"),
-                       BundleConfig(max_evals=25))
+                       max_evals=25, ipm_tol=1e-5)
         pool = res.pool
         assert len(np.unique(pool.cuts, axis=0)) == len(pool.cuts)
         assert len(pool.gamma) == len(pool.cuts)
@@ -108,18 +108,18 @@ class TestMinimize:
 
     def test_eval_budget_respected(self):
         res = minimize(_data(make_instance(14, seed=2)), float("-inf"),
-                       BundleConfig(max_evals=6))
+                       max_evals=6, ipm_tol=1e-5)
         assert res.evals <= 6
 
     def test_bound_samples_all_valid(self):
         inst = make_instance(10, seed=9)
         opt = enumerate_exact(inst)
-        res = minimize(_data(inst), float("-inf"), BundleConfig(max_evals=12))
+        res = minimize(_data(inst), float("-inf"), max_evals=12, ipm_tol=1e-5)
         assert len(res.bound_samples) == res.evals
         assert all(b >= opt.value - 1e-6 for b in res.bound_samples)
 
     def test_deadline_stops_early(self):
         import time
-        cfg = BundleConfig(max_evals=50, deadline=time.perf_counter())
-        res = minimize(_data(make_instance(16, seed=1)), float("-inf"), cfg)
+        res = minimize(_data(make_instance(16, seed=1)), float("-inf"),
+                       max_evals=50, ipm_tol=1e-5, deadline=time.perf_counter())
         assert res.evals <= 2

@@ -1,5 +1,8 @@
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +203,51 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("KQKP_THREADS", "3")
-    args = cli.build_parser().parse_args(["bench", "/tmp"])
-    assert cli._threads(args) == 3
+def _usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, target, flag, value]
+    for cmd, target in (("solve", "F"), ("bound", "F"), ("bench", "D"), ("check", "F"))
+    for flag, value in (("--tol", "1e-6"), ("--gamma-drop", "1e-4"),
+                        ("--cut-update-period", "3"))
+] + [["bench", "D", "--threads", "2"]], ids=" ".join)
+def test_removed_knobs_rejected(capsys, argv):
+    # the IPM tolerances, cut-drop threshold and update period are constants,
+    # and bench runs in one process
+    assert f"unrecognized arguments: {argv[2]}" in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_cuts_m_is_usage_error(capsys, value):
+    err = _usage_error(capsys, ["solve", "F", "--bnp-root-k", "0", "--cuts-m", value])
+    assert "--cuts-m" in err
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_generate_needs_two_items(capsys, value):
+    err = _usage_error(capsys, ["generate", "--n", value, "--density", "50", "--seed", "1"])
+    assert "--n" in err
+
+
+def _long_flags(parser):
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _long_flags(sub)
+    return flags - {"--help"}
+
+
+def test_readme_command_line_lists_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section))
+    registered = _long_flags(cli.build_parser())
+    assert documented - registered == set(), "README names flags the parser rejects"
+    assert registered - documented == set(), "README misses registered flags"
