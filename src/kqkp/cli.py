@@ -41,8 +41,19 @@ def _int_at_least(lo: int):
     return integer
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds >= 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--time-limit", type=float, default=_DEFAULT.time_limit_s, metavar="S",
+    p.add_argument("--time-limit", type=_seconds, default=_DEFAULT.time_limit_s, metavar="S",
                    help="wall-clock limit in seconds (default 3 hours)")
     p.add_argument("--cuts-m", type=_int_at_least(1), default=_DEFAULT.cuts_per_update,
                    metavar="M",
@@ -248,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a random instance file")
     p.add_argument("--n", type=_int_at_least(2), required=True)
     p.add_argument("--density", type=int, required=True, choices=[25, 50, 75, 100])
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out-dir", type=Path, default=None)
     p.set_defaults(func=cmd_generate)
 

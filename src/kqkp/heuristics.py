@@ -1,9 +1,11 @@
-"""Lower-bound machinery: greedy + local-search primal heuristic and the
-relaxation-guided variable-fixation heuristic.
+"""Lower-bound machinery: a greedy primal heuristic and the
+relaxation-guided variable-fixation heuristic, each finished by a
+first-improvement swap descent.
 
 Both are deterministic (ties broken by lowest index) and cheap relative to
-a single bound computation, so they run at every node that survives
-pruning.
+a single bound computation.  The primal heuristic runs once before the
+search and inside every variable-fixation call; variable fixation runs at
+every node that survives its bound.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import TRIVIAL_K1, Instance, Preprocessed, preprocess
+from .instance import Instance, Preprocessed, preprocess
 
 PRIMAL = "primal"
 VARFIX = "varfix"
 BRANCH_LEAF = "branch_leaf"
 
 EPSILON_SCHEDULE = tuple(0.1 * i for i in range(1, 10))
+# rows of the swap scan evaluated at once; the first improving row is
+# usually near the front, so a full k x n scan per swap is mostly wasted
+SWAP_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -34,26 +39,21 @@ def _completion_sums(a: np.ndarray, free_mask: np.ndarray, need: int) -> np.ndar
     Entries for non-free items are meaningless.  Used to keep greedy choices
     completable to a full cardinality-k selection.
     """
-    n = len(a)
     if need <= 0:
-        return np.zeros(n)
+        return np.zeros_like(a)
     free_w = np.sort(a[free_mask])
-    if len(free_w) <= need:
-        # a free j leaves at most need - 1 other free items
-        return np.full(n, np.inf)
     prefix = int(free_w[:need].sum())
-    threshold = free_w[need - 1]
     # if a_j is among the `need` lightest, swap it out for the next lightest
-    out = np.where(a <= threshold, prefix - a + free_w[need], prefix)
-    return out.astype(float)
+    return np.where(a <= free_w[need - 1], prefix - a + free_w[need], prefix)
 
 
 def _swap_descent(C: np.ndarray, a: np.ndarray, b: int, selected: list[int]) -> list[int]:
     """First-improvement 1-out/1-in swaps to a fixed point.
 
     Swap order is lowest selected index first, lowest incoming index first.
-    Row sums over the selected set are updated incrementally, so each swap
-    costs O(kn) for the vectorized pair scan and O(n) for the update.
+    Row sums over the selected set are updated incrementally, and the pair
+    scan goes through the selected items in blocks of `SWAP_BLOCK` rows,
+    stopping at the first block that holds an improving swap.
     """
     n = len(a)
     in_sel = np.zeros(n, dtype=bool)
@@ -63,63 +63,23 @@ def _swap_descent(C: np.ndarray, a: np.ndarray, b: int, selected: list[int]) -> 
     diag = np.diag(C)
     while True:
         sel = np.nonzero(in_sel)[0]
-        # delta(i -> j) = gain of j w.r.t. S\{i} minus loss of i
-        D = (diag + 2 * r)[None, :] - 2 * C[sel, :] \
-            - (2 * r[sel] - diag[sel])[:, None]
-        ok = (D > 0) & (~in_sel)[None, :] \
-            & (weight - a[sel][:, None] + a[None, :] <= b)
-        rows = ok.any(axis=1)
-        if not rows.any():
+        g = diag + 2 * r
+        for lo in range(0, len(sel), SWAP_BLOCK):
+            rows = sel[lo:lo + SWAP_BLOCK]
+            # i -> j improves iff the gain of j w.r.t. S\{i} beats the loss of i
+            better = g - 2 * C[rows] > (2 * r[rows] - diag[rows])[:, None]
+            ok = better & ~in_sel & (a <= (b - weight + a[rows])[:, None])
+            # argmax finds the first True in row-major order: lowest i, then j
+            row, j = divmod(int(np.argmax(ok)), n)
+            if ok[row, j]:
+                break
+        else:
             return sel.tolist()
-        row = int(np.argmax(rows))
-        i = int(sel[row])
-        j = int(np.argmax(ok[row]))
+        i = int(rows[row])
         in_sel[i] = False
         in_sel[j] = True
         weight += int(a[j] - a[i])
         r = r - C[:, i] + C[:, j]
-
-
-def _fill_up(C: np.ndarray, a: np.ndarray, b: int, k: int,
-             selected: list[int]) -> bool:
-    """Add the best-gain item while below cardinality; True if one was added."""
-    n = len(a)
-    if len(selected) >= k:
-        return False
-    in_sel = np.zeros(n, dtype=bool)
-    in_sel[selected] = True
-    weight = int(a[selected].sum())
-    need = k - len(selected) - 1
-    comp = _completion_sums(a, ~in_sel, need)
-    gains = np.diag(C) + (2 * C[:, selected].sum(axis=1) if selected else 0)
-    ok = (~in_sel) & (weight + a <= b)
-    # completion computed over free-without-j, budget excludes j's weight
-    ok &= comp <= (b - weight - a).astype(float)
-    if not ok.any():
-        return False
-    gains = np.where(ok, gains, np.iinfo(np.int64).min)
-    selected.append(int(np.argmax(gains)))
-    selected.sort()
-    return True
-
-
-def _local_search(inst: Instance, selected: list[int]) -> list[int]:
-    """Fill-up and first-improvement swaps to a fixed point.
-
-    Terminates because every accepted move strictly increases the integer
-    objective (swaps) or the selection size (fill-up, bounded by k).
-    """
-    selected = sorted(selected)
-    C, a, b, k = inst.C, inst.a, inst.b, inst.k
-    while True:
-        if _fill_up(C, a, b, k, selected):
-            continue
-        if len(selected) == k:
-            new = _swap_descent(C, a, b, selected)
-            if new != selected:
-                selected = new
-                continue
-        return selected
 
 
 def _to_incumbent(inst: Instance, selected, source: str) -> Incumbent:
@@ -129,41 +89,30 @@ def _to_incumbent(inst: Instance, selected, source: str) -> Incumbent:
 
 
 def primal_heuristic(inst: Instance, prep: Preprocessed) -> Incumbent:
-    """Greedy by objective gain per unit weight, then local search.
+    """Greedy by objective gain per unit weight, then swap descent.
 
-    Requires k <= k_max, which guarantees the k lightest items are feasible
-    (used as repair if the greedy paints itself into a corner).
+    Requires k <= k_max, so that the k lightest items fit.
     """
     if inst.k > prep.k_max:
         raise ValueError("infeasible cardinality; check preprocess first")
     n, k, a, b, C = inst.n, inst.k, inst.a, inst.b, inst.C
-    if k == 0:
-        return _to_incumbent(inst, [], PRIMAL)
     diag = np.diag(C).astype(float)
-    selected: list[int] = []
     weight = 0
     in_sel = np.zeros(n, dtype=bool)
-    while len(selected) < k:
-        need = k - len(selected) - 1
-        comp = _completion_sums(a, ~in_sel, need)
-        gains = diag + (2 * C[:, selected].sum(axis=1) if selected else 0.0)
-        ok = (~in_sel) & (weight + a <= b)
-        ok &= comp <= (b - weight - a).astype(float)
-        if not ok.any():
-            break
-        with np.errstate(divide="ignore"):
-            ratio = np.where(a > 0, gains / np.where(a > 0, a, 1),
-                             np.where(gains >= 0, np.inf, -np.inf))
+    r = np.zeros(n, dtype=C.dtype)  # row sums of C over the selection
+    for need in range(k - 1, -1, -1):  # picks still to make after this one
+        # a pick is legal only if the `need` lightest other free items still
+        # fit beside it, so the lightest free item is always legal
+        ok = ~in_sel & (_completion_sums(a, ~in_sel, need) <= b - weight - a)
+        gains = diag + 2 * r
+        ratio = np.where(a > 0, gains / np.where(a > 0, a, 1),
+                         np.where(gains >= 0, np.inf, -np.inf))
         ratio = np.where(ok, ratio, -np.inf)
         j = int(np.argmax(ratio))
-        selected.append(j)
         in_sel[j] = True
         weight += int(a[j])
-    if len(selected) < k:
-        # repair: the k lightest items always fit when k <= k_max
-        order = np.lexsort((np.arange(n), a))
-        selected = sorted(order[:k].tolist())
-    selected = _local_search(inst, selected)
+        r += C[:, j]
+    selected = _swap_descent(C, a, b, np.flatnonzero(in_sel).tolist())
     return _to_incumbent(inst, selected, PRIMAL)
 
 
@@ -183,14 +132,8 @@ def varfix_heuristic(inst: Instance, prep: Preprocessed, x_frac: np.ndarray,
         sub_prep = preprocess(sub)
         if inst.k > sub_prep.k_max:
             continue
-        if sub_prep.status == TRIVIAL_K1:
-            sub_sel = [sub_prep.trivial_index]
-        else:
-            sub_sel = np.nonzero(primal_heuristic(sub, sub_prep).x)[0].tolist()
-        lifted = sorted(int(free[i]) for i in sub_sel)
-        lifted = _local_search(inst, lifted)
-        if len(lifted) != inst.k:
-            continue
+        sub_sel = np.nonzero(primal_heuristic(sub, sub_prep).x)[0]
+        lifted = _swap_descent(inst.C, inst.a, inst.b, free[sub_sel].tolist())
         cand = _to_incumbent(inst, lifted, VARFIX)
         if not inst.is_feasible(cand.x):
             continue

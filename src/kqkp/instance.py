@@ -199,9 +199,10 @@ def parse_text(text: str) -> Instance:
     n, k, b = ints(rows[0], expect=3)
     if n <= 0:
         raise ParseError(rows[0][0], f"item count must be positive, got {n}")
-    if len(rows) < n + 2:
-        last = rows[-1][0]
-        raise ParseError(last, f"expected {n + 2} data lines, found {len(rows)}")
+    if len(rows) != n + 2:
+        # cite the last line of a short file, the first extra line of a long one
+        ln = rows[min(len(rows), n + 3) - 1][0]
+        raise ParseError(ln, f"expected {n + 2} data lines, found {len(rows)}")
     a = ints(rows[1], expect=n)
     C = [ints(rows[2 + i], expect=n) for i in range(n)]
     return Instance(k, np.array(a), b, np.array(C))

@@ -234,6 +234,19 @@ def test_generate_needs_two_items(capsys, value):
     assert "--n" in err
 
 
+def test_generate_rejects_negative_seed(capsys):
+    err = _usage_error(capsys, ["generate", "--n", "10", "--density", "50", "--seed", "-1"])
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("cmd", ["solve", "bound"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_time_limit_must_be_finite_and_nonnegative(capsys, cmd, value):
+    # a NaN deadline never passes and would print as NaN in the JSON report
+    err = _usage_error(capsys, [cmd, "F", "--time-limit", value])
+    assert "--time-limit" in err
+
+
 def _long_flags(parser):
     flags = set()
     for action in parser._actions:

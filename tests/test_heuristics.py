@@ -1,6 +1,8 @@
 import time
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kqkp import relaxation
 from kqkp.heuristics import primal_heuristic, varfix_heuristic
@@ -111,3 +113,50 @@ class TestVarfix:
         assert out.value == inst.objective(out.x)
         assert int(out.x.sum()) == inst.k
         assert inst.weight(out.x) <= inst.b
+
+
+@st.composite
+def tight_instances(draw):
+    """Small instances at the edges of feasibility, with a random x_frac.
+
+    Shapes: b == b' (only the k lightest fit), k == k_max, n == 2k, k = 1
+    and any k <= k_max; weights and profits may be zero.
+    """
+    shape = draw(st.sampled_from(["b_prime", "k_max", "n_2k", "k1", "any"]))
+    n = draw(st.integers(2, 12))
+    if shape == "n_2k":
+        n -= n % 2
+        k = n // 2
+    elif shape == "k1":
+        k = 1
+    else:
+        k = draw(st.integers(0 if shape == "any" else 1, n))
+    a = np.array(draw(st.lists(st.integers(0, 20), min_size=n, max_size=n)))
+    upper = np.triu(np.array(draw(st.lists(st.integers(0, 30), min_size=n * n,
+                                            max_size=n * n))).reshape(n, n))
+    C = upper + np.triu(upper, 1).T
+    light = np.cumsum(np.sort(a))
+    b_prime = int(light[k - 1]) if k else 0
+    if shape in ("b_prime", "n_2k"):
+        b = b_prime
+    elif shape == "k_max" and k < n:
+        b = draw(st.integers(b_prime, max(b_prime, int(light[k]) - 1)))
+    else:
+        b = draw(st.integers(b_prime, int(a.sum())))
+    x_frac = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+    return Instance(k, a, b, C), x_frac
+
+
+class TestCompletionInvariant:
+    """The greedy keeps its picks completable, so it always picks exactly k."""
+
+    @given(tight_instances())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_k_items_feasible_and_valued(self, case):
+        inst, x_frac = case
+        prep = preprocess(inst)
+        assert inst.k <= prep.k_max
+        for out in (primal_heuristic(inst, prep), varfix_heuristic(inst, prep, x_frac)):
+            assert int(out.x.sum()) == inst.k
+            assert inst.is_feasible(out.x)
+            assert out.value == inst.objective(out.x)

@@ -155,3 +155,9 @@ class TestTextFormat:
     def test_truncated_file_cites_last_line(self):
         with pytest.raises(ParseError):
             parse_text("3 2 5\n1 1 1\n1 0 0\n")
+
+    def test_extra_data_line_cites_first_extra_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_text("2 1 1\n1 1\n1 0\n0 2\n# note\n\n3 4\n5 6\n")
+        assert exc.value.line_no == 7
+        assert "expected 4 data lines, found 6" in str(exc.value)
