@@ -10,6 +10,14 @@ maximizer.  The cut pool is dynamic: every few descent steps the most
 violated triangle inequalities at the current maximizer are added and cuts
 with near-zero multiplier are dropped.
 
+Each candidate minimizes the cutting-plane model plus a proximal term.  That
+subproblem is solved exactly through its dual over the unit simplex of
+piece weights (Kiwiel, SIAM J. Sci. Stat. Comput. 1989): an outer fixed
+point on the coordinates the candidate leaves positive, each pass a small
+active-set quadratic program in at most BUNDLE_MAX weights, with a hard cap
+of MODEL_PASSES passes.  Its accuracy only steers the trajectory;
+every reported bound is an oracle's certified dual value.
+
 Two values come out of each oracle call: the primal objective at X* (used
 for the cutting-plane model and descent decisions) and a certified dual
 value (always a valid upper bound on the integer optimum, used for
@@ -24,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from . import cuts as cuts_mod
 from . import ipm
@@ -37,6 +44,9 @@ U_INIT = 1.0  # initial proximal weight
 BUNDLE_MAX = 25  # linearizations kept in the cutting-plane model
 GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
 UPDATE_PERIOD = 5  # descent steps between cut pool updates
+# cap on the passes of _model_weights, and (times the number of pieces) on the
+# steps of _simplex_qp; the bb_n40 subproblems need at most 6 passes
+MODEL_PASSES = 50
 
 
 @dataclass
@@ -76,39 +86,123 @@ def oracle_eval(pool: CutPool, gamma: np.ndarray, relax: RelaxationData,
     )
 
 
+def _simplex_qp(Q: np.ndarray, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Minimize 1/2 lam'Q lam - q'lam over the unit simplex, from a feasible lam.
+
+    Primal active-set method: the free set S holds the weights allowed to be
+    positive.  Each step solves the equality-constrained problem on S by an
+    eigendecomposition of Q_SS restricted to {d : sum(d) = 0}.  Where that
+    restriction is singular (duplicate linearizations, fewer pool
+    coordinates than pieces) and the gradient has a component in its null
+    space, the step walks along that component to the nearest bound, so a
+    singular Q needs no special case.  A step cut short by a bound drops
+    that weight from S; a full step adds the weight of most negative
+    multiplier, or ends the loop when none is negative.
+    """
+    lam = lam.copy()
+    free = lam > 0
+    tol = 1e-13 * (np.abs(q).max() + np.abs(Q).max())
+    for _ in range(MODEL_PASSES * len(q)):
+        S = np.flatnonzero(free)
+        m = len(S)
+        QS = Q[S][:, S]
+        grad = Q[S] @ lam - q[S]
+        row = QS.sum(0) / m  # Q_SS is symmetric: row and column means agree
+        e, V = np.linalg.eigh(QS - row - row[:, None] + row.sum() / m)
+        r = V.T @ (grad - grad.sum() / m)
+        pos = e > 1e-12 * max(e[-1], 0.0)
+        r_null = np.where(pos, 0.0, r)
+        if np.abs(r_null).max() > tol:
+            d, alpha = -(V @ r_null), np.inf
+        else:
+            d, alpha = -(V[:, pos] @ (r[pos] / e[pos])), 1.0
+        d -= d.sum() / m
+        neg = d < 0
+        ratios = np.where(neg, lam[S] / np.where(neg, -d, 1.0), np.inf)
+        k = int(np.argmin(ratios))
+        blocked = ratios[k] < alpha
+        lam[S] = np.maximum(lam[S] + min(alpha, ratios[k]) * d, 0.0)
+        if blocked:
+            lam[S[k]] = 0.0
+            free[S[k]] = False
+        lam /= lam.sum()
+        if blocked:
+            continue
+        eta = Q @ lam - q
+        eta -= eta[S].sum() / m
+        eta[free] = np.inf
+        j = int(np.argmin(eta))
+        if eta[j] >= -tol:
+            break
+        free[j] = True
+    return lam
+
+
+def _line_max(z: np.ndarray, b: np.ndarray, cd: float, u: float) -> float:
+    """The t in [0, 1] maximizing theta(lam + t d), where z = center - G lam / u,
+    b = G d / u and cd = c'd.  The slope cd + u * sum(b * max(0, z - t b)) is
+    continuous, piecewise linear and nonincreasing in t: find its zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = z / b
+    ts = np.concatenate(([0.0], np.sort(kinks[(kinks > 0) & (kinks < 1)]), [1.0]))
+    slope = cd + u * (b[:, None] * np.maximum(0.0, z[:, None] - np.outer(b, ts))).sum(0)
+    if slope[-1] >= 0:
+        return 1.0
+    i = int(np.argmax(slope < 0))
+    if i == 0:
+        return 0.0
+    return ts[i - 1] + (ts[i] - ts[i - 1]) * slope[i - 1] / (slope[i - 1] - slope[i])
+
+
+def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
+                   u: float) -> np.ndarray:
+    """Weights lam maximizing the simplex dual of the bundle subproblem,
+
+        theta(lam) = lam'c + (u/2)||center||^2 - (u/2)||max(0, z)||^2,
+        z = center - G lam / u,
+
+    concave and continuously differentiable.  On the set F = {z > 0} it is
+    the quadratic of ``_simplex_qp`` with Q = G_F'G_F / u and
+    q = c + G_F'center_F.  Each pass solves that quadratic for the F of the
+    current lam; when the solution keeps the same F it is the maximizer of
+    theta (the KKT conditions of both problems coincide) and is returned.
+    Otherwise lam moves to the maximum of theta on the segment towards it,
+    so theta never falls and the last lam is the best seen.  The loop ends
+    after MODEL_PASSES passes, or when the segment gives no rise, since the
+    next pass would repeat this one.  The start is the best vertex.
+    """
+    # theta at each vertex e_i: the Lagrangian at its minimizer Z[:, i]
+    Z = np.maximum(0.0, center[:, None] - G / u)
+    vertex_theta = lin_c + (G * Z).sum(0) + 0.5 * u * ((Z - center[:, None]) ** 2).sum(0)
+    lam = np.zeros(len(lin_c))
+    lam[int(np.argmax(vertex_theta))] = 1.0
+    z = center - G @ lam / u
+    for _ in range(MODEL_PASSES):
+        F = z > 0
+        GF = G[F]
+        new = _simplex_qp(GF.T @ GF / u, lin_c + GF.T @ center[F], lam)
+        if np.array_equal(center - G @ new / u > 0, F):
+            return new
+        d = new - lam
+        t = _line_max(z, G @ d / u, float(lin_c @ d), u)
+        lam = lam + t * d
+        z = center - G @ lam / u
+        if t == 0.0:
+            break
+    return lam
+
+
 def _solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray, u: float):
     """Candidate minimizing the cutting-plane model plus proximal term.
 
     The model is max_i (c_i + g_i'gamma) and the candidate solves
-    min_{gamma>=0} model(gamma) + (u/2)||gamma - center||^2 via its simplex
-    dual: for weights lam the inner minimizer is max(0, center - G lam / u).
-    Returns (candidate, model value at candidate).
+    min_{gamma>=0} model(gamma) + (u/2)||gamma - center||^2 exactly through
+    its simplex dual (``_model_weights``): for weights lam the inner
+    minimizer is max(0, center - G lam / u).  Returns (candidate, model
+    value at candidate).
     """
-    p = len(lin_c)
-    if p == 1:
-        cand = np.maximum(0.0, center - G[:, 0] / u)
-        return cand, float(lin_c[0] + G[:, 0] @ cand)
-
-    def neg_theta(lam):
-        cand = np.maximum(0.0, center - (G @ lam) / u)
-        vals = lin_c + G.T @ cand
-        theta = float(lam @ vals) + 0.5 * u * float(np.sum((cand - center) ** 2))
-        return -theta, -vals  # envelope gradient
-
-    lam0 = np.full(p, 1.0 / p)
-    res = scipy_minimize(
-        neg_theta, lam0, jac=True, method="SLSQP",
-        bounds=[(0.0, 1.0)] * p,
-        constraints=[{"type": "eq", "fun": lambda l: l.sum() - 1.0,
-                      "jac": lambda l: np.ones(p)}],
-        options={"maxiter": 100, "ftol": 1e-12},
-    )
-    lam = np.clip(res.x, 0.0, 1.0)
-    ssum = lam.sum()
-    lam = lam / ssum if ssum > 0 else lam0
-    cand = np.maximum(0.0, center - (G @ lam) / u)
-    model = float(np.max(lin_c + G.T @ cand))
-    return cand, model
+    cand = np.maximum(0.0, center - G @ _model_weights(lin_c, G, center, u) / u)
+    return cand, float(np.max(lin_c + G.T @ cand))
 
 
 def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol: float,
@@ -138,8 +232,10 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
 
     if best_bound < lower_bound + 1.0:
         return result("pruned", first.X, [first.value])
-    if evals >= max_evals or n < 3:
+    if evals >= max_evals:
         return result("budget", first.X, [first.value])
+    if n < 3:  # no triangle to cut with
+        return result("no_cuts", first.X, [first.value])
 
     m = min(5 * n, 300) if cuts_per_update is None else cuts_per_update
     pool.add(cuts_mod.separate(first.X, m))
@@ -182,8 +278,8 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
         lin_c.append(out.value - out.g @ cand)
         lin_g.append(out.g)
         if len(lin_c) > BUNDLE_MAX:
-            # aggregate the two oldest pieces into their pointwise max proxy
-            # (keep the tighter one at the candidate); cheap and sufficient
+            # drop whichever of the two oldest pieces is lower (looser) at
+            # the candidate
             drop = 0 if lin_c[0] + lin_g[0] @ cand <= lin_c[1] + lin_g[1] @ cand else 1
             del lin_c[drop], lin_g[drop]
 

@@ -8,6 +8,10 @@ Python tuples, so it shares no code with the vectorized ``cuts.separate``.
 The naive step length factors P afresh, applies L^{-1} by two triangular
 solves and takes the full spectrum, where ``ipm._max_step`` reuses an
 inverse factor and asks LAPACK for one eigenvalue.
+The reference bundle subproblem solver hands the simplex dual to SciPy's
+general-purpose SLSQP, where ``bundle._solve_model`` solves it exactly by an
+active-set method of its own; the package itself does not use
+``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import minimize
 
 
 def constraint_matrices(n: int, a_bar: np.ndarray) -> list[np.ndarray]:
@@ -72,3 +77,30 @@ def naive_separate(X: np.ndarray, m: int, exclude=(), tol: float = 1e-4) -> list
                 found.append((slack, i, j, k, kind))
     found.sort()
     return [list(c[1:]) for c in found[:m]]
+
+
+def reference_solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
+                          u: float) -> np.ndarray:
+    """Candidate of the proximal bundle subproblem
+    min_{gamma>=0} max_i (c_i + g_i'gamma) + (u/2)||gamma - center||^2,
+    from SLSQP on its simplex dual: for weights lam the candidate is
+    max(0, center - G lam / u) and the dual value is the Lagrangian there."""
+    p = len(lin_c)
+
+    def neg_theta(lam):
+        cand = np.maximum(0.0, center - (G @ lam) / u)
+        vals = lin_c + G.T @ cand
+        theta = float(lam @ vals) + 0.5 * u * float(np.sum((cand - center) ** 2))
+        return -theta, -vals  # envelope gradient
+
+    lam0 = np.full(p, 1.0 / p)
+    res = minimize(
+        neg_theta, lam0, jac=True, method="SLSQP",
+        bounds=[(0.0, 1.0)] * p,
+        constraints=[{"type": "eq", "fun": lambda l: l.sum() - 1.0,
+                      "jac": lambda l: np.ones(p)}],
+        options={"maxiter": 100, "ftol": 1e-12},
+    )
+    lam = np.clip(res.x, 0.0, 1.0)
+    lam = lam / lam.sum() if lam.sum() > 0 else lam0
+    return np.maximum(0.0, center - (G @ lam) / u)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kqkp import bundle, cuts, relaxation
 from kqkp.bundle import minimize, oracle_eval
 from kqkp.cuts import CutPool
+from kqkp.instance import Instance
 from kqkp.oracle import enumerate_exact
+from _reference import reference_solve_model
 from conftest import make_instance
 
 
@@ -118,8 +122,127 @@ class TestMinimize:
         assert len(res.bound_samples) == res.evals
         assert all(b >= opt.value - 1e-6 for b in res.bound_samples)
 
+    def test_no_triangle_below_dimension_three(self):
+        # a 2-item instance with k = 0 relaxes to dimension 2: evaluations are
+        # left, but no triangle cut exists
+        inst = Instance(0, np.array([10, 20]), 40, np.array([[3, 5], [5, 7]]))
+        data = _data(inst)
+        assert data.dim == 2
+        res = minimize(data, float("-inf"), max_evals=5, ipm_tol=1e-5)
+        assert (res.reason, res.evals) == ("no_cuts", 1)
+        assert res.bound >= enumerate_exact(inst).value - 1e-6
+
     def test_deadline_stops_early(self):
         import time
         res = minimize(_data(make_instance(16, seed=1)), float("-inf"),
                        max_evals=50, ipm_tol=1e-5, deadline=time.perf_counter())
         assert res.evals <= 2
+
+
+def _prox(lin_c, G, center, u, cand):
+    """Proximal objective of the subproblem at a candidate."""
+    return float(np.max(lin_c + G.T @ cand)) + 0.5 * u * float(np.sum((cand - center) ** 2))
+
+
+def _check_exact(lin_c, G, center, u, against_reference=True):
+    """Assert that _solve_model is optimal to rounding and, unless told
+    otherwise, no worse than the SLSQP reference (which can take seconds on
+    one subproblem)."""
+    lam = bundle._model_weights(lin_c, G, center, u)
+    cand, model = bundle._solve_model(lin_c, G, center, u)
+    assert lam.min() >= 0 and abs(lam.sum() - 1.0) < 1e-12
+    assert (cand >= 0).all()
+    np.testing.assert_array_equal(cand, np.maximum(0.0, center - G @ lam / u))
+    vals = lin_c + G.T @ cand
+    assert model == vals.max()
+    primal = _prox(lin_c, G, center, u, cand)
+    # theta(lam) is the Lagrangian at its minimizer cand, lam'vals +
+    # (u/2)||cand - center||^2, so the duality gap is max(vals) - lam'vals
+    assert model - lam @ vals <= 1e-10 * (1.0 + abs(primal))
+    if not against_reference:
+        return
+    ref = _prox(lin_c, G, center, u, reference_solve_model(lin_c, G, center, u))
+    assert primal <= ref + 1e-12 * (1.0 + abs(ref))
+
+
+@st.composite
+def subproblems(draw):
+    """Subproblems with the shapes the bundle produces: up to BUNDLE_MAX
+    pieces, up to 300 pool cuts, slack subgradients in [-2, 4], multipliers
+    with many zeros, and optionally integral entries or repeated pieces."""
+    p = draw(st.integers(1, bundle.BUNDLE_MAX))
+    m = draw(st.integers(1, 300))
+    u = 10.0 ** draw(st.floats(-3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.uniform(-2.0, 4.0, size=(m, p))
+    if draw(st.booleans()):
+        G = np.round(G)
+    lin_c = rng.uniform(-1e4, 1e5, size=p)
+    if p > 1 and draw(st.booleans()):
+        copies = rng.integers(0, p, size=p // 2)
+        G[:, copies] = G[:, [0]]
+        if draw(st.booleans()):
+            lin_c[copies] = lin_c[0]
+    zero_share = draw(st.floats(0, 1))
+    center = np.where(rng.random(m) < zero_share, 0.0, rng.uniform(0.0, 30.0, size=m))
+    return lin_c, G, center, u
+
+
+class TestSolveModel:
+    @given(subproblems())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exact_on_generated_subproblems(self, sub):
+        _check_exact(*sub, against_reference=False)
+
+    def test_exact_on_captured_subproblems(self, monkeypatch):
+        captured = []
+        solve = bundle._solve_model
+
+        def record(lin_c, G, center, u):
+            captured.append((lin_c.copy(), G.copy(), center.copy(), u))
+            return solve(lin_c, G, center, u)
+
+        monkeypatch.setattr(bundle, "_solve_model", record)
+        minimize(_data(make_instance(14, seed=3)), float("-inf"), max_evals=20, ipm_tol=1e-5)
+        monkeypatch.undo()
+        assert len(captured) >= 10
+        assert max(len(c[0]) for c in captured) > 1
+        for sub in captured:
+            _check_exact(*sub)
+
+    @pytest.mark.parametrize("case", ["one_piece", "duplicates", "same_g", "F_empty",
+                                      "G_zero", "bundle_max"])
+    def test_degenerate(self, case, rng):
+        p = {"one_piece": 1, "bundle_max": bundle.BUNDLE_MAX}.get(case, 6)
+        m = 40
+        G = rng.uniform(-2.0, 4.0, size=(m, p))
+        lin_c = rng.uniform(1e3, 1e4, size=p)
+        center = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0.0, 5.0, size=m))
+        if case == "duplicates":  # the same linearization stored three times
+            G[:, 1:4] = G[:, [0]]
+            lin_c[1:4] = lin_c[0]
+        elif case == "same_g":  # parallel pieces: only the highest matters
+            G[:, :] = G[:, [0]]
+        elif case == "F_empty":  # every coordinate of the candidate is 0
+            G, center = np.abs(G) + 0.1, np.zeros(m)
+        elif case == "G_zero":
+            G[:] = 0.0
+        _check_exact(lin_c, G, center, 0.5)
+        cand, model = bundle._solve_model(lin_c, G, center, 0.5)
+        if case == "F_empty":
+            assert not cand.any()
+        elif case == "G_zero":
+            np.testing.assert_array_equal(cand, center)
+            assert model == lin_c.max()
+
+    @pytest.mark.parametrize("G, lin_c, center, u", [
+        # one pool coordinate, six pieces: Q_SS turns singular once S holds
+        # three weights, and pieces with equal subgradients differ in c
+        ([[2, -2, -1, -1, 1, 0]], [2, 1, 1, 3, 2, 2], [2], 0.5),
+        # full steps alternate between lam = (1/2, 1/2), F = {1}, and
+        # lam = (1/4, 3/4), F = {0}; the optimum is (0.3, 0.7)
+        ([[4, 2], [0, 4]], [1, 1], [3, 3], 1.0),
+    ], ids=["one_coordinate", "full_steps_cycle"])
+    def test_small_cases(self, G, lin_c, center, u):
+        _check_exact(np.array(lin_c, float), np.array(G, float), np.array(center, float), u)
+

@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +198,18 @@ class TestCheck:
         inst = make_instance(30, seed=1)
         path = _write(tmp_path, inst)
         assert cli.main(["check", str(path)]) == 1
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the bundle subproblem has its own exact solver; loading scipy.optimize
+    # would add to the start-up time and memory of every command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kqkp.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):
