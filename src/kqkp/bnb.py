@@ -3,27 +3,28 @@
 Nodes carry a reduced instance (variables fixed by the branching history
 folded into it) plus the inherited upper bound.  The queue is keyed by
 bound (largest first; we maximize), ties broken by depth (deeper first).
-Pruning uses incumbent + 1: all data are integers, so the optimum is
-integral.
+Pruning uses incumbent + 1 (``bundle.prunable``, the test the bundle stops
+on): all data are integers, so the optimum is integral.
 
 The root is the first queue entry, with an infinite bound, and one loop
-body processes every node, root included: an infeasible or k = 1 leaf, a
+body processes every node, root included: an infeasible leaf, a
 branch-and-prune leaf, or the bundle bound, prune, variable fixing, prune
 and branching on the most fractional variable.  At depth 0 only the
 branch-and-prune threshold and the bundle's tolerance and evaluation
 budget differ: the root solves each IPM to ``ipm.DEFAULT_TOL`` within
-``root_evals`` evaluations, other nodes to the looser ``NODE_IPM_TOL``
-within ``node_evals``.  The primal heuristic's incumbent is found before
+``ROOT_EVALS`` evaluations, other nodes to the looser ``NODE_IPM_TOL``
+within ``NODE_EVALS``.  The primal heuristic's incumbent is found before
 the loop.  Every processed node appends one row to the report's node trace.
 
 For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
 pruning by cardinality/capacity feasibility only.  It is exact for its
 subtree and takes over at the root for k <= 10 and at a node once the
-remaining cardinality drops to <= 5 (or equals the number of free items).
-It reports only selections that beat the incumbent.  It honours the time
-limit like the rest of the search: stopped at the root, the solve returns
-its incumbent with no bound.
+remaining cardinality drops to <= 5.  A cardinality of 1, or one equal to
+the number of free items, goes to it at any threshold: that search is
+linear in n or a single selection.  It reports only selections that beat
+the incumbent.  It honours the time limit like the rest of the search:
+stopped at the root, the solve returns its incumbent with no bound.
 """
 
 from __future__ import annotations
@@ -37,14 +38,7 @@ import numpy as np
 from . import bundle as bundle_mod
 from . import ipm, relaxation
 from .heuristics import BRANCH_LEAF, Incumbent, primal_heuristic, varfix_heuristic
-from .instance import (
-    INFEASIBLE,
-    TRIVIAL_K1,
-    InfeasibleFix,
-    Instance,
-    fix_variable,
-    preprocess,
-)
+from .instance import INFEASIBLE, InfeasibleFix, Instance, fix_variable, preprocess
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
@@ -53,13 +47,13 @@ STATUS_INFEASIBLE = "infeasible"
 # branch-and-prune reads the clock once per this many search calls
 DEADLINE_CHECK_CALLS = 4096
 NODE_IPM_TOL = 1e-5  # IPM relative gap below the root; the root uses ipm.DEFAULT_TOL
+ROOT_EVALS = 30  # bundle evaluations at the root
+NODE_EVALS = 10  # bundle evaluations at every other node
 
 
 @dataclass
 class SolverConfig:
     time_limit_s: float = 10800.0
-    root_evals: int = 30
-    node_evals: int = 10
     cuts_per_update: int | None = None  # None -> min(5n, 300)
     bnp_node_k: int = 5
     bnp_root_k: int = 10
@@ -179,7 +173,7 @@ def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
     ``time.perf_counter()`` value after which no further evaluation starts.
     """
     data = relaxation.build(inst)
-    max_evals = (cfg.root_evals if root else cfg.node_evals) if cfg.use_cuts else 1
+    max_evals = (ROOT_EVALS if root else NODE_EVALS) if cfg.use_cuts else 1
     res = bundle_mod.minimize(data, lower_bound, max_evals,
                               ipm.DEFAULT_TOL if root else NODE_IPM_TOL,
                               cfg.cuts_per_update, deadline)
@@ -204,11 +198,6 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
 
     if prep.status == INFEASIBLE:
         return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0)
-    if prep.status == TRIVIAL_K1:
-        x = np.zeros(root.n, dtype=np.int64)
-        x[prep.trivial_index] = 1
-        best = Incumbent(x, root.objective(x), BRANCH_LEAF)
-        return report(STATUS_OPTIMAL, best, best.value, 1, 0)
 
     best = primal_heuristic(root, prep)
     evals = nodes = seq = 0
@@ -219,7 +208,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         if time.perf_counter() > deadline:
             return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals)
         neg_bound, _, _, node = heapq.heappop(heap)
-        if -neg_bound < best.value + 1 - 1e-6:
+        if bundle_mod.prunable(-neg_bound, best.value):
             break  # best-first: every remaining node is prunable
         nodes += 1
         at_root = node.depth == 0
@@ -228,15 +217,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         if red_prep.status == INFEASIBLE:
             _trace(trace, node, "infeasible")
             continue
-        if red_prep.status == TRIVIAL_K1:
-            xr = np.zeros(red.n, dtype=np.int64)
-            xr[red_prep.trivial_index] = 1
-            cand = _lift_incumbent(root, node, Incumbent(xr, red.objective(xr), BRANCH_LEAF))
-            if cand.value > best.value:
-                best = cand
-            _trace(trace, node, "leaf")
-            continue
-        if red.k <= (cfg.bnp_root_k if at_root else cfg.bnp_node_k) or red.k == red.n:
+        if red.k <= (cfg.bnp_root_k if at_root else cfg.bnp_node_k) or red.k in (1, red.n):
             stopped = False
             try:
                 # a reduced objective, offset included, is the root objective
@@ -255,13 +236,13 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         nb, x_frac, used = node_bound(red, cfg, best.value, root=at_root, deadline=deadline)
         evals += used
         node.bound = min(node.bound, nb)
-        if node.bound < best.value + 1 - 1e-6:
+        if bundle_mod.prunable(node.bound, best.value):
             _trace(trace, node, "prune")
             continue
         cand = _lift_incumbent(root, node, varfix_heuristic(red, red_prep, x_frac))
         if cand.value > best.value:
             best = cand
-        if node.bound < best.value + 1 - 1e-6:
+        if bundle_mod.prunable(node.bound, best.value):
             _trace(trace, node, "prune")
             continue
 

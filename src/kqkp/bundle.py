@@ -6,9 +6,11 @@ Minimizes the nonsmooth dual functional
 
 over gamma >= 0, where each evaluation is one interior-point solve with a
 shifted cost matrix and the subgradient is the cut slack e - T(X*) at the
-maximizer.  The cut pool is dynamic: every few descent steps the most
-violated triangle inequalities at the current maximizer are added and cuts
-with near-zero multiplier are dropped.
+maximizer.  The cut pool is dynamic: it is an (m, 4) cut array (see
+``cuts``) with one multiplier per row, and every few descent steps the most
+violated triangle inequalities at the current maximizer are added, cuts
+with near-zero multiplier are dropped and the pool is trimmed to
+POOL_CAPACITY cuts per item.
 
 Each candidate minimizes the cutting-plane model plus a proximal term.  That
 subproblem is solved exactly through its dual over the unit simplex of
@@ -35,7 +37,6 @@ import numpy as np
 
 from . import cuts as cuts_mod
 from . import ipm
-from .cuts import CutPool
 from .relaxation import RelaxationData
 
 DESCENT_RATIO = 0.1  # m_L: share of the predicted decrease a descent step must reach
@@ -44,6 +45,7 @@ U_INIT = 1.0  # initial proximal weight
 BUNDLE_MAX = 25  # linearizations kept in the cutting-plane model
 GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
 UPDATE_PERIOD = 5  # descent steps between cut pool updates
+POOL_CAPACITY = 10  # cuts the pool may hold per item of the relaxation
 # cap on the passes of _model_weights, and (times the number of pieces) on the
 # steps of _simplex_qp; the bb_n40 subproblems need at most 6 passes
 MODEL_PASSES = 50
@@ -61,23 +63,24 @@ class OracleValue:
 class BundleResult:
     bound: float
     X_last: np.ndarray
-    pool: CutPool
+    pool: np.ndarray  # the final (m, 4) cut array
     evals: int
     reason: str  # pruned | stalled | budget | no_cuts
     bound_samples: list = field(default_factory=list)  # certified value per eval
     f_center_history: list = field(default_factory=list)
 
 
-def oracle_eval(pool: CutPool, gamma: np.ndarray, relax: RelaxationData,
+def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
                 ipm_tol: float) -> OracleValue:
-    """One evaluation of the dual functional; gamma conformal with pool."""
+    """One evaluation of the dual functional; gamma holds one multiplier per
+    row of the cut array ``cuts``."""
     gamma = np.asarray(gamma, dtype=float)
     if (gamma < 0).any():
         raise ValueError("gamma must be nonnegative")
-    cost = relax.C_bar - cuts_mod.adjoint_apply(pool.cuts, gamma, relax.dim)
+    cost = relax.C_bar - cuts_mod.adjoint_apply(cuts, gamma, relax.dim)
     egamma = float(gamma.sum())
     sol = ipm.solve(relax, cost_override=cost, tol=ipm_tol)
-    g = cuts_mod.evaluate(pool.cuts, sol.X)
+    g = cuts_mod.evaluate(cuts, sol.X)
     return OracleValue(
         value=egamma + sol.primal_obj + relax.const_term,
         bound=egamma + sol.certified_dual + relax.const_term,
@@ -205,59 +208,94 @@ def _solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray, u: float)
     return cand, float(np.max(lin_c + G.T @ cand))
 
 
+def prunable(bound: float, lower_bound: float) -> bool:
+    """Whether ``bound`` proves that nothing beats ``lower_bound``.
+
+    All data are integers, so a better selection is worth at least
+    lower_bound + 1; the 1e-6 keeps a bound that meets that value up to
+    rounding from pruning.
+    """
+    return bound < lower_bound + 1 - 1e-6
+
+
+def _update_pool(cuts: np.ndarray, gamma: np.ndarray, X: np.ndarray, m: int):
+    """The pool after one update at X: (cuts, gamma).
+
+    Cuts with multiplier below GAMMA_DROP leave, up to m of the cuts most
+    violated at X join at multiplier 0, and then the lowest multipliers
+    leave, earlier rows first among ties, until at most POOL_CAPACITY cuts
+    per item remain.  ``separate`` returns only new, distinct rows, so the
+    pool stays free of duplicates.
+    """
+    keep = gamma >= GAMMA_DROP
+    new = cuts_mod.separate(X, m, exclude=cuts[keep])
+    cuts = np.concatenate([cuts[keep], new])
+    gamma = np.concatenate([gamma[keep], np.zeros(len(new))])
+    excess = len(cuts) - POOL_CAPACITY * X.shape[0]
+    if excess > 0:
+        keep = np.ones(len(cuts), dtype=bool)
+        keep[np.argsort(gamma, kind="stable")[:excess]] = False
+        cuts, gamma = cuts[keep], gamma[keep]
+    return cuts, gamma
+
+
 def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol: float,
              cuts_per_update: int | None = None,
              deadline: float | None = None) -> BundleResult:
     """Bundle loop; ``lower_bound`` enables early pruning (use -inf to disable).
 
     Each of the at most ``max_evals`` evaluations is an interior-point solve
-    to relative gap ``ipm_tol``; every pool update adds up to
-    ``cuts_per_update`` cuts (default min(5n, 300)).  Stops when (a) the
-    certified bound dips below lower_bound + 1 (objective is integral, so
-    the node is prunable), (b) the predicted model decrease stalls, (c) the
-    evaluation budget is exhausted or (d) ``deadline``, a
-    ``time.perf_counter()`` value, has passed; the first evaluation always
-    runs.
+    to relative gap ``ipm_tol``.  The pool is updated (``_update_pool``)
+    after the first evaluation and every UPDATE_PERIOD descent steps, each
+    time adding up to ``cuts_per_update`` cuts (default min(5n, 300)), and
+    the cutting-plane model restarts from the center in the new pool's
+    coordinates.  Stops when (a) the certified bound proves the node
+    prunable (``prunable``), (b) the predicted model decrease stalls, (c)
+    the evaluation budget is exhausted, (d) ``deadline``, a
+    ``time.perf_counter()`` value, has passed or (e) an update leaves the
+    pool empty; the first evaluation always runs.
     """
     n = relax.dim
-    pool = CutPool(n)
-    first = oracle_eval(pool, np.zeros(0), relax, ipm_tol)
+    cuts = np.zeros((0, 4), dtype=np.int64)
+    first = oracle_eval(cuts, np.zeros(0), relax, ipm_tol)
     evals = 1
     best_bound = first.bound
     bound_samples = [first.bound]
-
-    def result(reason, X_last, f_hist):
-        return BundleResult(best_bound, X_last, pool, evals, reason,
-                            bound_samples, f_hist)
-
-    if best_bound < lower_bound + 1.0:
-        return result("pruned", first.X, [first.value])
-    if evals >= max_evals:
-        return result("budget", first.X, [first.value])
-    if n < 3:  # no triangle to cut with
-        return result("no_cuts", first.X, [first.value])
-
-    m = min(5 * n, 300) if cuts_per_update is None else cuts_per_update
-    pool.add(cuts_mod.separate(first.X, m))
-    if len(pool) == 0:
-        return result("no_cuts", first.X, [first.value])
-
-    center = np.zeros(len(pool))
+    center = np.zeros(0)
     f_center = first.value
     X_center = first.X
-    g_center = cuts_mod.evaluate(pool.cuts, X_center)
     f_hist = [f_center]
-    # linearizations stored as (constant, gradient): lin(gamma) = c + g'gamma
-    lin_c = [f_center - g_center @ center]
-    lin_g = [g_center]
+
+    def result(reason):
+        return BundleResult(best_bound, X_center, cuts, evals, reason,
+                            bound_samples, f_hist)
+
+    if prunable(best_bound, lower_bound):
+        return result("pruned")
+    if evals >= max_evals:
+        return result("budget")
+    if n < 3:  # no triangle to cut with
+        return result("no_cuts")
+
+    m = min(5 * n, 300) if cuts_per_update is None else cuts_per_update
     u = U_INIT
     descents = 0
     nulls_in_row = 0
     reason = "budget"
+    update_due = True  # the first update fills the empty pool
 
-    while evals < max_evals:
-        if deadline is not None and time.perf_counter() > deadline:
-            reason = "budget"
+    while True:
+        if update_due:
+            update_due = False
+            cuts, center = _update_pool(cuts, center, X_center, m)
+            if len(cuts) == 0:
+                reason = "no_cuts"
+                break
+            # linearizations stored as (constant, gradient): lin(gamma) = c + g'gamma
+            g_center = cuts_mod.evaluate(cuts, X_center)
+            lin_c = [f_center - g_center @ center]
+            lin_g = [g_center]
+        if evals >= max_evals or (deadline is not None and time.perf_counter() > deadline):
             break
         G = np.column_stack(lin_g)
         cand, model = _solve_model(np.array(lin_c), G, center, u)
@@ -266,11 +304,11 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
             reason = "stalled"
             break
 
-        out = oracle_eval(pool, cand, relax, ipm_tol)
+        out = oracle_eval(cuts, cand, relax, ipm_tol)
         evals += 1
         best_bound = min(best_bound, out.bound)
         bound_samples.append(out.bound)
-        if best_bound < lower_bound + 1.0:
+        if prunable(best_bound, lower_bound):
             X_center = out.X
             reason = "pruned"
             break
@@ -292,21 +330,11 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
             nulls_in_row = 0
             u = max(u * 0.5, 1e-3)
             f_hist.append(f_center)
-            if descents % UPDATE_PERIOD == 0:
-                pool.set_gamma(center)
-                pool.drop_small(GAMMA_DROP)
-                pool.add(cuts_mod.separate(X_center, m, exclude=pool.cuts))
-                pool.enforce_capacity()
-                # rebuild the model in the new coordinate system
-                center = pool.gamma.copy()
-                g_center = cuts_mod.evaluate(pool.cuts, X_center)
-                lin_c = [f_center - g_center @ center]
-                lin_g = [g_center]
+            update_due = descents % UPDATE_PERIOD == 0
         else:
             nulls_in_row += 1
             if nulls_in_row >= 3:
                 u = min(u * 2.0, 1e4)
                 nulls_in_row = 0
 
-    pool.set_gamma(center)
-    return result(reason, X_center, f_hist)
+    return result(reason)

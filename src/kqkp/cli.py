@@ -198,7 +198,9 @@ def _bench_one(path: Path, cfg: bnb.SolverConfig) -> tuple:
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    rows = [_bench_one(p, cfg) for p in sorted(Path(args.dir).glob("*.txt"))]
+    if not args.dir.is_dir():
+        raise NotADirectoryError(f"not a directory: {args.dir}")
+    rows = [_bench_one(p, cfg) for p in sorted(args.dir.glob("*.txt"))]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "delta", "gap_root_percent", "time_s", "nodes"])

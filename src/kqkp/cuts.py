@@ -1,4 +1,4 @@
-"""Triangle inequalities over the metric polytope and the active-cut pool.
+"""Triangle inequalities over the metric polytope.
 
 For every triple i < j < k of indices the four sign patterns of
 
@@ -55,7 +55,8 @@ def separate(X: np.ndarray, m: int, exclude: np.ndarray | None = None,
     """Up to m most-violated triangle cuts, full scan over all 4*C(n,3).
 
     Deterministic: sorted by violation descending, ties by (i, j, k, kind).
-    Rows of ``exclude`` (a cut array) are skipped.
+    The rows are distinct, and none of them is a row of ``exclude`` (a cut
+    array), so appending them to ``exclude`` keeps a cut list duplicate-free.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -106,51 +107,3 @@ def adjoint_apply(cuts: np.ndarray, gamma, n: int) -> np.ndarray:
     np.add.at(G, (K, J), w * S[:, 2])
     return G
 
-
-class CutPool:
-    """Active subset of triangle cuts with their multipliers gamma >= 0;
-    ``enforce_capacity`` trims it to ``capacity`` cuts (default 10 n)."""
-
-    def __init__(self, n: int, capacity: int | None = None):
-        self.n = n
-        self.capacity = capacity if capacity is not None else 10 * n
-        self.cuts = np.zeros((0, 4), dtype=np.int64)
-        self.gamma = np.zeros(0)
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-    def add(self, new_cuts: np.ndarray) -> int:
-        """Append the rows not yet in the pool, first occurrence and order kept."""
-        keys = _keys(new_cuts, self.n)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        fresh = first[~np.isin(keys[first], _keys(self.cuts, self.n))]
-        self.cuts = np.concatenate([self.cuts, new_cuts[fresh]])
-        self.gamma = np.concatenate([self.gamma, np.zeros(len(fresh))])
-        return len(fresh)
-
-    def set_gamma(self, gamma) -> None:
-        gamma = np.asarray(gamma, dtype=float)
-        if gamma.shape[0] != len(self.cuts):
-            raise ValueError("gamma not conformal with pool")
-        if (gamma < 0).any():
-            raise ValueError("multipliers must be nonnegative")
-        self.gamma = gamma
-
-    def drop_small(self, threshold: float) -> int:
-        """Remove cuts whose multiplier is below threshold (inactive)."""
-        return self._filter(self.gamma >= threshold)
-
-    def enforce_capacity(self) -> int:
-        excess = len(self.cuts) - self.capacity
-        if excess <= 0:
-            return 0
-        keep = np.ones(len(self.cuts), dtype=bool)
-        keep[np.argsort(self.gamma, kind="stable")[:excess]] = False  # lowest gamma
-        return self._filter(keep)
-
-    def _filter(self, keep: np.ndarray) -> int:
-        self.cuts = self.cuts[keep]
-        self.gamma = self.gamma[keep]
-        return int((~keep).sum())

@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,13 @@ from kqkp.instance import Instance
 
 def make_instance(n: int, density: int = 50, seed: int = 0):
     return generator.generate(generator.GenSpec(n=n, density_percent=density, seed=seed))
+
+
+def all_cuts(n: int) -> np.ndarray:
+    """The full catalogue of triangle cuts on n indices, in (i, j, k, kind) order."""
+    return np.array([(i, j, k, kind)
+                     for i, j, k in combinations(range(n), 3)
+                     for kind in range(4)], dtype=np.int64)
 
 
 # Instances with b == b' (capacity equal to the weight of the k lightest

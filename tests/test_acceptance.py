@@ -15,7 +15,6 @@ import pytest
 from kqkp import bnb, bundle, cli, cuts, generator, ipm, relaxation
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
 from kqkp.bundle import minimize, oracle_eval
-from kqkp.cuts import CutPool
 from kqkp.heuristics import primal_heuristic, varfix_heuristic
 from kqkp.instance import dump, preprocess
 from kqkp.oracle import enumerate_exact
@@ -72,7 +71,8 @@ def test_criterion_03_bound_ordering():
     for i in range(total):
         inst = _gen(sizes[i % len(sizes)], DENSITIES[i % 4], 1000 + i)
         data = relaxation.build(inst)
-        sdp = oracle_eval(CutPool(data.dim), np.zeros(0), data, ipm_tol=1e-6).bound
+        sdp = oracle_eval(np.zeros((0, 4), dtype=np.int64), np.zeros(0), data,
+                          ipm_tol=1e-6).bound
         met = minimize(data, float("-inf"),
                        max_evals=10, ipm_tol=1e-6).bound
         if met <= sdp + 1e-6:
@@ -157,8 +157,7 @@ def test_criterion_06_subgradient():
         inst = _gen(10, DENSITIES[seed % 4], 3000 + seed)
         data = relaxation.build(inst)
         sol = ipm.solve(data, tol=1e-6)
-        pool = CutPool(data.dim)
-        pool.add(cuts.separate(sol.X, 30, tol=0.0))
+        pool = cuts.separate(sol.X, 30, tol=0.0)
         if len(pool) == 0:
             continue
         for _ in range(50):
@@ -197,11 +196,12 @@ def test_criterion_07_root_gap():
              f"avg {avg:.2f}% vs published 0.9-1.3% on different instances")
 
 
-def test_criterion_08_node_economy(suite):
+def test_criterion_08_node_economy(suite, monkeypatch):
     with_cuts = []
     without = []
-    cfg_met = SolverConfig(bnp_root_k=0, bnp_node_k=0, use_cuts=True,
-                           root_evals=10, node_evals=5)
+    monkeypatch.setattr(bnb, "ROOT_EVALS", 10)
+    monkeypatch.setattr(bnb, "NODE_EVALS", 5)
+    cfg_met = SolverConfig(bnp_root_k=0, bnp_node_k=0, use_cuts=True)
     cfg_sdp = SolverConfig(bnp_root_k=0, bnp_node_k=0, use_cuts=False)
     for inst, opt in suite:
         if inst.n != 16:

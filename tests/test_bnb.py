@@ -102,10 +102,18 @@ class TestSolve:
         assert rep.best is None
 
     def test_trivial_k1(self):
+        # k = 1 is a branch-and-prune leaf at any threshold, processed in the
+        # loop like every node, so the time limit applies to it too
         inst = Instance(1, np.array([1, 1, 1]), 2,
                         np.diag([2, 7, 4]).astype(np.int64))
-        rep = solve(inst)
-        assert rep.status == bnb.STATUS_OPTIMAL
+        for cfg in (SolverConfig(), SDP_CFG):
+            rep = solve(inst, cfg)
+            assert rep.status == bnb.STATUS_OPTIMAL
+            assert rep.best.value == 7
+            assert len(rep.node_trace) == rep.nodes == 1
+            assert rep.root_bound == rep.best.value
+        rep = solve(inst, SolverConfig(time_limit_s=0))
+        assert rep.status == bnb.STATUS_TIME_LIMIT
         assert rep.best.value == 7
 
     def test_time_limit_status(self):

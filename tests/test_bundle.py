@@ -5,23 +5,23 @@ from hypothesis import strategies as st
 
 from kqkp import bundle, cuts, relaxation
 from kqkp.bundle import minimize, oracle_eval
-from kqkp.cuts import CutPool
 from kqkp.instance import Instance
 from kqkp.oracle import enumerate_exact
 from _reference import reference_solve_model
-from conftest import make_instance
+from conftest import all_cuts, make_instance
 
 
 def _data(inst):
     return relaxation.build(inst)
 
 
+NO_CUTS = np.zeros((0, 4), dtype=np.int64)
+
+
 def _seeded_pool(data, n_cuts=40):
     from kqkp import ipm
     sol = ipm.solve(data, tol=1e-5)
-    pool = CutPool(data.dim)
-    pool.add(cuts.separate(sol.X, n_cuts))
-    return pool
+    return cuts.separate(sol.X, n_cuts)
 
 
 class TestOracleEval:
@@ -29,8 +29,7 @@ class TestOracleEval:
         from kqkp import ipm
         inst = make_instance(10, seed=2)
         data = _data(inst)
-        pool = CutPool(data.dim)
-        out = oracle_eval(pool, np.zeros(0), data, ipm_tol=1e-7)
+        out = oracle_eval(NO_CUTS, np.zeros(0), data, ipm_tol=1e-7)
         ref = ipm.solve(data, tol=1e-7).certified_dual + data.const_term
         assert abs(out.bound - ref) < 1e-4 * (1 + abs(out.bound))
 
@@ -74,8 +73,7 @@ class TestMinimize:
     def test_never_worse_than_sdp_bound(self):
         inst = make_instance(12, seed=1)
         data = _data(inst)
-        pool = CutPool(data.dim)
-        f0 = oracle_eval(pool, np.zeros(0), data, ipm_tol=1e-5).bound
+        f0 = oracle_eval(NO_CUTS, np.zeros(0), data, ipm_tol=1e-5).bound
         res = minimize(data, float("-inf"), max_evals=15, ipm_tol=1e-5)
         assert res.bound <= f0 + 1e-6
 
@@ -102,13 +100,11 @@ class TestMinimize:
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_pool_hygiene(self):
-        res = minimize(_data(make_instance(14, seed=7)), float("-inf"),
-                       max_evals=25, ipm_tol=1e-5)
-        pool = res.pool
-        assert len(np.unique(pool.cuts, axis=0)) == len(pool.cuts)
-        assert len(pool.gamma) == len(pool.cuts)
-        assert (pool.gamma >= 0).all()
-        assert len(pool) <= pool.capacity
+        data = _data(make_instance(14, seed=7))
+        res = minimize(data, float("-inf"), max_evals=25, ipm_tol=1e-5)
+        assert len(res.pool) > 0
+        assert len(np.unique(res.pool, axis=0)) == len(res.pool)
+        assert len(res.pool) <= bundle.POOL_CAPACITY * data.dim
 
     def test_eval_budget_respected(self):
         res = minimize(_data(make_instance(14, seed=2)), float("-inf"),
@@ -137,6 +133,46 @@ class TestMinimize:
         res = minimize(_data(make_instance(16, seed=1)), float("-inf"),
                        max_evals=50, ipm_tol=1e-5, deadline=time.perf_counter())
         assert res.evals <= 2
+
+    def test_certified_bound_in_rounding_margin_does_not_prune(self, monkeypatch):
+        # a bound within 1e-6 of lower_bound + 1 may hide a selection worth
+        # lower_bound + 1, so the bundle goes on, as the tree does
+        data = _data(make_instance(10, seed=2))
+        real = bundle.oracle_eval
+
+        def near_margin(*args):
+            out = real(*args)
+            out.bound = 100.0 + 1 - 5e-7
+            return out
+
+        monkeypatch.setattr(bundle, "oracle_eval", near_margin)
+        res = minimize(data, 100.0, max_evals=3, ipm_tol=1e-5)
+        assert res.reason != "pruned"
+        assert res.evals > 1
+        assert not bundle.prunable(100.0 + 1 - 5e-7, 100.0)
+        assert bundle.prunable(100.0 + 1 - 2e-6, 100.0)
+
+
+class TestUpdatePool:
+    def test_drops_small_multipliers_and_appends_at_zero(self):
+        X = np.eye(6) - 0.9 * (1 - np.eye(6))  # every triangle of kind 0 is violated
+        pool = np.array([(0, 1, 2, 0), (0, 1, 3, 0)], dtype=np.int64)
+        new_cuts, gamma = bundle._update_pool(pool, np.array([1e-7, 0.5]), X, 2)
+        # (0, 1, 2, 0) leaves and, still the most violated, joins again at 0
+        np.testing.assert_array_equal(new_cuts, [(0, 1, 3, 0), (0, 1, 2, 0), (0, 1, 4, 0)])
+        np.testing.assert_array_equal(gamma, [0.5, 0.0, 0.0])
+
+    def test_capacity_drops_lowest_gamma(self):
+        pool = all_cuts(6)  # 80 cuts, 20 over the capacity at n = 6
+        assert len(pool) - bundle.POOL_CAPACITY * 6 == 20
+        gamma = 0.01 * (np.arange(len(pool)) % 30 + 1)
+        new_cuts, kept = bundle._update_pool(pool, gamma, np.eye(6), 5)
+        # the 18 rows of the six lowest levels go, and of the three rows at
+        # the seventh level the first two
+        drop = [lvl + off for lvl in range(6) for off in (0, 30, 60)] + [6, 36]
+        keep = np.setdiff1d(np.arange(len(pool)), drop)
+        np.testing.assert_array_equal(new_cuts, pool[keep])
+        np.testing.assert_array_equal(kept, gamma[keep])
 
 
 def _prox(lin_c, G, center, u, cand):

@@ -176,6 +176,15 @@ class TestBench:
         assert code == 0
         assert out.strip() == "n,delta,gap_root_percent,time_s,nodes"
 
+    @pytest.mark.parametrize("name", ["missing", "file.txt"])
+    def test_not_a_directory_is_bad_input(self, tmp_path, capsys, name):
+        (tmp_path / "file.txt").write_text("")
+        code = cli.main(["bench", str(tmp_path / name)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_gap_column_nonnegative(self, tmp_path, capsys):
         d = self._populate(tmp_path)
         _, out = _run(capsys, ["bench", str(d)])

@@ -1,4 +1,4 @@
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqkp import ipm, relaxation
-from kqkp.cuts import CutPool, adjoint_apply, evaluate, separate
+from kqkp.cuts import adjoint_apply, evaluate, separate
 from _reference import naive_separate
-from conftest import make_instance
-
-
-def all_cuts(n):
-    return np.array([(i, j, k, kind)
-                     for i, j, k in combinations(range(n), 3)
-                     for kind in range(4)], dtype=np.int64)
+from conftest import all_cuts, make_instance
 
 
 def rows(*cuts):
@@ -111,6 +105,22 @@ class TestSeparate:
                 out = separate(X, m, exclude=rows(*exclude) if exclude else None)
                 assert out.tolist() == naive_separate(X, m, exclude=exclude)
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_distinct_and_outside_exclude(self, seed):
+        # the bundle appends these rows to its pool without a check of its own
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        B = rng.uniform(-1.0, 1.0, size=(n, n))
+        X = B + B.T
+        if rng.random() < 0.5:  # a 0.5 grid makes slacks tie
+            X = np.round(2 * X) / 2
+        catalog = all_cuts(n)
+        E = catalog[rng.integers(0, len(catalog), size=rng.integers(0, len(catalog) + 1))]
+        out = separate(X, int(rng.integers(1, len(catalog) + 2)), exclude=E)
+        assert len(np.unique(out, axis=0)) == len(out)
+        assert not (out[:, None, :] == E[None, :, :]).all(axis=2).any()
+
     def test_m_validation(self):
         with pytest.raises(ValueError):
             separate(np.eye(4), 0)
@@ -145,46 +155,3 @@ class TestAdjoint:
         # T(X) = 1 - slack per cut
         t_of_x = 1.0 - evaluate(sel, X)
         assert abs(lhs - float(gamma @ t_of_x)) < 1e-10 * (1 + abs(lhs))
-
-
-class TestCutPool:
-    def test_no_duplicates(self):
-        pool = CutPool(6)
-        c = (0, 1, 2, 1)
-        assert pool.add(rows(c, c)) == 1
-        assert pool.add(rows(c)) == 0
-        assert len(pool) == 1 and np.array_equal(pool.cuts, rows(c))
-
-    def test_in_batch_duplicates_keep_first_occurrence_and_order(self):
-        pool = CutPool(6)
-        pool.add(rows((1, 2, 3, 0)))
-        batch = rows((2, 3, 4, 1), (0, 1, 2, 3), (2, 3, 4, 1), (1, 2, 3, 0),
-                     (0, 1, 2, 3), (0, 1, 2, 2))
-        assert pool.add(batch) == 3
-        assert np.array_equal(pool.cuts, rows((1, 2, 3, 0), (2, 3, 4, 1),
-                                              (0, 1, 2, 3), (0, 1, 2, 2)))
-        assert np.array_equal(pool.gamma, np.zeros(4))
-
-    def test_drop_small(self):
-        pool = CutPool(6)
-        pool.add(rows((0, 1, 2, 0), (0, 1, 3, 0)))
-        pool.set_gamma(np.array([1e-7, 0.5]))
-        assert pool.drop_small(1e-5) == 1
-        assert len(pool) == 1
-        assert pool.gamma[0] == 0.5
-
-    def test_capacity_drops_lowest_gamma(self):
-        pool = CutPool(6, capacity=2)
-        pool.add(rows(*[(0, 1, 2, k) for k in range(4)]))
-        pool.set_gamma(np.array([0.4, 0.1, 0.3, 0.2]))
-        pool.enforce_capacity()
-        assert len(pool) == 2
-        assert sorted(pool.gamma.tolist()) == [0.3, 0.4]
-
-    def test_gamma_validation(self):
-        pool = CutPool(6)
-        pool.add(rows((0, 1, 2, 0)))
-        with pytest.raises(ValueError):
-            pool.set_gamma(np.array([-0.1]))
-        with pytest.raises(ValueError):
-            pool.set_gamma(np.array([0.1, 0.2]))
