@@ -18,13 +18,15 @@ the loop.  Every processed node appends one row to the report's node trace.
 
 For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
-pruning by cardinality/capacity feasibility only.  It is exact for its
-subtree and takes over at the root for k <= 10 and at a node once the
-remaining cardinality drops to <= 5.  A cardinality of 1, or one equal to
-the number of free items, goes to it at any threshold: that search is
-linear in n or a single selection.  It reports only selections that beat
-the incumbent.  It honours the time limit like the rest of the search:
-stopped at the root, the solve returns its incumbent with no bound.
+pruning by cardinality/capacity feasibility, as in the paper, and by a
+combinatorial upper bound against the best value so far (see
+``branch_and_prune``).  It is exact for its subtree and takes over at the
+root for k <= 10 and at a node once the remaining cardinality drops to
+<= 5.  A cardinality of 1, or one equal to the number of free items, goes
+to it at any threshold: that search is linear in n or a single selection.
+It reports only selections that beat the incumbent.  It honours the time
+limit like the rest of the search: stopped at the root, the solve returns
+its incumbent with no bound.
 """
 
 from __future__ import annotations
@@ -90,24 +92,56 @@ class TimeLimitReached(Exception):
         self.best = best
 
 
+def _gain_table(C: np.ndarray, k: int) -> np.ndarray:
+    """gain[p, m, j] = C_jj + the sum of the m largest C_jq over q >= p, q != j.
+
+    m runs over 0..k-1.  Built from p = n down to 0 by merging column p into
+    each row's sorted top k - 1.  A row with fewer than m such entries is
+    padded with zeros; extra entries can only raise a sum of the m largest,
+    so every entry stays an upper bound.
+    """
+    n = C.shape[0]
+    width = max(min(k, n) - 1, 0)
+    gain = np.zeros((n + 1, width + 1, n), dtype=np.int64)
+    top = np.zeros((n, width), dtype=np.int64)  # each row descending
+    for p in range(n - 1, -1, -1):
+        col = C[:, p].copy()
+        col[p] = 0
+        top = -np.sort(-np.column_stack([top, col]), axis=1)[:, :width]
+        np.cumsum(top, axis=1, out=gain[p, 1:].T)
+    gain += np.diag(C)
+    return gain
+
+
 def branch_and_prune(inst: Instance, floor: float = float("-inf"),
                      deadline: float | None = None) -> Incumbent | None:
-    """Exhaustive DFS pruned by feasibility only; exact for its input.
+    """Exhaustive DFS pruned by feasibility and an upper bound; exact for its input.
 
     Branches x_j = 1 before x_j = 0 in index order; prunes on remaining
-    cardinality and on the lightest possible completion exceeding capacity.
-    Returns the best selection whose value, in the instance's units (offset
-    included), exceeds ``floor``, or None if there is none.  Past
-    ``deadline`` (a ``time.perf_counter()`` value) it raises
-    TimeLimitReached carrying the best such selection found so far.
+    cardinality, on the lightest possible completion exceeding capacity, and
+    on a bound: with ``need`` items left to choose among positions i..n-1,
+    no completion is worth more than the current value plus the ``need``
+    largest gains g_j = C_jj + 2 R_j + (the need - 1 largest C_jq, q >= i,
+    q != j), where R_j = sum of C_jc over the chosen c is kept
+    incrementally.  A subtree is cut only when that bound does not exceed
+    the best value so far, so the search finds the selection a
+    feasibility-only DFS would.  Returns the best selection whose value, in
+    the instance's units (offset included), exceeds ``floor``, or None if
+    there is none.  Past ``deadline`` (a ``time.perf_counter()`` value) it
+    raises TimeLimitReached carrying the best such selection found so far.
     """
-    n, k, a, b, C = inst.n, inst.k, inst.a, inst.b, inst.C
+    n, k, a, b = inst.n, inst.k, inst.a, inst.b
     a_int = a.astype(np.int64)
+    C = np.asarray(inst.C, dtype=np.int64)
     # suffix_light[j][r] = weight of the r lightest items among positions j..n-1
     suffix_light = []
     for j in range(n + 1):
         w = np.sort(a_int[j:])
         suffix_light.append(np.concatenate([[0], np.cumsum(w)]))
+    gain = _gain_table(C, k)
+    diag = [int(v) for v in np.diag(C)]
+    C2 = 2 * C
+    R2 = np.zeros(n, dtype=np.int64)  # 2 R_j
 
     best_val = floor
     best_sel: list[int] | None = None
@@ -119,7 +153,7 @@ def branch_and_prune(inst: Instance, floor: float = float("-inf"),
         # most k deep.  An n-deep one ran up to 1.8x slower at some caller
         # stack depths: CPython 3.11 frees and re-maps a frame-stack chunk
         # each time the recursion crosses a chunk boundary.
-        nonlocal best_val, best_sel, calls
+        nonlocal best_val, best_sel, calls, R2
         need = k - len(chosen)
         for i in range(j, n + 1):
             calls += 1
@@ -134,11 +168,22 @@ def branch_and_prune(inst: Instance, floor: float = float("-inf"),
                 return
             if n - i < need or weight + int(suffix_light[i][need]) > b:
                 return
+            # the bound over positions i.. also covers every later step
+            g = gain[i, need - 1, i:] + R2[i:]
+            if need == 1:
+                top = int(g.max())
+            else:
+                g.partition(n - i - need)
+                top = int(g[n - i - need:].sum())
+            if value + inst.offset + top <= best_val:
+                return
             ai = int(a_int[i])
             if weight + ai <= b:
-                dv = int(C[i, i]) + 2 * int(C[i, chosen].sum()) if chosen else int(C[i, i])
+                dv = diag[i] + int(R2[i])
                 chosen.append(i)
+                R2 += C2[i]
                 rec(i + 1, weight + ai, value + dv)
+                R2 -= C2[i]
                 chosen.pop()
 
     def best():
@@ -227,11 +272,12 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 sub, stopped = stop.best, True
             if sub is not None:
                 best = _lift_incumbent(root, node, sub)
+            if not stopped:
+                node.bound = best.value  # nothing left in this subtree beats best
             _trace(trace, node, "bnp_leaf")
             if stopped:
                 # the incumbent's value is no bound: the search did not finish
                 return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals)
-            node.bound = best.value  # nothing left in this subtree beats best
             continue
         nb, x_frac, used = node_bound(red, cfg, best.value, root=at_root, deadline=deadline)
         evals += used

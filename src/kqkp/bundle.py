@@ -223,9 +223,10 @@ def _update_pool(cuts: np.ndarray, gamma: np.ndarray, X: np.ndarray, m: int):
 
     Cuts with multiplier below GAMMA_DROP leave, up to m of the cuts most
     violated at X join at multiplier 0, and then the lowest multipliers
-    leave, earlier rows first among ties, until at most POOL_CAPACITY cuts
-    per item remain.  ``separate`` returns only new, distinct rows, so the
-    pool stays free of duplicates.
+    leave, later rows first among ties, until at most POOL_CAPACITY cuts
+    per item remain: new cuts come most violated first, so those stay.
+    ``separate`` returns only new, distinct rows, so the pool stays free of
+    duplicates.
     """
     keep = gamma >= GAMMA_DROP
     new = cuts_mod.separate(X, m, exclude=cuts[keep])
@@ -234,7 +235,7 @@ def _update_pool(cuts: np.ndarray, gamma: np.ndarray, X: np.ndarray, m: int):
     excess = len(cuts) - POOL_CAPACITY * X.shape[0]
     if excess > 0:
         keep = np.ones(len(cuts), dtype=bool)
-        keep[np.argsort(gamma, kind="stable")[:excess]] = False
+        keep[np.lexsort((-np.arange(len(gamma)), gamma))[:excess]] = False
         cuts, gamma = cuts[keep], gamma[keep]
     return cuts, gamma
 

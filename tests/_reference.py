@@ -12,6 +12,9 @@ The reference bundle subproblem solver hands the simplex dual to SciPy's
 general-purpose SLSQP, where ``bundle._solve_model`` solves it exactly by an
 active-set method of its own; the package itself does not use
 ``scipy.optimize``.
+The reference branch-and-prune is the depth-first search pruned by
+feasibility only, without the upper bound of ``bnb.branch_and_prune``; it
+visits selections in the same order, so both must return the same one.
 """
 
 from __future__ import annotations
@@ -104,3 +107,37 @@ def reference_solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
     lam = np.clip(res.x, 0.0, 1.0)
     lam = lam / lam.sum() if lam.sum() > 0 else lam0
     return np.maximum(0.0, center - (G @ lam) / u)
+
+
+def feasibility_branch_and_prune(inst, floor: float = float("-inf")):
+    """The first selection, in the order x_i = 1 before x_i = 0 by index,
+    whose value (offset included) is the largest above ``floor``, as a 0/1
+    vector, or None.  Prunes on cardinality and capacity only."""
+    n, k, b = inst.n, inst.k, inst.b
+    a = [int(v) for v in inst.a]
+    C = inst.C
+    light = [sorted(a[i:]) for i in range(n + 1)]
+    best_val, best_sel, chosen = floor, None, []
+
+    def rec(j, weight, value):
+        nonlocal best_val, best_sel
+        need = k - len(chosen)
+        for i in range(j, n + 1):
+            if need == 0:
+                if value + inst.offset > best_val:
+                    best_val, best_sel = value + inst.offset, chosen.copy()
+                return
+            if n - i < need or weight + sum(light[i][:need]) > b:
+                return
+            if weight + a[i] <= b:
+                dv = int(C[i, i]) + 2 * sum(int(C[i, c]) for c in chosen)
+                chosen.append(i)
+                rec(i + 1, weight + a[i], value + dv)
+                chosen.pop()
+
+    rec(0, 0, 0)
+    if best_sel is None:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    x[best_sel] = 1
+    return x

@@ -2,13 +2,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kqkp import bnb
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
 from kqkp.heuristics import primal_heuristic
-from kqkp.instance import Instance, preprocess
+from kqkp.instance import InfeasibleFix, Instance, fix_variable, preprocess
 from kqkp.oracle import enumerate_exact
 from conftest import K_LIGHTEST_CASES, k_lightest_instance, make_instance
+from _reference import feasibility_branch_and_prune
 
 SDP_CFG = SolverConfig(bnp_root_k=0, bnp_node_k=0)
 
@@ -41,28 +44,87 @@ class TestBranchAndPrune:
         assert out.value == opt and inst.is_feasible(out.x)
 
     def test_time_limit_carries_only_selections_above_floor(self):
-        # C(30, 5) selections: the search reaches its first deadline check,
-        # and the deadline has passed by then
-        inst0 = make_instance(30, seed=1)
-        inst = Instance(5, inst0.a, inst0.b, inst0.C)
+        # k = 10 of n = 100: the bounded search runs far past its first
+        # deadline check, and the deadline has passed by then
+        inst = make_instance(100, density=25, seed=12)
+        assert inst.k == 10
 
         def stopped_at(floor):
             with pytest.raises(bnb.TimeLimitReached) as stop:
                 branch_and_prune(inst, floor, deadline=time.perf_counter() - 1)
-            return stop.value.best
+            best = stop.value.best
+            # the contract: None, or a feasible selection above the floor
+            # whose value is its objective
+            if best is not None:
+                assert inst.is_feasible(best.x) and best.value == inst.objective(best.x)
+                assert best.value > floor
+            return best
 
         first = stopped_at(float("-inf"))
-        assert inst.is_feasible(first.x) and first.value == inst.objective(first.x)
-        again = stopped_at(first.value - 1)
-        assert again.value == first.value and inst.is_feasible(again.x)
-        # the same calls visit the same selections, none above their best
-        assert stopped_at(first.value) is None
+        assert first is not None
+        for floor in (first.value - 1, first.value, first.value + 1):
+            stopped_at(floor)
 
     def test_respects_offset(self):
         inst0 = make_instance(8, seed=3)
         inst = Instance(inst0.k, inst0.a, inst0.b, inst0.C, offset=42)
         out = branch_and_prune(inst)
         assert out.value == enumerate_exact(inst0).value + 42
+
+
+@st.composite
+def reduced_instances(draw):
+    """Generator instances with n <= 16, optionally reduced by fixing up to
+    three variables and shifted by an offset, at k in {1, 2, k, n}."""
+    inst = make_instance(draw(st.sampled_from(range(3, 17))),
+                         density=draw(st.sampled_from([25, 50, 75, 100])),
+                         seed=draw(st.integers(0, 10 ** 6)))
+    for _ in range(draw(st.integers(0, 3))):
+        if inst.n <= 2:
+            break
+        try:
+            inst = fix_variable(inst, draw(st.integers(0, inst.n - 1)),
+                                draw(st.integers(0, 1)))
+        except InfeasibleFix:
+            break
+    k = {"1": 1, "2": 2, "k": inst.k, "n": inst.n}[draw(st.sampled_from("12kn"))]
+    offset = inst.offset + draw(st.sampled_from([0, 0, 17, 1000]))
+    return Instance(k, inst.a, inst.b, inst.C, offset)
+
+
+def _assert_same_as_reference(inst):
+    """branch_and_prune returns the feasibility-only search's selection at
+    the floors -inf, opt - 5, opt - 1 and opt."""
+    x = feasibility_branch_and_prune(inst)
+    if x is None:
+        assert branch_and_prune(inst) is None
+        return
+    opt = inst.objective(x)
+    for floor in (float("-inf"), opt - 5, opt - 1, opt):
+        ref = feasibility_branch_and_prune(inst, floor)
+        out = branch_and_prune(inst, floor)
+        if ref is None:
+            assert out is None
+        else:
+            np.testing.assert_array_equal(out.x, ref)
+            assert out.value == inst.objective(ref)
+
+
+class TestBranchAndPruneReference:
+    @given(reduced_instances())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_selection_as_feasibility_only_search(self, inst):
+        _assert_same_as_reference(inst)
+
+    @pytest.mark.parametrize("density", [25, 50, 75, 100])
+    def test_same_selection_at_n16(self, density):
+        # hypothesis favours small n; this covers n = 16 at every k choice,
+        # with and without two variables fixed
+        for seed in range(6):
+            base = make_instance(16, density=density, seed=seed)
+            for inst in (base, fix_variable(fix_variable(base, 3, 0), 0, 1)):
+                for k in sorted({1, 2, inst.k, inst.n}):
+                    _assert_same_as_reference(Instance(k, inst.a, inst.b, inst.C, inst.offset))
 
 
 class TestSolve:
@@ -112,6 +174,8 @@ class TestSolve:
             assert rep.best.value == 7
             assert len(rep.node_trace) == rep.nodes == 1
             assert rep.root_bound == rep.best.value
+            # the leaf's row carries the bound it proved
+            assert rep.node_trace == [(0, 0, 7.0, "bnp_leaf")]
         rep = solve(inst, SolverConfig(time_limit_s=0))
         assert rep.status == bnb.STATUS_TIME_LIMIT
         assert rep.best.value == 7
@@ -133,7 +197,7 @@ class TestSolve:
         assert rep.evals == 0
 
     def test_time_limit_stops_root_branch_and_prune(self):
-        inst = make_instance(50, density=100, seed=13)
+        inst = make_instance(100, density=25, seed=12)
         assert inst.k <= SolverConfig().bnp_root_k  # the whole solve is B&P
         t0 = time.perf_counter()
         rep = solve(inst, SolverConfig(time_limit_s=0.5))
@@ -142,6 +206,8 @@ class TestSolve:
         assert inst.is_feasible(rep.best.x)
         assert rep.best.value == inst.objective(rep.best.x)
         assert not np.isfinite(rep.root_bound)
+        # an unfinished leaf proves no bound, and its trace row says so
+        assert rep.node_trace == [(0, 0, float("inf"), "bnp_leaf")]
 
     def test_report_consistency(self):
         inst = make_instance(12, seed=6)

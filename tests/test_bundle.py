@@ -168,11 +168,23 @@ class TestUpdatePool:
         gamma = 0.01 * (np.arange(len(pool)) % 30 + 1)
         new_cuts, kept = bundle._update_pool(pool, gamma, np.eye(6), 5)
         # the 18 rows of the six lowest levels go, and of the three rows at
-        # the seventh level the first two
-        drop = [lvl + off for lvl in range(6) for off in (0, 30, 60)] + [6, 36]
+        # the seventh level the last two
+        drop = [lvl + off for lvl in range(6) for off in (0, 30, 60)] + [36, 66]
         keep = np.setdiff1d(np.arange(len(pool)), drop)
         np.testing.assert_array_equal(new_cuts, pool[keep])
         np.testing.assert_array_equal(kept, gamma[keep])
+
+    def test_capacity_keeps_the_most_violated_new_cuts(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-1, 1, (6, 6))
+        X = (X + X.T) / 2
+        pool = all_cuts(6)[:58]  # two below the capacity, all at gamma 1
+        assert len(cuts.separate(X, 10, exclude=pool)) == 4
+        new_cuts, gamma = bundle._update_pool(pool, np.ones(58), X, 4)
+        # four new cuts join at 0, most violated first; two must leave
+        np.testing.assert_array_equal(new_cuts[:58], pool)
+        np.testing.assert_array_equal(new_cuts[58:], cuts.separate(X, 2, exclude=pool))
+        np.testing.assert_array_equal(gamma, [1.0] * 58 + [0.0] * 2)
 
 
 def _prox(lin_c, G, center, u, cand):
