@@ -40,7 +40,7 @@ import numpy as np
 from . import bundle as bundle_mod
 from . import ipm, relaxation
 from .heuristics import BRANCH_LEAF, Incumbent, primal_heuristic, varfix_heuristic
-from .instance import INFEASIBLE, InfeasibleFix, Instance, fix_variable, preprocess
+from .instance import InfeasibleFix, Instance, fix_variable, preprocess
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
@@ -241,7 +241,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         return SolveReport(status, best, float(root_bound), gap, nodes,
                            int(1000 * (time.perf_counter() - t0)), evals, trace)
 
-    if prep.status == INFEASIBLE:
+    if root.k > prep.k_max:
         return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0)
 
     best = primal_heuristic(root, prep)
@@ -259,7 +259,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         at_root = node.depth == 0
         red = node.reduced
         red_prep = prep if at_root else preprocess(red)
-        if red_prep.status == INFEASIBLE:
+        if red.k > red_prep.k_max:
             _trace(trace, node, "infeasible")
             continue
         if red.k <= (cfg.bnp_root_k if at_root else cfg.bnp_node_k) or red.k in (1, red.n):

@@ -16,8 +16,10 @@ Each candidate minimizes the cutting-plane model plus a proximal term.  That
 subproblem is solved exactly through its dual over the unit simplex of
 piece weights (Kiwiel, SIAM J. Sci. Stat. Comput. 1989): an outer fixed
 point on the coordinates the candidate leaves positive, each pass a small
-active-set quadratic program in at most BUNDLE_MAX weights, with a hard cap
-of MODEL_PASSES passes.  Its accuracy only steers the trajectory;
+active-set quadratic program in one weight per piece, with a hard cap of
+MODEL_PASSES passes.  The model gains one piece per evaluation and restarts
+at each pool update, so the evaluation budget bounds its size and no piece
+is ever dropped.  The subproblem's accuracy only steers the trajectory;
 every reported bound is an oracle's certified dual value.
 
 Two values come out of each oracle call: the primal objective at X* (used
@@ -31,7 +33,7 @@ minimizer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +44,12 @@ from .relaxation import RelaxationData
 DESCENT_RATIO = 0.1  # m_L: share of the predicted decrease a descent step must reach
 STALL_TOL = 1e-6  # relative predicted decrease below which the loop stops
 U_INIT = 1.0  # initial proximal weight
-BUNDLE_MAX = 25  # linearizations kept in the cutting-plane model
 GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
 UPDATE_PERIOD = 5  # descent steps between cut pool updates
 POOL_CAPACITY = 10  # cuts the pool may hold per item of the relaxation
-# cap on the passes of _model_weights, and (times the number of pieces) on the
-# steps of _simplex_qp; the bb_n40 subproblems need at most 6 passes
+# cap on the passes of _model_weights, and (times the number of pieces, at
+# most the evaluation budget) on the steps of _simplex_qp; the bb_n40
+# subproblems need at most 6 passes
 MODEL_PASSES = 50
 
 
@@ -66,8 +68,6 @@ class BundleResult:
     pool: np.ndarray  # the final (m, 4) cut array
     evals: int
     reason: str  # pruned | stalled | budget | no_cuts
-    bound_samples: list = field(default_factory=list)  # certified value per eval
-    f_center_history: list = field(default_factory=list)
 
 
 def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
@@ -261,15 +261,12 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
     first = oracle_eval(cuts, np.zeros(0), relax, ipm_tol)
     evals = 1
     best_bound = first.bound
-    bound_samples = [first.bound]
     center = np.zeros(0)
     f_center = first.value
     X_center = first.X
-    f_hist = [f_center]
 
     def result(reason):
-        return BundleResult(best_bound, X_center, cuts, evals, reason,
-                            bound_samples, f_hist)
+        return BundleResult(best_bound, X_center, cuts, evals, reason)
 
     if prunable(best_bound, lower_bound):
         return result("pruned")
@@ -308,7 +305,6 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
         out = oracle_eval(cuts, cand, relax, ipm_tol)
         evals += 1
         best_bound = min(best_bound, out.bound)
-        bound_samples.append(out.bound)
         if prunable(best_bound, lower_bound):
             X_center = out.X
             reason = "pruned"
@@ -316,11 +312,6 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
 
         lin_c.append(out.value - out.g @ cand)
         lin_g.append(out.g)
-        if len(lin_c) > BUNDLE_MAX:
-            # drop whichever of the two oldest pieces is lower (looser) at
-            # the candidate
-            drop = 0 if lin_c[0] + lin_g[0] @ cand <= lin_c[1] + lin_g[1] @ cand else 1
-            del lin_c[drop], lin_g[drop]
 
         if out.value <= f_center - DESCENT_RATIO * predicted:
             # descent step
@@ -330,7 +321,6 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
             descents += 1
             nulls_in_row = 0
             u = max(u * 0.5, 1e-3)
-            f_hist.append(f_center)
             update_due = descents % UPDATE_PERIOD == 0
         else:
             nulls_in_row += 1

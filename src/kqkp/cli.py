@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bnb, generator, oracle
-from .instance import SOLVABLE, TRIVIAL_K1, Instance, InstanceError, load, preprocess, validate
+from .instance import Instance, InstanceError, load, preprocess, validate
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -143,13 +143,16 @@ def cmd_bound(args) -> int:
     inst = _load_validated(args.path)
     prep = preprocess(inst)
     t0 = time.perf_counter()
-    if prep.status == SOLVABLE:
+    evals = 0
+    if inst.k > prep.k_max:
+        bound = float("-inf")
+    elif inst.k == 1:
+        # nothing to relax: validate makes every item fit, so the optimum,
+        # and the bound, is the largest diagonal entry
+        bound = int(np.diag(inst.C).max())
+    else:
         bound, _, evals = bnb.node_bound(inst, cfg, float("-inf"), root=True,
                                          deadline=t0 + cfg.time_limit_s)
-    else:
-        # nothing to relax; the bound equals the (trivial) optimum
-        bound = prep.trivial_value if prep.status == TRIVIAL_K1 else float("-inf")
-        evals = 0
     payload = {
         "instance": str(args.path),
         "mode": args.mode,
@@ -174,14 +177,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-_NAME_RE = re.compile(r"kqkp_n(\d+)_d(\d+)_s\d+")
+_NAME_RE = re.compile(r"kqkp_n\d+_d(\d+)_s\d+")
 
 
 def _bench_meta(path: Path, inst: Instance) -> tuple[int, int]:
-    m = _NAME_RE.match(path.stem)
-    if m:
-        return int(m.group(1)), int(m.group(2))
+    """(n, density in percent): n from the data, the density from a
+    generator file name if the stem is exactly one, else counted."""
     n = inst.n
+    m = _NAME_RE.fullmatch(path.stem)
+    if m:
+        return n, int(m.group(1))
     upper = n * (n + 1) // 2
     nz = int(np.count_nonzero(np.triu(inst.C)))
     return n, round(100.0 * nz / upper)
@@ -214,8 +219,8 @@ def cmd_bench(args) -> int:
 
 def cmd_check(args) -> int:
     inst = _load_validated(args.path)
-    if inst.n > 24:
-        print(f"error: oracle check limited to n <= 24, got n = {inst.n}",
+    if inst.n > oracle.MAX_N:
+        print(f"error: oracle check limited to n <= {oracle.MAX_N}, got n = {inst.n}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
     cfg = _config_from_args(args)

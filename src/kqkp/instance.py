@@ -14,11 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-SOLVABLE = "solvable"
-TRIVIAL_K1 = "trivial_k1"
-INFEASIBLE = "infeasible"
-
-
 class InstanceError(ValueError):
     """Base class for malformed or inconsistent problem data."""
 
@@ -84,11 +79,8 @@ class Instance:
 
 @dataclass(frozen=True)
 class Preprocessed:
-    k_max: int
-    b_prime: int
-    status: str
-    trivial_value: int | None = None
-    trivial_index: int | None = None
+    k_max: int  # the most items that fit the capacity; k > k_max is infeasible
+    b_prime: int  # the weight of the k lightest items
 
 
 def validate(inst: Instance) -> Instance:
@@ -114,7 +106,7 @@ def validate(inst: Instance) -> Instance:
 
 
 def preprocess(inst: Instance) -> Preprocessed:
-    """Compute k_max, b' and resolve trivial cases.  Pure and idempotent."""
+    """Compute k_max and b'.  Pure and idempotent."""
     w = np.sort(inst.a)
     csum = np.cumsum(w)
     k_max = int(np.searchsorted(csum, inst.b, side="right"))
@@ -122,23 +114,7 @@ def preprocess(inst: Instance) -> Preprocessed:
         b_prime = 0
     else:
         b_prime = int(csum[min(inst.k, inst.n) - 1])
-    if inst.k > k_max:
-        return Preprocessed(k_max, b_prime, INFEASIBLE)
-    if inst.k == 1:
-        # scan restricted to items fitting the capacity; at the root every
-        # item fits, subproblems may carry heavy items
-        mask = inst.a <= inst.b
-        diag = np.diag(inst.C)
-        vals = np.where(mask, diag, np.iinfo(np.int64).min)
-        idx = int(np.argmax(vals))
-        return Preprocessed(
-            k_max,
-            b_prime,
-            TRIVIAL_K1,
-            trivial_value=int(diag[idx]) + inst.offset,
-            trivial_index=idx,
-        )
-    return Preprocessed(k_max, b_prime, SOLVABLE)
+    return Preprocessed(k_max, b_prime)
 
 
 def fix_variable(inst: Instance, j: int, value: int) -> Instance:

@@ -25,7 +25,8 @@ bound valid regardless of how tightly the solve converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,8 +55,6 @@ class SdpSolution:
     certified_dual: float
     iterations: int
     status: str
-    gap_history: list = field(default_factory=list)
-    feas_history: list = field(default_factory=list)
 
 
 def assemble_schur(Zi: np.ndarray, X: np.ndarray, a_bar: np.ndarray,
@@ -177,8 +176,7 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
 
     status = ITER_LIMIT
     iters = 0
-    gap_history: list[float] = []
-    feas_history: list[float] = []
+    recent_gaps = deque(maxlen=6)  # relgap of the last 6 iterations (stall test)
     pobj = dobj = 0.0
     last_min_step = 1.0
 
@@ -198,15 +196,14 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         cap_viol = max(0.0, AX[n + 1] - data.rhs_cap)
         diag_res = float(np.abs(np.diag(X) - 1.0).max())
         card_res = abs(AX[n] - data.rhs_card)
-        gap_history.append(relgap)
-        feas_history.append(max(rp_rel, rd_rel))
+        recent_gaps.append(relgap)
 
         if (relgap <= tol and rp_rel <= feas_tol and rd_rel <= feas_tol
                 and cap_viol <= res_abs and diag_res <= res_abs
                 and card_res <= res_abs):
             status = OPTIMAL
             break
-        if len(gap_history) >= 6 and gap_history[-1] > 0.99 * gap_history[-6] \
+        if len(recent_gaps) == 6 and relgap > 0.99 * recent_gaps[0] \
                 and rp_rel <= feas_tol and rd_rel <= feas_tol:
             status = SLOW_PROGRESS
             break
@@ -289,7 +286,5 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
     return SdpSolution(
         X=X, s=float(s), y=y, Z=Z, t=float(t),
         primal_obj=pobj, dual_obj=dobj, certified_dual=certified,
-        iterations=iters, status=status, gap_history=gap_history,
-        feas_history=feas_history,
-    )
+        iterations=iters, status=status)
 

@@ -37,11 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import TRIVIAL_K1, Instance, fix_variable, preprocess
-
-
-class CardinalityMismatch(ValueError):
-    pass
+from .instance import Instance, fix_variable, preprocess
 
 
 @dataclass(frozen=True)
@@ -91,14 +87,14 @@ def _build_k_lightest(inst: Instance) -> RelaxationData:
             sub = fix_variable(sub, j, int(a[j] < wk))
     tie = np.flatnonzero(a == wk)
     x = (a < wk).astype(float)
-    sub_prep = preprocess(sub)
-    if sub.k in (0, sub.n) or sub_prep.status == TRIVIAL_K1:
+    if sub.k in (0, 1, sub.n):
         # the face holds one selection, or its best is one item of the tie
-        # class: the bound is the value of that selection, nothing to relax
+        # class (every tie item weighs w_k == sub.b, so each fits): the bound
+        # is the value of that selection, nothing to relax
         if sub.k == sub.n:
             x[tie] = 1.0
         elif sub.k == 1:
-            x[tie[sub_prep.trivial_index]] = 1.0
+            x[tie[int(np.argmax(np.diag(sub.C)))]] = 1.0
         return RelaxationData(
             dim=0, C_bar=np.zeros((0, 0)), a_bar=np.zeros(0), rhs_card=0.0,
             rhs_cap=0.0, const_term=float(inst.objective(x)), proj_scale=1.0,
@@ -108,7 +104,7 @@ def _build_k_lightest(inst: Instance) -> RelaxationData:
         # a zero-profit dummy of weight w_k keeps a_bar = 0 and b'; the b+1
         # dummy of build would make b == b' again on the padded instance
         sub = _pad(sub, wk)
-    return _build(sub, sub_prep.b_prime, x, tie)
+    return _build(sub, preprocess(sub).b_prime, x, tie)
 
 
 def _build(inst: Instance, b_prime: int, x_fixed: np.ndarray,
@@ -145,15 +141,6 @@ def _build(inst: Instance, b_prime: int, x_fixed: np.ndarray,
         x_fixed=x_fixed,
         free=free,
     )
-
-
-def feasible_X_from_binary(x, k: int) -> np.ndarray:
-    """Rank-one lift X = yy' with y = 2x - e; testing helper."""
-    x = np.asarray(x, dtype=float)
-    if int(round(x.sum())) != k:
-        raise CardinalityMismatch(f"sum(x) = {x.sum()} != k = {k}")
-    y = 2.0 * x - 1.0
-    return np.outer(y, y)
 
 
 def extract_fractional(X: np.ndarray, data: RelaxationData) -> np.ndarray:

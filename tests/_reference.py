@@ -15,6 +15,8 @@ active-set method of its own; the package itself does not use
 The reference branch-and-prune is the depth-first search pruned by
 feasibility only, without the upper bound of ``bnb.branch_and_prune``; it
 visits selections in the same order, so both must return the same one.
+The rank-one lift of a binary selection is the feasible point of the
+relaxation that the identity tests of ``relaxation`` evaluate.
 """
 
 from __future__ import annotations
@@ -141,3 +143,16 @@ def feasibility_branch_and_prune(inst, floor: float = float("-inf")):
     x = np.zeros(n, dtype=np.int64)
     x[best_sel] = 1
     return x
+
+
+class CardinalityMismatch(ValueError):
+    pass
+
+
+def feasible_X_from_binary(x, k: int) -> np.ndarray:
+    """Rank-one lift X = yy' with y = 2x - e of a selection of k items."""
+    x = np.asarray(x, dtype=float)
+    if int(round(x.sum())) != k:
+        raise CardinalityMismatch(f"sum(x) = {x.sum()} != k = {k}")
+    y = 2.0 * x - 1.0
+    return np.outer(y, y)

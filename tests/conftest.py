@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kqkp import generator
+from kqkp import bundle, generator
 from kqkp.instance import Instance
 
 
@@ -20,6 +20,24 @@ def all_cuts(n: int) -> np.ndarray:
     return np.array([(i, j, k, kind)
                      for i, j, k in combinations(range(n), 3)
                      for kind in range(4)], dtype=np.int64)
+
+
+def minimize_with_bounds(monkeypatch, *args, **kwargs):
+    """``bundle.minimize(*args, **kwargs)`` and the certified bound of each of
+    its oracle evaluations, in order."""
+    bounds = []
+    real = bundle.oracle_eval
+
+    def record(*eval_args):
+        out = real(*eval_args)
+        bounds.append(out.bound)
+        return out
+
+    monkeypatch.setattr(bundle, "oracle_eval", record)
+    try:
+        return bundle.minimize(*args, **kwargs), bounds
+    finally:
+        monkeypatch.undo()
 
 
 # Instances with b == b' (capacity equal to the weight of the k lightest

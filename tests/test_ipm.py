@@ -18,6 +18,22 @@ def _bound(data):
     return solve(data).certified_dual + data.const_term
 
 
+def _gap_and_residual(data, sol):
+    """The relative gap and max(primal, dual) relative residual of a returned
+    iterate, measured as ``solve`` measures them at the top of an iteration."""
+    n, C = data.dim, data.C_bar
+    rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
+    rp = rhs - ipm._constraint_op(sol.X, data.a_bar)
+    rp[n + 1] -= sol.s
+    Rd = C - (ipm._adjoint_op(sol.y, np.ones((n, n)), np.outer(data.a_bar, data.a_bar))
+              - sol.Z)
+    pobj = float(np.tensordot(C, sol.X))
+    dobj = float(rhs @ sol.y)
+    rp_rel = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(rhs)))
+    rd_rel = float(np.linalg.norm(Rd)) / (1.0 + float(np.linalg.norm(C)))
+    return abs(pobj - dobj) / (1.0 + abs(dobj)), max(rp_rel, rd_rel)
+
+
 class TestSchurAssembly:
     def test_matches_naive_randomized(self, rng):
         for trial in range(100):
@@ -156,14 +172,21 @@ class TestSolve:
         rel = abs(sol.primal_obj - sol.dual_obj) / (1 + abs(sol.dual_obj))
         assert rel <= 1e-7
 
-    def test_gap_monotone_once_feasible(self):
+    def test_gap_monotone_once_feasible(self, monkeypatch):
         # the gap proxy |pobj - dobj| is meaningful only after the primal
-        # residual is small; count increases from that point on
+        # residual is small; count increases from that point on.  The iterate
+        # that starts iteration m is the one a solve capped at m iterations
+        # returns.
         for seed in range(8):
-            inst = make_instance(25, seed=seed)
-            sol = solve(_data(inst), tol=1e-7)
-            gaps = sol.gap_history
-            feas = sol.feas_history
+            data = _data(make_instance(25, seed=seed))
+            last = min(solve(data, tol=1e-7).iterations, ipm.MAX_ITER - 1)
+            gaps, feas = [], []
+            for m in range(last + 1):
+                monkeypatch.setattr(ipm, "MAX_ITER", m)
+                gap, res = _gap_and_residual(data, solve(data, tol=1e-7))
+                gaps.append(gap)
+                feas.append(res)
+            monkeypatch.undo()
             start = next((i for i, f in enumerate(feas) if f <= 1e-4), len(gaps))
             tail = gaps[start:]
             ups = sum(1 for p, q in zip(tail, tail[1:]) if q > p * (1 + 1e-12))

@@ -4,12 +4,8 @@ import pytest
 from kqkp import ipm
 from kqkp.instance import Instance
 from kqkp.oracle import enumerate_exact
-from kqkp.relaxation import (
-    CardinalityMismatch,
-    build,
-    extract_fractional,
-    feasible_X_from_binary,
-)
+from kqkp.relaxation import build, extract_fractional
+from _reference import CardinalityMismatch, feasible_X_from_binary
 from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
 
 
