@@ -79,7 +79,7 @@ def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
         raise ValueError("gamma must be nonnegative")
     cost = relax.C_bar - cuts_mod.adjoint_apply(cuts, gamma, relax.dim)
     egamma = float(gamma.sum())
-    sol = ipm.solve(relax, cost_override=cost, tol=ipm_tol)
+    sol = ipm.solve(relax, cost, ipm_tol)
     g = cuts_mod.evaluate(cuts, sol.X)
     return OracleValue(
         value=egamma + sol.primal_obj + relax.const_term,

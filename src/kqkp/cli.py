@@ -177,16 +177,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-_NAME_RE = re.compile(r"kqkp_n\d+_d(\d+)_s\d+")
+_NAME_RE = re.compile(r"kqkp_n(\d+)_d(\d+)_s\d+")
 
 
 def _bench_meta(path: Path, inst: Instance) -> tuple[int, int]:
     """(n, density in percent): n from the data, the density from a
-    generator file name if the stem is exactly one, else counted."""
+    generator file name if the stem is exactly one with the data's n, else
+    counted."""
     n = inst.n
     m = _NAME_RE.fullmatch(path.stem)
-    if m:
-        return n, int(m.group(1))
+    if m and int(m.group(1)) == n:
+        return n, int(m.group(2))
     upper = n * (n + 1) // 2
     nz = int(np.count_nonzero(np.triu(inst.C)))
     return n, round(100.0 * nz / upper)

@@ -95,15 +95,10 @@ def adjoint_apply(cuts: np.ndarray, gamma, n: int) -> np.ndarray:
     if gamma.shape[0] != len(cuts):
         raise ValueError("gamma not conformal with cut list")
     I, J, K, kind = cuts.T
-    S = SIGNS[kind]
     G = np.zeros((n, n))
-    # T_c has coefficient -s on each off-diagonal pair, split symmetrically
-    w = -0.5 * gamma
-    np.add.at(G, (I, J), w * S[:, 0])
-    np.add.at(G, (J, I), w * S[:, 0])
-    np.add.at(G, (I, K), w * S[:, 1])
-    np.add.at(G, (K, I), w * S[:, 1])
-    np.add.at(G, (J, K), w * S[:, 2])
-    np.add.at(G, (K, J), w * S[:, 2])
-    return G
+    # T_c has coefficient -s on each off-diagonal pair, split symmetrically;
+    # i < j < k, so the pairs (i,j), (i,k), (j,k) all lie above the diagonal
+    w = -0.5 * gamma[:, None] * SIGNS[kind]
+    np.add.at(G, (np.concatenate([I, I, J]), np.concatenate([J, K, K])), w.T.ravel())
+    return G + G.T
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, preprocess
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ def generate(spec: GenSpec) -> Instance:
     amax = int(a.max())
     while True:
         b = int(rng.integers(amax, total))
-        sorted_w = np.sort(a)
-        k_max = int(np.searchsorted(np.cumsum(sorted_w), b, side="right"))
+        k_max = preprocess(Instance(0, a, b, C)).k_max
         if k_max >= 2:
             break
     k = int(rng.integers(2, k_max + 1))

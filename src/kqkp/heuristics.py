@@ -135,8 +135,6 @@ def varfix_heuristic(inst: Instance, prep: Preprocessed, x_frac: np.ndarray,
         sub_sel = np.nonzero(primal_heuristic(sub, sub_prep).x)[0]
         lifted = _swap_descent(inst.C, inst.a, inst.b, free[sub_sel].tolist())
         cand = _to_incumbent(inst, lifted, VARFIX)
-        if not inst.is_feasible(cand.x):
-            continue
         if best is None or cand.value > best.value:
             best = cand
     if best is None:

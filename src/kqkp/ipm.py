@@ -3,18 +3,20 @@ relaxation.
 
 The constraint set is fixed: n diagonal constraints, one rank-one equality
 <ee', X> = (2k-n)^2 and one rank-one inequality <a_bar a_bar', X> <= (b-b')^2
-with primal slack s and dual slack t.  All Schur-complement inner products
-collapse to O(n^2) thanks to the rank-one structure, so one iteration costs
-O(n^3) overall.  Per iteration each iterate P in {X, Z} is factored once,
-P = L L', and its triangular inverse L^{-1} is formed once; Z^{-1} is
-L_Z^{-T} L_Z^{-1}.  Each step-length test (predictor, corrector and every
-centering retry, for X and for Z) then costs two matrix products,
-W = L^{-1} dP L^{-T}, and one smallest-eigenvalue LAPACK call on W.
+with primal slack s and dual slack t.  The two rank-one rows share one
+n x 2 border B = [e, a_bar]: the constraint map is A(W) = (diag W; the
+column sums of B o (W B)) and its adjoint is A'(y) = Diag(y[:n]) +
+B Diag(y[n:]) B'.  Every Schur-complement entry and every application of
+A or A' therefore costs O(n^2), so one iteration costs O(n^3) overall.
+Per iteration each iterate P in {X, Z} is factored once, P = L L', and its
+triangular inverse L^{-1} is formed once; Z^{-1} is L_Z^{-T} L_Z^{-1}.
+Each step-length test (predictor and corrector, for X and for Z) then
+costs two matrix products, W = L^{-1} dP L^{-T}, and one
+smallest-eigenvalue LAPACK call on W.
 
-HKM scaling (Z^{-1}-weighted), infeasible start, Mehrotra-style corrector
-with a centering fallback: if the corrector step would inflate the duality
-gap, the direction is recomputed with more centering (the factorization is
-reused, so retries are cheap).
+HKM scaling (Z^{-1}-weighted), infeasible start, and one Mehrotra
+corrector per iteration (Mehrotra, SIAM J. Optim. 1992): the predictor's
+step lengths set the centering parameter, and the corrector step is taken.
 
 The returned solution also carries a *certified* dual value: the dual
 iterate is repaired to exact feasibility (clamping the inequality
@@ -57,38 +59,36 @@ class SdpSolution:
     status: str
 
 
+def _border(a_bar: np.ndarray) -> np.ndarray:
+    """B = [e, a_bar], the n x 2 factor of the two rank-one constraints."""
+    return np.column_stack([np.ones(len(a_bar)), a_bar])
+
+
 def assemble_schur(Zi: np.ndarray, X: np.ndarray, a_bar: np.ndarray,
                    s: float, t: float) -> np.ndarray:
     """Specialized O(n^2) assembly of the (n+2) x (n+2) system matrix."""
     n = X.shape[0]
+    B = _border(a_bar)
+    ZiB = Zi @ B
+    XB = X @ B
     M = np.empty((n + 2, n + 2))
     M[:n, :n] = Zi * X
-    Zie = Zi.sum(axis=1)
-    Xe = X.sum(axis=1)
-    Zia = Zi @ a_bar
-    Xa = X @ a_bar
-    col_E = Zie * Xe
-    col_A = Zia * Xa
-    M[:n, n] = col_E
-    M[n, :n] = col_E
-    M[:n, n + 1] = col_A
-    M[n + 1, :n] = col_A
-    M[n, n] = Zie.sum() * Xe.sum()
-    cross = Zia.sum() * Xa.sum()
-    M[n, n + 1] = cross
-    M[n + 1, n] = cross
-    M[n + 1, n + 1] = (a_bar @ Zia) * (a_bar @ Xa) + s / t
+    M[:n, n:] = ZiB * XB
+    M[n:, :n] = M[:n, n:].T
+    M[n:, n:] = (B.T @ ZiB) * (B.T @ XB)
+    M[n + 1, n + 1] += s / t
     return M
 
 
-def _constraint_op(W: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
+def _constraint_op(W: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A(W) = (diag(W); <ee',W>; <a a',W>) for any (possibly nonsymmetric) W."""
-    return np.concatenate([np.diag(W), [W.sum()], [a_bar @ W @ a_bar]])
+    return np.concatenate([np.diag(W), (B * (W @ B)).sum(axis=0)])
 
 
-def _adjoint_op(y: np.ndarray, Emat: np.ndarray, Amat: np.ndarray) -> np.ndarray:
-    n = Emat.shape[0]
-    return np.diag(y[:n]) + y[n] * Emat + y[n + 1] * Amat
+def _adjoint_op(y: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A'(y) = Diag(y[:n]) + B Diag(y[n:]) B'."""
+    n = B.shape[0]
+    return np.diag(y[:n]) + (B * y[n:]) @ B.T
 
 
 def _inv_factor(P: np.ndarray) -> np.ndarray:
@@ -120,27 +120,24 @@ def _max_step(Li: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> floa
     return alpha
 
 
-def certify_dual(y: np.ndarray, C: np.ndarray, Emat: np.ndarray, Amat: np.ndarray,
-                 rhs: np.ndarray) -> float:
+def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -> float:
     """Repair y to exact dual feasibility and return the (valid) dual value."""
     n = C.shape[0]
     y = y.copy()
     y[n + 1] = max(y[n + 1], 0.0)
-    Zc = _adjoint_op(y, Emat, Amat) - C
+    Zc = _adjoint_op(y, B) - C
     lam = _lambda_min(0.5 * (Zc + Zc.T))
     if lam < 0:
         y[:n] += -lam * (1.0 + 1e-12) + 1e-14
     return float(rhs @ y)
 
 
-def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
-          tol: float = DEFAULT_TOL) -> SdpSolution:
-    """Solve the relaxation (optionally with a replacement cost matrix).
+def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
+    """Solve the relaxation with cost matrix C to relative gap ``tol``.
 
-    ``cost_override`` is used by the bundle method to pass C_bar - T'(gamma).
+    The bundle method passes C = C_bar - T'(gamma).
     """
     n = data.dim
-    C = data.C_bar if cost_override is None else np.asarray(cost_override, dtype=float)
     if C.shape != (n, n):
         raise ValueError(f"cost matrix must be {n}x{n}")
     if n == 0:
@@ -150,14 +147,12 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
                            primal_obj=0.0, dual_obj=0.0, certified_dual=0.0,
                            iterations=0, status=OPTIMAL)
     a_bar = data.a_bar
-    e = np.ones(n)
-    Emat = np.ones((n, n))
-    Amat = np.outer(a_bar, a_bar)
-    rhs = np.concatenate([e, [data.rhs_card], [data.rhs_cap]])
+    B = _border(a_bar)
+    rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
     rhs_norm = float(np.linalg.norm(rhs))
     C_norm = float(np.linalg.norm(C))
     feas_tol = max(tol, 1e-9)
-    # absolute targets for the constraint residuals on X
+    # absolute target for the constraint residuals on X
     res_abs = 1e-6 if tol <= 1e-6 else 1e-4
 
     # infeasible start: X with unit diagonal, shaped toward e'Xe = rhs_card
@@ -166,7 +161,7 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         beta = float(np.clip(beta, -0.95 / (n - 1), 0.9))
     else:
         beta = 0.0
-    X = (1.0 - beta) * np.eye(n) + beta * Emat
+    X = (1.0 - beta) * np.eye(n) + beta
     zeta = max(1.0, C_norm / n)
     Z = zeta * np.eye(n)
     s = max(1.0, data.rhs_cap - float(a_bar @ X @ a_bar))
@@ -182,10 +177,10 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
 
     for it in range(MAX_ITER):
         iters = it
-        AX = _constraint_op(X, a_bar)
+        AX = _constraint_op(X, B)
         rp = rhs - AX
         rp[n + 1] -= s
-        Rd = C - (_adjoint_op(y, Emat, Amat) - Z)
+        Rd = C - (_adjoint_op(y, B) - Z)
         pobj = float(np.tensordot(C, X))
         dobj = float(rhs @ y)
         gap = float(np.tensordot(X, Z)) + s * t
@@ -193,14 +188,11 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         relgap = abs(pobj - dobj) / (1.0 + abs(dobj))
         rp_rel = float(np.linalg.norm(rp)) / (1.0 + rhs_norm)
         rd_rel = float(np.linalg.norm(Rd)) / (1.0 + C_norm)
-        cap_viol = max(0.0, AX[n + 1] - data.rhs_cap)
-        diag_res = float(np.abs(np.diag(X) - 1.0).max())
-        card_res = abs(AX[n] - data.rhs_card)
+        # the diagonal and cardinality equalities, and capacity overshoot
+        res = max(float(np.abs(rp[:n + 1]).max()), AX[n + 1] - data.rhs_cap)
         recent_gaps.append(relgap)
 
-        if (relgap <= tol and rp_rel <= feas_tol and rd_rel <= feas_tol
-                and cap_viol <= res_abs and diag_res <= res_abs
-                and card_res <= res_abs):
+        if relgap <= tol and rp_rel <= feas_tol and rd_rel <= feas_tol and res <= res_abs:
             status = OPTIMAL
             break
         if len(recent_gaps) == 6 and relgap > 0.99 * recent_gaps[0] \
@@ -211,37 +203,34 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
         try:
             LZi = _inv_factor(Z)
             LXi = _inv_factor(X)
-        except np.linalg.LinAlgError:
-            status = SLOW_PROGRESS
-            break
-        Zi = LZi.T @ LZi
-        M = assemble_schur(Zi, X, a_bar, s, t)
-        try:
-            lu = sla.lu_factor(M)
+            Zi = LZi.T @ LZi
+            lu = sla.lu_factor(assemble_schur(Zi, X, a_bar, s, t))
         except (ValueError, np.linalg.LinAlgError):
             status = SLOW_PROGRESS
             break
 
         ZiRdX = Zi @ (Rd @ X)
+        BtX = B.T @ X
 
         def direction(mu_t, Corr, scorr):
             stuff = mu_t * Zi - X + ZiRdX
             if Corr is not None:
                 stuff = stuff - Zi @ Corr
-            r = _constraint_op(stuff, a_bar) - rp
-            r[n + 1] += (mu_t - s * t - scorr) / t
+            rs = (mu_t - s * t - scorr) / t
+            r = _constraint_op(stuff, B) - rp
+            r[n + 1] += rs
             dy = sla.lu_solve(lu, r)
-            Aty = _adjoint_op(dy, Emat, Amat)
-            dZ = Aty - Rd
-            dX = stuff - Zi @ (Aty @ X)
+            dZ = _adjoint_op(dy, B) - Rd
+            # A'(dy) X in O(n^2): Diag(dy[:n]) X + B Diag(dy[n:]) (B'X)
+            dX = stuff - Zi @ (dy[:n, None] * X + (B * dy[n:]) @ BtX)
             dX = 0.5 * (dX + dX.T)
             dt = float(dy[n + 1])
-            ds = (mu_t - s * t - scorr) / t - (s / t) * dt
+            ds = rs - (s / t) * dt
             return dX, ds, dy, dZ, dt
 
         try:
             # predictor (affine scaling)
-            dXa, dsa, dya, dZa, dta = direction(0.0, None, 0.0)
+            dXa, dsa, _, dZa, dta = direction(0.0, None, 0.0)
             ap = min(1.0, _max_step(LXi, dXa, s, dsa))
             ad = min(1.0, _max_step(LZi, dZa, t, dta))
             gap_aff = float(np.tensordot(X + ap * dXa, Z + ad * dZa)) \
@@ -249,42 +238,27 @@ def solve(data: RelaxationData, cost_override: np.ndarray | None = None,
             sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-8, 1.0))
             if last_min_step < 0.2:
                 sigma = max(sigma, 0.5)
-            Corr = dZa @ dXa
-            scorr = dsa * dta
-            # corrector; recenter if the step would inflate the gap
-            best = None
-            for sg in (sigma, min(1.0, max(8 * sigma, 0.3)), 1.0):
-                dX, ds, dy, dZ, dt = direction(sg * mu, Corr, scorr)
-                ap = min(1.0, STEP_FACTOR * _max_step(LXi, dX, s, ds))
-                ad = min(1.0, STEP_FACTOR * _max_step(LZi, dZ, t, dt))
-                Xn = X + ap * dX
-                sn = s + ap * ds
-                yn = y + ad * dy
-                Zn = Z + ad * dZ
-                tn = t + ad * dt
-                pn = float(np.tensordot(C, Xn))
-                dn = float(rhs @ yn)
-                rg_new = abs(pn - dn) / (1.0 + abs(dn))
-                if best is None or rg_new < best[0]:
-                    best = (rg_new, Xn, sn, yn, Zn, tn, min(ap, ad))
-                if rg_new <= max(relgap * (1.0 + 1e-9), 0.5 * tol):
-                    break
-            _, Xn, sn, yn, Zn, tn, last_min_step = best
+            # corrector
+            dX, ds, dy, dZ, dt = direction(sigma * mu, dZa @ dXa, dsa * dta)
+            ap = min(1.0, STEP_FACTOR * _max_step(LXi, dX, s, ds))
+            ad = min(1.0, STEP_FACTOR * _max_step(LZi, dZ, t, dt))
         except np.linalg.LinAlgError:
             status = SLOW_PROGRESS
             break
+        last_min_step = min(ap, ad)
 
-        X = 0.5 * (Xn + Xn.T)
-        s = sn
-        y = yn
-        Z = 0.5 * (Zn + Zn.T)
-        t = tn
+        X = X + ap * dX
+        X = 0.5 * (X + X.T)
+        s = s + ap * ds
+        y = y + ad * dy
+        Z = Z + ad * dZ
+        Z = 0.5 * (Z + Z.T)
+        t = t + ad * dt
     else:
         iters = MAX_ITER
 
-    certified = certify_dual(y, C, Emat, Amat, rhs)
+    certified = certify_dual(y, C, B, rhs)
     return SdpSolution(
         X=X, s=float(s), y=y, Z=Z, t=float(t),
         primal_obj=pobj, dual_obj=dobj, certified_dual=certified,
         iterations=iters, status=status)
-

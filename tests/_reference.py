@@ -3,6 +3,8 @@
 The naive Schur assembly builds every entry from the trace formula
 m_ij = trace(Z^{-1} A_j X A_i) with the constraint matrices materialized,
 so it shares no code with the specialized rank-one version it checks.
+The dense constraint map and its adjoint write the two rank-one rows out as
+n x n matrices, where ``ipm`` keeps them as one n x 2 border.
 The naive triangle separation enumerates every cut one by one and sorts
 Python tuples, so it shares no code with the vectorized ``cuts.separate``.
 The naive step length factors P afresh, applies L^{-1} by two triangular
@@ -50,6 +52,17 @@ def naive_schur(Zi: np.ndarray, X: np.ndarray, a_bar: np.ndarray,
             M[i, j] = np.trace(Zi @ mats[j] @ X @ mats[i])
     M[m - 1, m - 1] += s / t
     return M
+
+
+def dense_constraint_op(W: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
+    """(diag(W); <ee', W>; <a_bar a_bar', W>) for any n x n W."""
+    return np.concatenate([np.diag(W), [W.sum()], [a_bar @ W @ a_bar]])
+
+
+def dense_adjoint_op(y: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
+    """Diag(y[:n]) + y[n] ee' + y[n+1] a_bar a_bar'."""
+    n = len(a_bar)
+    return np.diag(y[:n]) + y[n] * np.ones((n, n)) + y[n + 1] * np.outer(a_bar, a_bar)
 
 
 def naive_max_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:

@@ -130,7 +130,7 @@ def test_criterion_05_ipm_quality():
         inst = _gen(sizes[i % len(sizes)], DENSITIES[i % 4], 2000 + i)
         data = relaxation.build(inst)
         t0 = time.perf_counter()
-        sol = ipm.solve(data, tol=1e-7)
+        sol = ipm.solve(data, data.C_bar, 1e-7)
         dt = time.perf_counter() - t0
         n = data.dim
         e = np.ones(n)
@@ -158,7 +158,7 @@ def test_criterion_06_subgradient():
     for seed in range(10):
         inst = _gen(10, DENSITIES[seed % 4], 3000 + seed)
         data = relaxation.build(inst)
-        sol = ipm.solve(data, tol=1e-6)
+        sol = ipm.solve(data, data.C_bar, 1e-6)
         pool = cuts.separate(sol.X, 30, tol=0.0)
         if len(pool) == 0:
             continue
@@ -246,7 +246,7 @@ def test_criterion_10_heuristic_quality(suite):
         prep = preprocess(inst)
         inc = primal_heuristic(inst, prep)
         data = relaxation.build(inst)
-        sol = ipm.solve(data, tol=1e-5)
+        sol = ipm.solve(data, data.C_bar, 1e-5)
         x_frac = relaxation.extract_fractional(sol.X, data)
         out = varfix_heuristic(inst, prep, x_frac, inc)
         all_feasible &= inst.is_feasible(inc.x) and inst.is_feasible(out.x)

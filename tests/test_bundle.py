@@ -62,7 +62,7 @@ def _center_values(monkeypatch, *args, **kwargs):
 
 def _seeded_pool(data, n_cuts=40):
     from kqkp import ipm
-    sol = ipm.solve(data, tol=1e-5)
+    sol = ipm.solve(data, data.C_bar, 1e-5)
     return cuts.separate(sol.X, n_cuts)
 
 
@@ -72,7 +72,7 @@ class TestOracleEval:
         inst = make_instance(10, seed=2)
         data = _data(inst)
         out = oracle_eval(NO_CUTS, np.zeros(0), data, ipm_tol=1e-7)
-        ref = ipm.solve(data, tol=1e-7).certified_dual + data.const_term
+        ref = ipm.solve(data, data.C_bar, 1e-7).certified_dual + data.const_term
         assert abs(out.bound - ref) < 1e-4 * (1 + abs(out.bound))
 
     def test_negative_gamma_rejected(self):

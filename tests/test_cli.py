@@ -120,7 +120,7 @@ class TestBound:
         _, out = _run(capsys, ["bound", str(path), "--mode", "sdp"])
         payload = json.loads(out)
         data = relaxation.build(inst)
-        ref = ipm.solve(data, tol=1e-7).certified_dual + data.const_term
+        ref = ipm.solve(data, data.C_bar, 1e-7).certified_dual + data.const_term
         assert payload["evals"] == 1
         assert abs(payload["bound"] - ref) <= 1e-9 * abs(ref)
 
@@ -212,13 +212,15 @@ class TestBench:
         d = tmp_path / "inst"
         d.mkdir()
         inst = generator.generate(generator.GenSpec(n=10, density_percent=50, seed=1))
+        dump(inst, d / "kqkp_n10_d25_s1.txt")
         dump(inst, d / "kqkp_n40_d25_s1.txt")
         dump(inst, d / "kqkp_n40_d25_s1_copy.txt")
         _, out = _run(capsys, ["bench", str(d)])
         rows = [line.split(",")[:2] for line in out.strip().splitlines()[1:]]
-        # a generator file name gives the density; any other name is counted
+        # a generator file name with the data's n gives the density; a name
+        # with another n, or any other name, is counted
         counted = round(100 * np.count_nonzero(np.triu(inst.C)) / (10 * 11 // 2))
-        assert rows == [["10", "25"], ["10", str(counted)]]
+        assert rows == [["10", "25"], ["10", str(counted)], ["10", str(counted)]]
 
     def test_deterministic_rerun(self, tmp_path, capsys):
         d = self._populate(tmp_path)

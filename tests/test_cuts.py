@@ -75,7 +75,7 @@ class TestSeparate:
     @pytest.mark.parametrize("n", [12, 20])
     def test_matches_naive_reference_on_ipm_solution(self, n):
         data = relaxation.build(make_instance(n, seed=3))
-        X = ipm.solve(data, tol=1e-5).X
+        X = ipm.solve(data, data.C_bar, 1e-5).X
         full = naive_separate(X, 10 ** 6)
         assert len(full) > 20
         for m in (1, 20, 10 ** 6):

@@ -14,7 +14,7 @@ from conftest import make_instance
 
 def _root_fractional(inst):
     data = relaxation.build(inst)
-    sol = ipm_solve(data, tol=1e-5)
+    sol = ipm_solve(data, data.C_bar, 1e-5)
     return relaxation.extract_fractional(sol.X, data)
 
 

@@ -5,7 +5,8 @@ from kqkp import ipm, relaxation
 from kqkp.instance import Instance, preprocess
 from kqkp.ipm import _inv_factor, _max_step, assemble_schur, certify_dual, solve
 from kqkp.oracle import enumerate_exact
-from _reference import naive_max_step, naive_schur, random_spd
+from _reference import (dense_adjoint_op, dense_constraint_op, naive_max_step,
+                        naive_schur, random_spd)
 from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
 
 
@@ -15,7 +16,7 @@ def _data(inst):
 
 def _bound(data):
     """Certified upper bound in original objective units."""
-    return solve(data).certified_dual + data.const_term
+    return solve(data, data.C_bar, ipm.DEFAULT_TOL).certified_dual + data.const_term
 
 
 def _gap_and_residual(data, sol):
@@ -23,10 +24,10 @@ def _gap_and_residual(data, sol):
     iterate, measured as ``solve`` measures them at the top of an iteration."""
     n, C = data.dim, data.C_bar
     rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
-    rp = rhs - ipm._constraint_op(sol.X, data.a_bar)
+    B = np.column_stack([np.ones(n), data.a_bar])
+    rp = rhs - ipm._constraint_op(sol.X, B)
     rp[n + 1] -= sol.s
-    Rd = C - (ipm._adjoint_op(sol.y, np.ones((n, n)), np.outer(data.a_bar, data.a_bar))
-              - sol.Z)
+    Rd = C - (ipm._adjoint_op(sol.y, B) - sol.Z)
     pobj = float(np.tensordot(C, sol.X))
     dobj = float(rhs @ sol.y)
     rp_rel = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(rhs)))
@@ -57,6 +58,25 @@ class TestSchurAssembly:
         Zi = 0.5 * (Zi + Zi.T)
         M = assemble_schur(Zi, X, rng.standard_normal(n), 1.0, 1.0)
         assert np.allclose(M, M.T)
+
+
+class TestBorderOperators:
+    def test_adjoint_pair_matches_dense_forms_randomized(self, rng):
+        for trial in range(100):
+            n = int(rng.integers(1, 41))
+            W = rng.standard_normal((n, n))  # nonsymmetric
+            y = rng.standard_normal(n + 2)
+            a_bar = rng.standard_normal(n)
+            B = np.column_stack([np.ones(n), a_bar])
+            AW = ipm._constraint_op(W, B)
+            Aty = ipm._adjoint_op(y, B)
+            # <A(W), y> == <W, A'(y)>
+            scale = float(np.abs(AW) @ np.abs(y))
+            assert abs(AW @ y - np.vdot(W, Aty)) <= 1e-10 * scale
+            ref = dense_constraint_op(W, a_bar)
+            assert np.abs(AW - ref).max() <= 1e-10 * max(1.0, float(np.abs(ref).max()))
+            ref = dense_adjoint_op(y, a_bar)
+            assert np.abs(Aty - ref).max() <= 1e-10 * max(1.0, float(np.abs(ref).max()))
 
 
 class TestStepLength:
@@ -106,7 +126,8 @@ class TestStepLength:
             return factor(P)
 
         monkeypatch.setattr(ipm, "_inv_factor", failing)
-        sol = solve(_data(make_instance(10, seed=0)))
+        data = _data(make_instance(10, seed=0))
+        sol = solve(data, data.C_bar, ipm.DEFAULT_TOL)
         assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
 
 
@@ -123,7 +144,7 @@ class TestSolve:
     def test_zero_cost(self):
         inst = make_instance(8, seed=1)
         data = _data(inst)
-        sol = solve(data, cost_override=np.zeros((8, 8)))
+        sol = solve(data, np.zeros((8, 8)), ipm.DEFAULT_TOL)
         assert abs(sol.primal_obj) < 1e-5
         assert sol.certified_dual + data.const_term >= -1e-6
 
@@ -150,7 +171,7 @@ class TestSolve:
     def test_optimal_solution_residuals(self):
         inst = make_instance(20, seed=2)
         data = _data(inst)
-        sol = solve(data, tol=1e-7)
+        sol = solve(data, data.C_bar, 1e-7)
         assert sol.status == ipm.OPTIMAL
         n = data.dim
         e = np.ones(n)
@@ -167,7 +188,8 @@ class TestSolve:
 
     def test_relgap_below_tolerance(self):
         inst = make_instance(30, seed=3)
-        sol = solve(_data(inst), tol=1e-7)
+        data = _data(inst)
+        sol = solve(data, data.C_bar, 1e-7)
         assert sol.status == ipm.OPTIMAL
         rel = abs(sol.primal_obj - sol.dual_obj) / (1 + abs(sol.dual_obj))
         assert rel <= 1e-7
@@ -179,11 +201,11 @@ class TestSolve:
         # returns.
         for seed in range(8):
             data = _data(make_instance(25, seed=seed))
-            last = min(solve(data, tol=1e-7).iterations, ipm.MAX_ITER - 1)
+            last = min(solve(data, data.C_bar, 1e-7).iterations, ipm.MAX_ITER - 1)
             gaps, feas = [], []
             for m in range(last + 1):
                 monkeypatch.setattr(ipm, "MAX_ITER", m)
-                gap, res = _gap_and_residual(data, solve(data, tol=1e-7))
+                gap, res = _gap_and_residual(data, solve(data, data.C_bar, 1e-7))
                 gaps.append(gap)
                 feas.append(res)
             monkeypatch.undo()
@@ -197,14 +219,14 @@ class TestSolve:
         for seed in range(10):
             inst = make_instance(10, seed=seed)
             data = _data(inst)
-            sol = solve(data, tol=1e-2)
+            sol = solve(data, data.C_bar, 1e-2)
             opt = enumerate_exact(inst)
             assert sol.certified_dual + data.const_term >= opt.value - 1e-6
 
     def test_cost_override_shape_checked(self):
         data = _data(make_instance(8, seed=0))
         with pytest.raises(ValueError):
-            solve(data, cost_override=np.zeros((3, 3)))
+            solve(data, np.zeros((3, 3)), ipm.DEFAULT_TOL)
 
 
 class TestKLightestFace:
@@ -217,7 +239,7 @@ class TestKLightestFace:
         tight = Instance(inst.k, inst.a, inst.b - 1, inst.C)
         assert tight.b == preprocess(tight).b_prime
         data = _data(tight)
-        assert solve(data).status == ipm.OPTIMAL
+        assert solve(data, data.C_bar, ipm.DEFAULT_TOL).status == ipm.OPTIMAL
         assert enumerate_exact(tight).value == 1530
         assert abs(_bound(data) - 1530) <= 1e-6
 
@@ -226,7 +248,7 @@ class TestKLightestFace:
         for seed in range(3):
             inst = k_lightest_instance(name, seed=seed)
             data = _data(inst)
-            sol = solve(data)
+            sol = solve(data, data.C_bar, ipm.DEFAULT_TOL)
             assert sol.status == ipm.OPTIMAL
             opt = enumerate_exact(inst).value
             val = sol.certified_dual + data.const_term
@@ -239,7 +261,7 @@ class TestKLightestFace:
     def test_zero_dimensional_relaxation(self):
         data = _data(k_lightest_instance("all_tied_unique"))
         assert data.dim == 0
-        sol = solve(data, cost_override=np.zeros((0, 0)))
+        sol = solve(data, np.zeros((0, 0)), ipm.DEFAULT_TOL)
         assert sol.status == ipm.OPTIMAL and sol.iterations == 0
         assert _bound(data) == data.const_term
 
@@ -247,14 +269,13 @@ class TestKLightestFace:
 def test_certify_dual_repairs_infeasible_point(rng):
     n = 6
     data = _data(make_instance(n, seed=7))
-    Emat = np.ones((n, n))
-    Amat = np.outer(data.a_bar, data.a_bar)
+    B = np.column_stack([np.ones(n), data.a_bar])
     rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
     y = rng.standard_normal(n + 2)  # arbitrary, likely infeasible
-    val = certify_dual(y, data.C_bar, Emat, Amat, rhs)
+    val = certify_dual(y, data.C_bar, B, rhs)
     y2 = y.copy()
     y2[n + 1] = max(y2[n + 1], 0.0)
-    Zc = np.diag(y2[:n]) + y2[n] * Emat + y2[n + 1] * Amat - data.C_bar
+    Zc = dense_adjoint_op(y2, data.a_bar) - data.C_bar
     shift = max(0.0, -float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0]))
     y2[:n] += shift * (1 + 1e-12) + 1e-14
     assert abs(val - float(rhs @ y2)) < 1e-8 * (1 + abs(val))

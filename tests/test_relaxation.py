@@ -58,7 +58,7 @@ class TestBuild:
         inst = Instance(5, inst.a, int(np.sort(inst.a)[:6].sum()), inst.C)
         data = build(inst)
         assert data.dim == inst.n + 1
-        sol = ipm.solve(data, tol=1e-7)
+        sol = ipm.solve(data, data.C_bar, 1e-7)
         assert sol.status == ipm.OPTIMAL
         assert sol.certified_dual + data.const_term >= enumerate_exact(inst).value - 1e-6
         assert extract_fractional(sol.X, data).shape == (inst.n,)
