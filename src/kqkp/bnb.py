@@ -16,6 +16,14 @@ budget differ: the root solves each IPM to ``ipm.DEFAULT_TOL`` within
 within ``NODE_EVALS``.  The primal heuristic's incumbent is found before
 the loop.  Every processed node appends one row to the report's node trace.
 
+Every child's bundle starts from its parent's final cut pool and
+multipliers, not from the empty pool: branching on x_v drops the cuts that
+touch v and renumbers the rest, and both children share that one pool.  A
+triangle inequality on items other than v holds on every selection of the
+child, and any nonnegative multipliers give a valid bound, so the search
+stays exact.  ``node_bound`` maps a pool between a node's items and the
+coordinates of its relaxation (see ``relaxation.build``).
+
 For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
 pruning by cardinality/capacity feasibility, as in the paper, and by a
@@ -69,6 +77,9 @@ class Node:
     fixed_ones: tuple  # original indices fixed to 1
     depth: int
     bound: float
+    # the parent's final (cuts, gamma) in this node's item indices, shared
+    # with the sibling; None at the root
+    pool: tuple | None = None
 
 
 @dataclass
@@ -80,6 +91,9 @@ class SolveReport:
     nodes: int
     time_ms: int
     evals: int
+    # no selection is worth more: the incumbent's value once optimal, else
+    # the largest of it and the bounds of the nodes left open
+    open_bound: float
     node_trace: list = field(default_factory=list)
 
 
@@ -209,20 +223,54 @@ def _lift_incumbent(root: Instance, node: Node, sub: Incumbent) -> Incumbent:
     return Incumbent(x, root.objective(x), sub.source)
 
 
+def _drop_item(pool: tuple, v: int) -> tuple:
+    """A pool without the cuts that touch item v, items above v renumbered
+    down by one: the pool of a child that fixes x_v."""
+    cuts, gamma = pool
+    keep = (cuts[:, :3] != v).all(axis=1)
+    cuts = cuts[keep]
+    cuts[:, :3] -= cuts[:, :3] > v
+    return cuts, gamma[keep]
+
+
+def _to_relaxation(pool: tuple, data: relaxation.RelaxationData) -> tuple:
+    """A pool on the items of an instance in the coordinates of its
+    relaxation ``data``; cuts on items the b == b' reduction fixed leave."""
+    cuts, gamma = pool
+    coord = np.full(len(data.x_fixed), -1)  # x_fixed has one entry per item
+    coord[data.free] = np.arange(len(data.free))
+    ijk = coord[cuts[:, :3]]
+    keep = (ijk >= 0).all(axis=1)
+    return np.column_stack([ijk[keep], cuts[keep, 3]]), gamma[keep]
+
+
+def _from_relaxation(pool: tuple, data: relaxation.RelaxationData) -> tuple:
+    """A pool in the coordinates of ``data`` on the items of its instance;
+    cuts on the n == 2k padding dummy, the last coordinate, leave."""
+    cuts, gamma = pool
+    keep = cuts[:, 2] < len(data.free)  # i < j < k: the largest index is k
+    return np.column_stack([data.free[cuts[keep, :3]], cuts[keep, 3]]), gamma[keep]
+
+
 def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
-               root: bool, deadline: float | None = None):
-    """Bundle (or plain SDP) bound for an instance: (bound, x_frac, evals).
+               root: bool, deadline: float | None = None, pool: tuple | None = None):
+    """Bundle (or plain SDP) bound for an instance: (bound, x_frac, evals, pool).
 
     ``lower_bound`` lets the bundle stop once the bound proves the node
     prunable (``-inf`` disables that); ``deadline`` is a
     ``time.perf_counter()`` value after which no further evaluation starts.
+    ``pool`` is the bundle's start, a cut array on the instance's items and
+    its multipliers ``(cuts, gamma)`` (default: the empty pool); the
+    returned pool is the bundle's final one, on the same items.
     """
     data = relaxation.build(inst)
     max_evals = (ROOT_EVALS if root else NODE_EVALS) if cfg.use_cuts else 1
     res = bundle_mod.minimize(data, lower_bound, max_evals,
                               ipm.DEFAULT_TOL if root else NODE_IPM_TOL,
-                              cfg.cuts_per_update, deadline)
-    return res.bound, relaxation.extract_fractional(res.X_last, data), res.evals
+                              cfg.cuts_per_update, deadline,
+                              None if pool is None else _to_relaxation(pool, data))
+    return (res.bound, relaxation.extract_fractional(res.X_last, data), res.evals,
+            _from_relaxation((res.pool, res.gamma), data))
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
@@ -234,15 +282,22 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     trace: list = []
     prep = preprocess(root)
 
-    def report(status, best, root_bound, nodes, evals):
+    def report(status, best, root_bound, nodes, evals, open_bound):
         gap = 0.0
         if best is not None and best.value > 0 and np.isfinite(root_bound):
             gap = 100.0 * (root_bound - best.value) / best.value
         return SolveReport(status, best, float(root_bound), gap, nodes,
-                           int(1000 * (time.perf_counter() - t0)), evals, trace)
+                           int(1000 * (time.perf_counter() - t0)), evals,
+                           float(open_bound), trace)
+
+    def time_limit_report(processing=-np.inf):
+        # the bounds left open: the node being processed and the heap top,
+        # which holds the heap's largest (keys are negated bounds)
+        open_bound = max(best.value, processing, -heap[0][0] if heap else -np.inf)
+        return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals, open_bound)
 
     if root.k > prep.k_max:
-        return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0)
+        return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0, float("nan"))
 
     best = primal_heuristic(root, prep)
     evals = nodes = seq = 0
@@ -251,7 +306,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
 
     while heap:
         if time.perf_counter() > deadline:
-            return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals)
+            return time_limit_report()
         neg_bound, _, _, node = heapq.heappop(heap)
         if bundle_mod.prunable(-neg_bound, best.value):
             break  # best-first: every remaining node is prunable
@@ -277,9 +332,10 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             _trace(trace, node, "bnp_leaf")
             if stopped:
                 # the incumbent's value is no bound: the search did not finish
-                return report(STATUS_TIME_LIMIT, best, root_node.bound, nodes, evals)
+                return time_limit_report(node.bound)
             continue
-        nb, x_frac, used = node_bound(red, cfg, best.value, root=at_root, deadline=deadline)
+        nb, x_frac, used, pool = node_bound(red, cfg, best.value, root=at_root,
+                                            deadline=deadline, pool=node.pool)
         evals += used
         node.bound = min(node.bound, nb)
         if bundle_mod.prunable(node.bound, best.value):
@@ -297,6 +353,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         orig_v = node.free[v]
         _trace(trace, node, f"branch x{orig_v}")
         child_free = tuple(f for f in node.free if f != orig_v)
+        child_pool = _drop_item(pool, v)
         for val in (1, 0):
             try:
                 child_red = fix_variable(red, v, val)
@@ -308,11 +365,12 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 node.fixed_ones + (orig_v,) if val == 1 else node.fixed_ones,
                 node.depth + 1,
                 node.bound,
+                child_pool,
             )
             seq += 1
             heapq.heappush(heap, (-child.bound, -child.depth, seq, child))
 
-    return report(STATUS_OPTIMAL, best, root_node.bound, nodes, evals)
+    return report(STATUS_OPTIMAL, best, root_node.bound, nodes, evals, best.value)
 
 
 def _trace(trace: list, node: Node, action: str) -> None:

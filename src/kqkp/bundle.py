@@ -10,7 +10,10 @@ maximizer.  The cut pool is dynamic: it is an (m, 4) cut array (see
 ``cuts``) with one multiplier per row, and every few descent steps the most
 violated triangle inequalities at the current maximizer are added, cuts
 with near-zero multiplier are dropped and the pool is trimmed to
-POOL_CAPACITY cuts per item.
+POOL_CAPACITY cuts per item.  A search may start from a given pool and
+multipliers, such as a parent node's final ones; the empty pool at
+multiplier 0 is the cold start, whose first evaluation is the plain SDP
+bound.
 
 Each candidate minimizes the cutting-plane model plus a proximal term.  That
 subproblem is solved exactly through its dual over the unit simplex of
@@ -66,6 +69,7 @@ class BundleResult:
     bound: float
     X_last: np.ndarray
     pool: np.ndarray  # the final (m, 4) cut array
+    gamma: np.ndarray  # the center's multipliers, one per row of pool
     evals: int
     reason: str  # pruned | stalled | budget | no_cuts
 
@@ -242,31 +246,36 @@ def _update_pool(cuts: np.ndarray, gamma: np.ndarray, X: np.ndarray, m: int):
 
 def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol: float,
              cuts_per_update: int | None = None,
-             deadline: float | None = None) -> BundleResult:
+             deadline: float | None = None,
+             pool: tuple[np.ndarray, np.ndarray] | None = None) -> BundleResult:
     """Bundle loop; ``lower_bound`` enables early pruning (use -inf to disable).
 
-    Each of the at most ``max_evals`` evaluations is an interior-point solve
-    to relative gap ``ipm_tol``.  The pool is updated (``_update_pool``)
-    after the first evaluation and every UPDATE_PERIOD descent steps, each
-    time adding up to ``cuts_per_update`` cuts (default min(5n, 300)), and
-    the cutting-plane model restarts from the center in the new pool's
-    coordinates.  Stops when (a) the certified bound proves the node
-    prunable (``prunable``), (b) the predicted model decrease stalls, (c)
-    the evaluation budget is exhausted, (d) ``deadline``, a
-    ``time.perf_counter()`` value, has passed or (e) an update leaves the
-    pool empty; the first evaluation always runs.
+    ``pool`` is the start, a cut array and its multipliers ``(cuts,
+    gamma)`` with gamma >= 0 (default: the empty pool).  The first
+    evaluation runs at that gamma, which becomes the first center, and the
+    first pool update starts from that pool; any start gives valid bounds,
+    since every gamma >= 0 does.  Each of the at most ``max_evals``
+    evaluations is an interior-point solve to relative gap ``ipm_tol``.
+    The pool is updated (``_update_pool``) after the first evaluation and
+    every UPDATE_PERIOD descent steps, each time adding up to
+    ``cuts_per_update`` cuts (default min(5n, 300)), and the cutting-plane
+    model restarts from the center in the new pool's coordinates.  Stops
+    when (a) the certified bound proves the node prunable (``prunable``),
+    (b) the predicted model decrease stalls, (c) the evaluation budget is
+    exhausted, (d) ``deadline``, a ``time.perf_counter()`` value, has
+    passed or (e) an update leaves the pool empty; the first evaluation
+    always runs.
     """
     n = relax.dim
-    cuts = np.zeros((0, 4), dtype=np.int64)
-    first = oracle_eval(cuts, np.zeros(0), relax, ipm_tol)
+    cuts, center = (np.zeros((0, 4), dtype=np.int64), np.zeros(0)) if pool is None else pool
+    first = oracle_eval(cuts, center, relax, ipm_tol)
     evals = 1
     best_bound = first.bound
-    center = np.zeros(0)
     f_center = first.value
     X_center = first.X
 
     def result(reason):
-        return BundleResult(best_bound, X_center, cuts, evals, reason)
+        return BundleResult(best_bound, X_center, cuts, center, evals, reason)
 
     if prunable(best_bound, lower_bound):
         return result("pruned")
@@ -280,7 +289,7 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
     descents = 0
     nulls_in_row = 0
     reason = "budget"
-    update_due = True  # the first update fills the empty pool
+    update_due = True  # the first update refreshes the starting pool
 
     while True:
         if update_due:

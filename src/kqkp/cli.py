@@ -110,6 +110,7 @@ def _solve_payload(path: Path, cfg: bnb.SolverConfig) -> tuple[dict, bnb.SolveRe
         "incumbent_source": None if report.best is None else report.best.source,
         "root_bound": _finite_or_none(report.root_bound),
         "root_gap_percent": report.root_gap_percent,
+        "open_bound": _finite_or_none(report.open_bound),
         "nodes": report.nodes,
         "evals": report.evals,
         "time_ms": report.time_ms,
@@ -151,8 +152,8 @@ def cmd_bound(args) -> int:
         # and the bound, is the largest diagonal entry
         bound = int(np.diag(inst.C).max())
     else:
-        bound, _, evals = bnb.node_bound(inst, cfg, float("-inf"), root=True,
-                                         deadline=t0 + cfg.time_limit_s)
+        bound, _, evals, _ = bnb.node_bound(inst, cfg, float("-inf"), root=True,
+                                            deadline=t0 + cfg.time_limit_s)
     payload = {
         "instance": str(args.path),
         "mode": args.mode,
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("generate", help="write a random instance file")
-    p.add_argument("--n", type=_int_at_least(2), required=True)
+    p.add_argument("--n", type=_int_at_least(3), required=True)
     p.add_argument("--density", type=int, required=True, choices=[25, 50, 75, 100])
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out-dir", type=Path, default=None)

@@ -19,8 +19,10 @@ class GenSpec:
     profit_range: tuple[int, int] = (1, 100)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 items")
+        # k >= 2 needs b >= the two lightest weights, and b is drawn below
+        # the total weight: with 2 items no draw qualifies
+        if self.n < 3:
+            raise ValueError("need at least 3 items")
         if not 0 < self.density_percent <= 100:
             raise ValueError("density must be in (0, 100]")
 

@@ -1,16 +1,19 @@
 import time
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqkp import bnb
+from kqkp import bnb, cuts, generator, relaxation
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
+from kqkp.generator import GenSpec
 from kqkp.heuristics import primal_heuristic
 from kqkp.instance import InfeasibleFix, Instance, fix_variable, preprocess
 from kqkp.oracle import enumerate_exact
-from conftest import K_LIGHTEST_CASES, k_lightest_instance, make_instance
+from conftest import K_LIGHTEST_CASES, all_cuts, k_lightest_instance, make_instance
 from _reference import feasibility_branch_and_prune
 
 SDP_CFG = SolverConfig(bnp_root_k=0, bnp_node_k=0)
@@ -205,7 +208,7 @@ class TestSolve:
         assert rep.status == bnb.STATUS_TIME_LIMIT
         assert inst.is_feasible(rep.best.x)
         assert rep.best.value == inst.objective(rep.best.x)
-        assert not np.isfinite(rep.root_bound)
+        assert not np.isfinite(rep.root_bound) and rep.open_bound == float("inf")
         # an unfinished leaf proves no bound, and its trace row says so
         assert rep.node_trace == [(0, 0, float("inf"), "bnp_leaf")]
 
@@ -251,3 +254,119 @@ class TestSolve:
         rep = solve(inst, SolverConfig(bnp_root_k=0))
         assert rep.best.value == enumerate_exact(inst).value == 1530
         assert rep.nodes == 1
+
+
+def _rank_one(x: np.ndarray) -> np.ndarray:
+    """X = yy' with y = 2x - e: the relaxation point of a 0/1 vector."""
+    y = 2.0 * x - 1.0
+    return np.outer(y, y)
+
+
+class TestPoolMaps:
+    def test_branching_keeps_the_slack_of_every_surviving_cut(self, rng):
+        for n in (5, 8, 11):
+            pool = all_cuts(n)
+            gamma = rng.uniform(0, 1, len(pool))
+            for v in range(n):
+                x = rng.integers(0, 2, n)  # x_v is the value the child fixes
+                child, child_gamma = bnb._drop_item((pool, gamma), v)
+                on_v = (pool[:, :3] == v).any(axis=1)
+                np.testing.assert_array_equal(child_gamma, gamma[~on_v])
+                np.testing.assert_array_equal(
+                    cuts.evaluate(child, _rank_one(np.delete(x, v))),
+                    cuts.evaluate(pool[~on_v], _rank_one(x)))
+
+    @pytest.mark.parametrize("inst", [
+        make_instance(11, seed=2),  # free = all items, no dummy
+        replace(make_instance(12, seed=3), k=6),  # n == 2k: a dummy coordinate
+        k_lightest_instance("partial_tie"),  # b == b': items fixed
+        k_lightest_instance("half_tie"),  # b == b' and a face with n == 2k
+    ], ids=["plain", "n_2k", "k_lightest", "k_lightest_2k"])
+    def test_relaxation_maps_keep_the_slack_of_every_surviving_cut(self, inst, rng):
+        data = relaxation.build(inst)
+        free = data.free
+        x = rng.integers(0, 2, inst.n)
+        # the relaxation point of x: its free items, then the dummy at 0
+        x_sdp = np.append(x[free], np.zeros(data.dim - len(free)))
+        items = all_cuts(inst.n)
+        gamma = rng.uniform(0, 1, len(items))
+        on_free = np.isin(items[:, :3], free).all(axis=1)
+        sdp, sdp_gamma = bnb._to_relaxation((items, gamma), data)
+        np.testing.assert_array_equal(sdp_gamma, gamma[on_free])
+        np.testing.assert_array_equal(cuts.evaluate(sdp, _rank_one(x_sdp)),
+                                      cuts.evaluate(items[on_free], _rank_one(x)))
+        coords = all_cuts(data.dim)
+        off_dummy = coords[:, 2] < len(free)
+        back, back_gamma = bnb._from_relaxation((coords, np.arange(len(coords))), data)
+        np.testing.assert_array_equal(back_gamma, np.flatnonzero(off_dummy))
+        np.testing.assert_array_equal(cuts.evaluate(back, _rank_one(x)),
+                                      cuts.evaluate(coords[off_dummy], _rank_one(x_sdp)))
+        assert (len(on_free) > on_free.sum()) == (len(free) < inst.n)
+        assert (len(off_dummy) > off_dummy.sum()) == (data.dim > len(free))
+
+
+def _at_capacity(spec: GenSpec, slack: int) -> Instance:
+    """The generator draw with b = b' + slack (b' the k lightest weights)."""
+    inst = generator.generate(spec)
+    return replace(inst, b=preprocess(inst).b_prime + slack)
+
+
+# n = 12-16 draws whose SDP trees reach depth 2 or more; between them, warm
+# pools pass through the b == b' reduction and the n == 2k dummy
+WARM_DRAWS = {
+    "d50_s3_n14": make_instance(14, seed=3),
+    "d50_s4_n16": make_instance(16, seed=4),
+    "n_2k": replace(make_instance(16, seed=1), k=8),
+    "b_prime_ties": _at_capacity(GenSpec(14, 50, 20, weight_range=(1, 2)), 0),
+    "b_prime_n_2k": _at_capacity(GenSpec(16, 50, 23, weight_range=(1, 2)), 0),
+    "b_prime_1_s7": _at_capacity(GenSpec(12, 50, 7), 1),
+    "b_prime_1_w3": _at_capacity(GenSpec(14, 50, 3, weight_range=(1, 3)), 1),
+    "b_prime_1_w3_n12": _at_capacity(GenSpec(12, 50, 3, weight_range=(1, 3)), 1),
+}
+
+
+class TestWarmStartedSearch:
+    def test_exact_with_inherited_pools(self, monkeypatch):
+        maps = []  # (inherited rows, items fixed by b == b', dummy) per warm node
+        real = bnb._to_relaxation
+
+        def spy(pool, data):
+            maps.append((len(pool[0]), len(data.free) < len(data.x_fixed),
+                         data.dim > len(data.free)))
+            return real(pool, data)
+
+        monkeypatch.setattr(bnb, "_to_relaxation", spy)
+        for name, inst in WARM_DRAWS.items():
+            rep = solve(inst, SDP_CFG)
+            assert rep.status == bnb.STATUS_OPTIMAL
+            assert rep.best.value == enumerate_exact(inst).value, name
+            assert rep.open_bound == rep.best.value
+            assert inst.is_feasible(rep.best.x)
+            assert max(row[0] for row in rep.node_trace) >= 2, name
+        warm = [m for m in maps if m[0] > 0]
+        assert any(fixed for _, fixed, _ in warm)
+        assert any(dummy for _, _, dummy in warm)
+
+
+class TestOpenBound:
+    def test_between_optimum_and_root_bound_when_stopped(self, monkeypatch):
+        # a clock that jumps past the limit after the third node bound
+        inst = make_instance(16, seed=6)
+        skew = [0.0]
+        monkeypatch.setattr(bnb, "time", types.SimpleNamespace(
+            perf_counter=lambda: time.perf_counter() + skew[0]))
+        real = bnb.node_bound
+        calls = []
+
+        def node_bound(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                skew[0] = 1e9
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bnb, "node_bound", node_bound)
+        rep = solve(inst, SolverConfig(time_limit_s=3600, bnp_root_k=0, bnp_node_k=0))
+        assert rep.status == bnb.STATUS_TIME_LIMIT and len(calls) == 3
+        opt = enumerate_exact(inst).value
+        assert max(opt, rep.best.value) <= rep.open_bound <= rep.root_bound
+        assert rep.open_bound < float("inf")

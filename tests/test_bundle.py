@@ -196,6 +196,33 @@ class TestMinimize:
         assert bundle.prunable(100.0 + 1 - 2e-6, 100.0)
 
 
+class TestStartingPool:
+    def test_no_pool_is_the_cold_start(self):
+        # a pool at multiplier 0 shifts no cost and leaves at the first
+        # update, so it is the cold start too, bit for bit
+        data = _data(make_instance(12, seed=4))
+        some = all_cuts(data.dim)[::7]
+        runs = [minimize(data, float("-inf"), max_evals=12, ipm_tol=1e-5, pool=pool)
+                for pool in (None, (NO_CUTS, np.zeros(0)), (some, np.zeros(len(some))))]
+        for res in runs[1:]:
+            assert (res.bound, res.evals, res.reason) == \
+                (runs[0].bound, runs[0].evals, runs[0].reason)
+            np.testing.assert_array_equal(res.pool, runs[0].pool)
+            np.testing.assert_array_equal(res.gamma, runs[0].gamma)
+        assert runs[0].gamma.shape == (len(runs[0].pool),)
+
+    def test_first_evaluation_at_the_given_pool(self, monkeypatch):
+        inst = make_instance(11, seed=3)
+        data = _data(inst)
+        start = minimize(data, float("-inf"), max_evals=10, ipm_tol=1e-5)
+        assert len(start.pool) > 0 and start.gamma.max() > 0
+        res, bounds = minimize_with_bounds(monkeypatch, data, float("-inf"), max_evals=6,
+                                           ipm_tol=1e-5, pool=(start.pool, start.gamma))
+        assert bounds[0] == oracle_eval(start.pool, start.gamma, data, 1e-5).bound
+        assert bounds[0] >= enumerate_exact(inst).value - 1e-6
+        assert res.bound <= bounds[0]
+
+
 class TestUpdatePool:
     def test_drops_small_multipliers_and_appends_at_zero(self):
         X = np.eye(6) - 0.9 * (1 - np.eye(6))  # every triangle of kind 0 is violated

@@ -46,6 +46,7 @@ class TestSolve:
         assert code == 0
         assert payload["status"] == "Optimal"
         assert payload["nodes"] >= 1
+        assert payload["open_bound"] == payload["value"]
         assert payload["version"]
         assert "config" in payload
 
@@ -59,6 +60,14 @@ class TestSolve:
         x[payload["selection"]] = 1
         assert reloaded.objective(x) == payload["value"]
         assert reloaded.is_feasible(x)
+
+    def test_open_root_bound_is_strict_json_null(self, tmp_path, capsys):
+        # stopped before the root, the open bound is infinite
+        path = _write(tmp_path, make_instance(12, seed=0))
+        code, out = _run(capsys, ["solve", str(path), "--time-limit", "0",
+                                  "--bnp-root-k", "0"])
+        payload = _strict_json(out)
+        assert (code, payload["status"], payload["open_bound"]) == (2, "TimeLimit", None)
 
     def test_malformed_line_cited(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -279,8 +288,8 @@ def test_nonpositive_cuts_m_is_usage_error(capsys, value):
     assert "--cuts-m" in err
 
 
-@pytest.mark.parametrize("value", ["0", "1"])
-def test_generate_needs_two_items(capsys, value):
+@pytest.mark.parametrize("value", ["0", "1", "2"])
+def test_generate_needs_three_items(capsys, value):
     err = _usage_error(capsys, ["generate", "--n", value, "--density", "50", "--seed", "1"])
     assert "--n" in err
 

@@ -53,6 +53,14 @@ def test_invalid_spec_rejected():
         GenSpec(n=5, density_percent=0, seed=0)
 
 
+def test_two_items_rejected():
+    # k >= 2 needs b >= a_1 + a_2, but b is drawn below that total, so
+    # generate would redraw b forever
+    with pytest.raises(ValueError):
+        GenSpec(n=2, density_percent=50, seed=0)
+    assert generator.generate(GenSpec(n=3, density_percent=50, seed=0)).k == 2
+
+
 def test_filename_convention():
     assert generator.filename(GenSpec(n=50, density_percent=25, seed=7)) \
         == "kqkp_n50_d25_s7.txt"
