@@ -10,8 +10,15 @@ B Diag(y[n:]) B'.  Every Schur-complement entry and every application of
 A or A' therefore costs O(n^2), so one iteration costs O(n^3) overall.
 Per iteration each iterate P in {X, Z} is factored once, P = L L', and its
 triangular inverse L^{-1} is formed once; Z^{-1} is L_Z^{-T} L_Z^{-1}.
-Each step-length test (predictor and corrector, for X and for Z) then
-costs two matrix products, W = L^{-1} dP L^{-T}, and one
+Under HKM scaling with X, Z positive definite the (n+2) x (n+2) Schur
+matrix is symmetric positive definite, so it too is Cholesky-factored once
+per iteration, and the predictor and corrector directions are both solved
+with that factor.  A factorization of X, Z or the Schur matrix that fails,
+or yields a non-finite factor, ends the solve as ``slow_progress``.  The
+factorizations and solves call LAPACK directly (dpotrf, dtrtri, dpotrs),
+since at n = 40 the numpy.linalg and scipy.linalg wrappers cost more than
+the flops.  Each step-length test (predictor and corrector, for X and for
+Z) then costs two matrix products, W = L^{-1} dP L^{-T}, and one
 smallest-eigenvalue LAPACK call on W.
 
 HKM scaling (Z^{-1}-weighted), infeasible start, and one Mehrotra
@@ -27,11 +34,11 @@ bound valid regardless of how tightly the solve converged.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .relaxation import RelaxationData
@@ -64,11 +71,11 @@ def _border(a_bar: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(len(a_bar)), a_bar])
 
 
-def assemble_schur(Zi: np.ndarray, X: np.ndarray, a_bar: np.ndarray,
+def assemble_schur(Zi: np.ndarray, X: np.ndarray, B: np.ndarray,
                    s: float, t: float) -> np.ndarray:
-    """Specialized O(n^2) assembly of the (n+2) x (n+2) system matrix."""
+    """Specialized O(n^2) assembly of the (n+2) x (n+2) system matrix;
+    ``B`` is the border ``_border(a_bar)``."""
     n = X.shape[0]
-    B = _border(a_bar)
     ZiB = Zi @ B
     XB = X @ B
     M = np.empty((n + 2, n + 2))
@@ -82,18 +89,29 @@ def assemble_schur(Zi: np.ndarray, X: np.ndarray, a_bar: np.ndarray,
 
 def _constraint_op(W: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A(W) = (diag(W); <ee',W>; <a a',W>) for any (possibly nonsymmetric) W."""
-    return np.concatenate([np.diag(W), (B * (W @ B)).sum(axis=0)])
+    return np.concatenate([W.diagonal(), (B * (W @ B)).sum(axis=0)])
 
 
 def _adjoint_op(y: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A'(y) = Diag(y[:n]) + B Diag(y[n:]) B'."""
     n = B.shape[0]
-    return np.diag(y[:n]) + (B * y[n:]) @ B.T
+    M = (B * y[n:]) @ B.T
+    M.flat[::n + 1] += y[:n]
+    return M
+
+
+def _cholesky(P: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of P; LinAlgError unless P is pd.  dpotrf lets
+    NaNs through; any in P's lower triangle leave a non-finite diagonal."""
+    L, info = lapack.dpotrf(P, lower=1)
+    if info != 0 or not math.isfinite(L.trace()):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return L
 
 
 def _inv_factor(P: np.ndarray) -> np.ndarray:
     """L^{-1} for the Cholesky factor P = L L'; LinAlgError if P is not pd."""
-    Li, info = lapack.dtrtri(np.linalg.cholesky(P), lower=1)
+    Li, info = lapack.dtrtri(_cholesky(P), lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError("singular Cholesky factor")
     return Li
@@ -181,13 +199,13 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
         rp = rhs - AX
         rp[n + 1] -= s
         Rd = C - (_adjoint_op(y, B) - Z)
-        pobj = float(np.tensordot(C, X))
+        pobj = float(np.vdot(C, X))
         dobj = float(rhs @ y)
-        gap = float(np.tensordot(X, Z)) + s * t
+        gap = float(np.vdot(X, Z)) + s * t
         mu = gap / (n + 1)
         relgap = abs(pobj - dobj) / (1.0 + abs(dobj))
-        rp_rel = float(np.linalg.norm(rp)) / (1.0 + rhs_norm)
-        rd_rel = float(np.linalg.norm(Rd)) / (1.0 + C_norm)
+        rp_rel = math.sqrt(np.vdot(rp, rp)) / (1.0 + rhs_norm)
+        rd_rel = math.sqrt(np.vdot(Rd, Rd)) / (1.0 + C_norm)
         # the diagonal and cardinality equalities, and capacity overshoot
         res = max(float(np.abs(rp[:n + 1]).max()), AX[n + 1] - data.rhs_cap)
         recent_gaps.append(relgap)
@@ -204,8 +222,8 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
             LZi = _inv_factor(Z)
             LXi = _inv_factor(X)
             Zi = LZi.T @ LZi
-            lu = sla.lu_factor(assemble_schur(Zi, X, a_bar, s, t))
-        except (ValueError, np.linalg.LinAlgError):
+            LM = _cholesky(assemble_schur(Zi, X, B, s, t))
+        except np.linalg.LinAlgError:
             status = SLOW_PROGRESS
             break
 
@@ -219,7 +237,7 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
             rs = (mu_t - s * t - scorr) / t
             r = _constraint_op(stuff, B) - rp
             r[n + 1] += rs
-            dy = sla.lu_solve(lu, r)
+            dy, _ = lapack.dpotrs(LM, r, lower=1)
             dZ = _adjoint_op(dy, B) - Rd
             # A'(dy) X in O(n^2): Diag(dy[:n]) X + B Diag(dy[n:]) (B'X)
             dX = stuff - Zi @ (dy[:n, None] * X + (B * dy[n:]) @ BtX)
@@ -233,9 +251,9 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
             dXa, dsa, _, dZa, dta = direction(0.0, None, 0.0)
             ap = min(1.0, _max_step(LXi, dXa, s, dsa))
             ad = min(1.0, _max_step(LZi, dZa, t, dta))
-            gap_aff = float(np.tensordot(X + ap * dXa, Z + ad * dZa)) \
+            gap_aff = float(np.vdot(X + ap * dXa, Z + ad * dZa)) \
                 + (s + ap * dsa) * (t + ad * dta)
-            sigma = float(np.clip((max(gap_aff, 0.0) / gap) ** 3, 1e-8, 1.0))
+            sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8), 1.0)
             if last_min_step < 0.2:
                 sigma = max(sigma, 0.5)
             # corrector

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from kqkp import ipm, relaxation
 from kqkp.instance import Instance, preprocess
@@ -46,17 +47,25 @@ class TestSchurAssembly:
             a_bar = rng.standard_normal(n)
             s = float(rng.uniform(0.1, 5))
             t = float(rng.uniform(0.1, 5))
-            M_fast = assemble_schur(Zi, X, a_bar, s, t)
+            M_fast = assemble_schur(Zi, X, ipm._border(a_bar), s, t)
             M_ref = naive_schur(Zi, X, a_bar, s, t)
             scale = max(1.0, float(np.abs(M_ref).max()))
             assert np.abs(M_fast - M_ref).max() <= 1e-10 * scale
+            # positive definite under HKM scaling: solve uses its Cholesky factor
+            L, info = lapack.dpotrf(M_fast, lower=1)
+            assert info == 0
+            r = rng.standard_normal(n + 2)
+            dy, info = lapack.dpotrs(L, r, lower=1)
+            assert info == 0
+            ref = np.linalg.solve(M_ref, r)
+            assert np.abs(dy - ref).max() <= 1e-8 * max(1.0, float(np.abs(ref).max()))
 
     def test_symmetric(self, rng):
         n = 12
         X = random_spd(rng, n)
         Zi = np.linalg.inv(random_spd(rng, n))
         Zi = 0.5 * (Zi + Zi.T)
-        M = assemble_schur(Zi, X, rng.standard_normal(n), 1.0, 1.0)
+        M = assemble_schur(Zi, X, ipm._border(rng.standard_normal(n)), 1.0, 1.0)
         assert np.allclose(M, M.T)
 
 
@@ -129,6 +138,21 @@ class TestStepLength:
         data = _data(make_instance(10, seed=0))
         sol = solve(data, data.C_bar, ipm.DEFAULT_TOL)
         assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
+
+    @pytest.mark.parametrize("fill", [-1.0, np.nan], ids=["indefinite", "nan"])
+    def test_failed_schur_factorization_ends_as_slow_progress(self, monkeypatch, fill):
+        # dpotrf returns info 0 on NaNs, so the NaN case checks that the
+        # solve stops at the factorization, before any step-length test
+        monkeypatch.setattr(ipm, "assemble_schur",
+                            lambda Zi, X, B, s, t: fill * np.eye(X.shape[0] + 2))
+        steps = []
+        max_step = ipm._max_step
+        monkeypatch.setattr(ipm, "_max_step", lambda *a: steps.append(a) or max_step(*a))
+        data = _data(make_instance(10, seed=0))
+        sol = solve(data, data.C_bar, ipm.DEFAULT_TOL)
+        assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
+        assert not steps
+        assert np.isfinite(sol.certified_dual)
 
 
 class TestSolve:
