@@ -10,11 +10,13 @@ The root is the first queue entry, with an infinite bound, and one loop
 body processes every node, root included: an infeasible leaf, a
 branch-and-prune leaf, or the bundle bound, prune, variable fixing, prune
 and branching on the most fractional variable.  At depth 0 only the
-branch-and-prune threshold and the bundle's tolerance and evaluation
-budget differ: the root solves each IPM to ``ipm.DEFAULT_TOL`` within
-``ROOT_EVALS`` evaluations, other nodes to the looser ``NODE_IPM_TOL``
-within ``NODE_EVALS``.  The primal heuristic's incumbent is found before
-the loop.  Every processed node appends one row to the report's node trace.
+branch-and-prune threshold and the bundle's evaluation budget differ: the
+root takes ``ROOT_EVALS`` evaluations, other nodes ``NODE_EVALS``.  Every
+node solves its IPMs to the one tolerance ``IPM_TOL``: an evaluation's
+bound is the IPM's certified dual, valid however loosely the solve
+converged, so the tolerance only steers the bundle.  The primal
+heuristic's incumbent is found before the loop.  Every processed node
+appends one row to the report's node trace.
 
 Every child's bundle starts from its parent's final cut pool and
 multipliers, not from the empty pool: branching on x_v drops the cuts that
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundle as bundle_mod
-from . import ipm, relaxation
+from . import relaxation
 from .heuristics import BRANCH_LEAF, Incumbent, primal_heuristic, varfix_heuristic
 from .instance import InfeasibleFix, Instance, fix_variable, preprocess
 
@@ -56,9 +58,9 @@ STATUS_INFEASIBLE = "infeasible"
 
 # branch-and-prune reads the clock once per this many search calls
 DEADLINE_CHECK_CALLS = 4096
-NODE_IPM_TOL = 1e-5  # IPM relative gap below the root; the root uses ipm.DEFAULT_TOL
 ROOT_EVALS = 30  # bundle evaluations at the root
 NODE_EVALS = 10  # bundle evaluations at every other node
+IPM_TOL = 1e-4  # IPM relative gap of every bundle evaluation, root included
 
 
 @dataclass
@@ -265,8 +267,7 @@ def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
     """
     data = relaxation.build(inst)
     max_evals = (ROOT_EVALS if root else NODE_EVALS) if cfg.use_cuts else 1
-    res = bundle_mod.minimize(data, lower_bound, max_evals,
-                              ipm.DEFAULT_TOL if root else NODE_IPM_TOL,
+    res = bundle_mod.minimize(data, lower_bound, max_evals, IPM_TOL,
                               cfg.cuts_per_update, deadline,
                               None if pool is None else _to_relaxation(pool, data))
     return (res.bound, relaxation.extract_fractional(res.X_last, data), res.evals,

@@ -47,7 +47,6 @@ OPTIMAL = "optimal"
 SLOW_PROGRESS = "slow_progress"
 ITER_LIMIT = "iter_limit"
 
-DEFAULT_TOL = 1e-7
 MAX_ITER = 100
 STEP_FACTOR = 0.98
 

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from kqkp import bundle, generator
+from kqkp import bundle, generator, ipm
 from kqkp.instance import Instance
 
 
@@ -38,6 +38,20 @@ def minimize_with_bounds(monkeypatch, *args, **kwargs):
         return bundle.minimize(*args, **kwargs), bounds
     finally:
         monkeypatch.undo()
+
+
+def record_ipm_tolerances(monkeypatch) -> list:
+    """Patch ``ipm.solve`` to append the tolerance of every call to the
+    returned list."""
+    tols = []
+    real = ipm.solve
+
+    def spy(data, C, tol):
+        tols.append(tol)
+        return real(data, C, tol)
+
+    monkeypatch.setattr(ipm, "solve", spy)
+    return tols
 
 
 # Instances with b == b' (capacity equal to the weight of the k lightest

@@ -13,7 +13,8 @@ from kqkp.generator import GenSpec
 from kqkp.heuristics import primal_heuristic
 from kqkp.instance import InfeasibleFix, Instance, fix_variable, preprocess
 from kqkp.oracle import enumerate_exact
-from conftest import K_LIGHTEST_CASES, all_cuts, k_lightest_instance, make_instance
+from conftest import (K_LIGHTEST_CASES, all_cuts, k_lightest_instance, make_instance,
+                      record_ipm_tolerances)
 from _reference import feasibility_branch_and_prune
 
 SDP_CFG = SolverConfig(bnp_root_k=0, bnp_node_k=0)
@@ -315,13 +316,13 @@ def _at_capacity(spec: GenSpec, slack: int) -> Instance:
 # pools pass through the b == b' reduction and the n == 2k dummy
 WARM_DRAWS = {
     "d50_s3_n14": make_instance(14, seed=3),
-    "d50_s4_n16": make_instance(16, seed=4),
+    "d50_s12_n16": make_instance(16, seed=12),
     "n_2k": replace(make_instance(16, seed=1), k=8),
     "b_prime_ties": _at_capacity(GenSpec(14, 50, 20, weight_range=(1, 2)), 0),
     "b_prime_n_2k": _at_capacity(GenSpec(16, 50, 23, weight_range=(1, 2)), 0),
     "b_prime_1_s7": _at_capacity(GenSpec(12, 50, 7), 1),
     "b_prime_1_w3": _at_capacity(GenSpec(14, 50, 3, weight_range=(1, 3)), 1),
-    "b_prime_1_w3_n12": _at_capacity(GenSpec(12, 50, 3, weight_range=(1, 3)), 1),
+    "b_prime_1_w3_n12_s30": _at_capacity(GenSpec(12, 50, 30, weight_range=(1, 3)), 1),
 }
 
 
@@ -346,6 +347,17 @@ class TestWarmStartedSearch:
         warm = [m for m in maps if m[0] > 0]
         assert any(fixed for _, fixed, _ in warm)
         assert any(dummy for _, _, dummy in warm)
+
+
+class TestIpmTolerance:
+    def test_every_node_solves_to_ipm_tol(self, monkeypatch):
+        tols = record_ipm_tolerances(monkeypatch)
+        rep = solve(make_instance(14, seed=3), SDP_CFG)
+        # a node below the root that branched ran its bundle
+        assert any(depth >= 1 and action.startswith("branch")
+                   for depth, _, _, action in rep.node_trace)
+        assert len(tols) == rep.evals
+        assert set(tols) == {bnb.IPM_TOL}
 
 
 class TestOpenBound:

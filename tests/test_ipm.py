@@ -10,6 +10,8 @@ from _reference import (dense_adjoint_op, dense_constraint_op, naive_max_step,
                         naive_schur, random_spd)
 from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
 
+TIGHT_TOL = 1e-7  # tighter than the pipeline's bnb.IPM_TOL, for the IPM-quality checks
+
 
 def _data(inst):
     return relaxation.build(inst)
@@ -17,7 +19,7 @@ def _data(inst):
 
 def _bound(data):
     """Certified upper bound in original objective units."""
-    return solve(data, data.C_bar, ipm.DEFAULT_TOL).certified_dual + data.const_term
+    return solve(data, data.C_bar, TIGHT_TOL).certified_dual + data.const_term
 
 
 def _gap_and_residual(data, sol):
@@ -136,7 +138,7 @@ class TestStepLength:
 
         monkeypatch.setattr(ipm, "_inv_factor", failing)
         data = _data(make_instance(10, seed=0))
-        sol = solve(data, data.C_bar, ipm.DEFAULT_TOL)
+        sol = solve(data, data.C_bar, TIGHT_TOL)
         assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
 
     @pytest.mark.parametrize("fill", [-1.0, np.nan], ids=["indefinite", "nan"])
@@ -149,7 +151,7 @@ class TestStepLength:
         max_step = ipm._max_step
         monkeypatch.setattr(ipm, "_max_step", lambda *a: steps.append(a) or max_step(*a))
         data = _data(make_instance(10, seed=0))
-        sol = solve(data, data.C_bar, ipm.DEFAULT_TOL)
+        sol = solve(data, data.C_bar, TIGHT_TOL)
         assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
         assert not steps
         assert np.isfinite(sol.certified_dual)
@@ -168,7 +170,7 @@ class TestSolve:
     def test_zero_cost(self):
         inst = make_instance(8, seed=1)
         data = _data(inst)
-        sol = solve(data, np.zeros((8, 8)), ipm.DEFAULT_TOL)
+        sol = solve(data, np.zeros((8, 8)), TIGHT_TOL)
         assert abs(sol.primal_obj) < 1e-5
         assert sol.certified_dual + data.const_term >= -1e-6
 
@@ -250,7 +252,7 @@ class TestSolve:
     def test_cost_override_shape_checked(self):
         data = _data(make_instance(8, seed=0))
         with pytest.raises(ValueError):
-            solve(data, np.zeros((3, 3)), ipm.DEFAULT_TOL)
+            solve(data, np.zeros((3, 3)), TIGHT_TOL)
 
 
 class TestKLightestFace:
@@ -263,7 +265,7 @@ class TestKLightestFace:
         tight = Instance(inst.k, inst.a, inst.b - 1, inst.C)
         assert tight.b == preprocess(tight).b_prime
         data = _data(tight)
-        assert solve(data, data.C_bar, ipm.DEFAULT_TOL).status == ipm.OPTIMAL
+        assert solve(data, data.C_bar, TIGHT_TOL).status == ipm.OPTIMAL
         assert enumerate_exact(tight).value == 1530
         assert abs(_bound(data) - 1530) <= 1e-6
 
@@ -272,7 +274,7 @@ class TestKLightestFace:
         for seed in range(3):
             inst = k_lightest_instance(name, seed=seed)
             data = _data(inst)
-            sol = solve(data, data.C_bar, ipm.DEFAULT_TOL)
+            sol = solve(data, data.C_bar, TIGHT_TOL)
             assert sol.status == ipm.OPTIMAL
             opt = enumerate_exact(inst).value
             val = sol.certified_dual + data.const_term
@@ -285,7 +287,7 @@ class TestKLightestFace:
     def test_zero_dimensional_relaxation(self):
         data = _data(k_lightest_instance("all_tied_unique"))
         assert data.dim == 0
-        sol = solve(data, np.zeros((0, 0)), ipm.DEFAULT_TOL)
+        sol = solve(data, np.zeros((0, 0)), TIGHT_TOL)
         assert sol.status == ipm.OPTIMAL and sol.iterations == 0
         assert _bound(data) == data.const_term
 
