@@ -21,9 +21,11 @@ the flops.  Each step-length test (predictor and corrector, for X and for
 Z) then costs two matrix products, W = L^{-1} dP L^{-T}, and one
 smallest-eigenvalue LAPACK call on W.
 
-HKM scaling (Z^{-1}-weighted), infeasible start, and one Mehrotra
-corrector per iteration (Mehrotra, SIAM J. Optim. 1992): the predictor's
-step lengths set the centering parameter, and the corrector step is taken.
+HKM scaling (Z^{-1}-weighted), infeasible start, one Mehrotra corrector per
+iteration with sigma = (gap_aff/gap)^3 and no floor (Mehrotra, SIAM J. Optim.
+1992), and a corrector step gamma = STEP_MIN + (STEP_MAX - STEP_MIN) *
+min(ap_aff, ad_aff) of the way to the boundary, after SDPT3's 0.9 + 0.09 min
+(Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).
 
 The returned solution also carries a *certified* dual value: the dual
 iterate is repaired to exact feasibility (clamping the inequality
@@ -48,7 +50,8 @@ SLOW_PROGRESS = "slow_progress"
 ITER_LIMIT = "iter_limit"
 
 MAX_ITER = 100
-STEP_FACTOR = 0.98
+STEP_MIN = 0.95
+STEP_MAX = 0.99
 
 
 @dataclass
@@ -190,7 +193,6 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
     iters = 0
     recent_gaps = deque(maxlen=6)  # relgap of the last 6 iterations (stall test)
     pobj = dobj = 0.0
-    last_min_step = 1.0
 
     for it in range(MAX_ITER):
         iters = it
@@ -253,16 +255,14 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
             gap_aff = float(np.vdot(X + ap * dXa, Z + ad * dZa)) \
                 + (s + ap * dsa) * (t + ad * dta)
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8), 1.0)
-            if last_min_step < 0.2:
-                sigma = max(sigma, 0.5)
+            gamma = STEP_MIN + (STEP_MAX - STEP_MIN) * min(ap, ad)
             # corrector
             dX, ds, dy, dZ, dt = direction(sigma * mu, dZa @ dXa, dsa * dta)
-            ap = min(1.0, STEP_FACTOR * _max_step(LXi, dX, s, ds))
-            ad = min(1.0, STEP_FACTOR * _max_step(LZi, dZ, t, dt))
+            ap = min(1.0, gamma * _max_step(LXi, dX, s, ds))
+            ad = min(1.0, gamma * _max_step(LZi, dZ, t, dt))
         except np.linalg.LinAlgError:
             status = SLOW_PROGRESS
             break
-        last_min_step = min(ap, ad)
 
         X = X + ap * dX
         X = 0.5 * (X + X.T)

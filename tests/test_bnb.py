@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqkp import bnb, cuts, generator, relaxation
+from kqkp import bnb, cuts, generator, ipm, relaxation
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
 from kqkp.generator import GenSpec
 from kqkp.heuristics import primal_heuristic
@@ -322,7 +322,7 @@ WARM_DRAWS = {
     "b_prime_n_2k": _at_capacity(GenSpec(16, 50, 23, weight_range=(1, 2)), 0),
     "b_prime_1_s7": _at_capacity(GenSpec(12, 50, 7), 1),
     "b_prime_1_w3": _at_capacity(GenSpec(14, 50, 3, weight_range=(1, 3)), 1),
-    "b_prime_1_w3_n12_s30": _at_capacity(GenSpec(12, 50, 30, weight_range=(1, 3)), 1),
+    "b_prime_1_w3_s28": _at_capacity(GenSpec(14, 50, 28, weight_range=(1, 3)), 1),
 }
 
 
@@ -358,6 +358,26 @@ class TestIpmTolerance:
                    for depth, _, _, action in rep.node_trace)
         assert len(tols) == rep.evals
         assert set(tols) == {bnb.IPM_TOL}
+
+
+class TestRootIpmCalls:
+    def test_cut_shifted_root_costs_solve_to_optimal(self, monkeypatch):
+        # the n = 40 d50 s1 root: with a floor sigma >= 0.5 after a short
+        # step, its second IPM stalled at relative gap 4e-2 (slow_progress)
+        # and the bundle stopped after 2 evals
+        statuses = []
+        real = ipm.solve
+
+        def spy(data, C, tol):
+            sol = real(data, C, tol)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(ipm, "solve", spy)
+        inst = generator.generate(GenSpec(40, 50, 1))
+        evals = bnb.node_bound(inst, SolverConfig(), -np.inf, root=True)[2]
+        assert evals == bnb.ROOT_EVALS
+        assert statuses == [ipm.OPTIMAL] * bnb.ROOT_EVALS
 
 
 class TestOpenBound:
