@@ -25,6 +25,12 @@ at each pool update, so the evaluation budget bounds its size and no piece
 is ever dropped.  The subproblem's accuracy only steers the trajectory;
 every reported bound is an oracle's certified dual value.
 
+Successive evaluations differ only in their cost matrix, so each interior-
+point solve after the first of a ``minimize`` call restarts from the
+``restart`` iterate of the one before (``ipm.solve``; Gondzio & Grothey,
+SIAM J. Optim. 2002), and each subproblem after the first of a model starts
+from the previous subproblem's weights, 0 on the new piece.
+
 Two values come out of each oracle call: the primal objective at X* (used
 for the cutting-plane model and descent decisions) and a certified dual
 value (always a valid upper bound on the integer optimum, used for
@@ -52,7 +58,7 @@ UPDATE_PERIOD = 5  # descent steps between cut pool updates
 POOL_CAPACITY = 10  # cuts the pool may hold per item of the relaxation
 # cap on the passes of _model_weights, and (times the number of pieces, at
 # most the evaluation budget) on the steps of _simplex_qp; the bb_n40
-# subproblems need at most 6 passes
+# subproblems, each started from the last one's weights, need at most 7 passes
 MODEL_PASSES = 50
 
 
@@ -62,6 +68,7 @@ class OracleValue:
     bound: float  # e'gamma + certified dual + const (always valid)
     g: np.ndarray  # subgradient e - T(X*) on the pool
     X: np.ndarray
+    restart: tuple | None  # the IPM's restart, a start for the next evaluation
 
 
 @dataclass
@@ -75,21 +82,23 @@ class BundleResult:
 
 
 def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
-                ipm_tol: float) -> OracleValue:
+                ipm_tol: float, start: tuple | None = None) -> OracleValue:
     """One evaluation of the dual functional; gamma holds one multiplier per
-    row of the cut array ``cuts``."""
+    row of the cut array ``cuts``, and ``start`` is passed to ``ipm.solve``
+    (an earlier evaluation's ``restart``)."""
     gamma = np.asarray(gamma, dtype=float)
     if (gamma < 0).any():
         raise ValueError("gamma must be nonnegative")
     cost = relax.C_bar - cuts_mod.adjoint_apply(cuts, gamma, relax.dim)
     egamma = float(gamma.sum())
-    sol = ipm.solve(relax, cost, ipm_tol)
+    sol = ipm.solve(relax, cost, ipm_tol, start)
     g = cuts_mod.evaluate(cuts, sol.X)
     return OracleValue(
         value=egamma + sol.primal_obj + relax.const_term,
         bound=egamma + sol.certified_dual + relax.const_term,
         g=g,
         X=sol.X,
+        restart=sol.restart,
     )
 
 
@@ -162,7 +171,7 @@ def _line_max(z: np.ndarray, b: np.ndarray, cd: float, u: float) -> float:
 
 
 def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
-                   u: float) -> np.ndarray:
+                   u: float, lam: np.ndarray | None = None) -> np.ndarray:
     """Weights lam maximizing the simplex dual of the bundle subproblem,
 
         theta(lam) = lam'c + (u/2)||center||^2 - (u/2)||max(0, z)||^2,
@@ -176,13 +185,17 @@ def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
     Otherwise lam moves to the maximum of theta on the segment towards it,
     so theta never falls and the last lam is the best seen.  The loop ends
     after MODEL_PASSES passes, or when the segment gives no rise, since the
-    next pass would repeat this one.  The start is the best vertex.
+    next pass would repeat this one.  The start is ``lam``, any point of the
+    simplex, or else the best vertex.  The subproblem is strongly convex, so
+    its candidate max(0, center - G lam / u) is the same from every start up
+    to rounding; a start near the maximizer saves passes.
     """
-    # theta at each vertex e_i: the Lagrangian at its minimizer Z[:, i]
-    Z = np.maximum(0.0, center[:, None] - G / u)
-    vertex_theta = lin_c + (G * Z).sum(0) + 0.5 * u * ((Z - center[:, None]) ** 2).sum(0)
-    lam = np.zeros(len(lin_c))
-    lam[int(np.argmax(vertex_theta))] = 1.0
+    if lam is None:
+        # theta at each vertex e_i: the Lagrangian at its minimizer Z[:, i]
+        Z = np.maximum(0.0, center[:, None] - G / u)
+        vertex_theta = lin_c + (G * Z).sum(0) + 0.5 * u * ((Z - center[:, None]) ** 2).sum(0)
+        lam = np.zeros(len(lin_c))
+        lam[int(np.argmax(vertex_theta))] = 1.0
     z = center - G @ lam / u
     for _ in range(MODEL_PASSES):
         F = z > 0
@@ -199,17 +212,19 @@ def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
     return lam
 
 
-def _solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray, u: float):
+def _solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray, u: float,
+                 lam: np.ndarray | None = None):
     """Candidate minimizing the cutting-plane model plus proximal term.
 
     The model is max_i (c_i + g_i'gamma) and the candidate solves
     min_{gamma>=0} model(gamma) + (u/2)||gamma - center||^2 exactly through
-    its simplex dual (``_model_weights``): for weights lam the inner
-    minimizer is max(0, center - G lam / u).  Returns (candidate, model
-    value at candidate).
+    its simplex dual (``_model_weights``, started at ``lam``): for weights
+    lam the inner minimizer is max(0, center - G lam / u).  Returns
+    (candidate, model value at candidate, weights).
     """
-    cand = np.maximum(0.0, center - G @ _model_weights(lin_c, G, center, u) / u)
-    return cand, float(np.max(lin_c + G.T @ cand))
+    lam = _model_weights(lin_c, G, center, u, lam)
+    cand = np.maximum(0.0, center - G @ lam / u)
+    return cand, float(np.max(lin_c + G.T @ cand)), lam
 
 
 def prunable(bound: float, lower_bound: float) -> bool:
@@ -255,7 +270,9 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
     evaluation runs at that gamma, which becomes the first center, and the
     first pool update starts from that pool; any start gives valid bounds,
     since every gamma >= 0 does.  Each of the at most ``max_evals``
-    evaluations is an interior-point solve to relative gap ``ipm_tol``.
+    evaluations is an interior-point solve to relative gap ``ipm_tol``;
+    the first starts cold, each later one from the ``restart`` of the one
+    before.
     The pool is updated (``_update_pool``) after the first evaluation and
     every UPDATE_PERIOD descent steps, each time adding up to
     ``cuts_per_update`` cuts (default min(5n, 300)), and the cutting-plane
@@ -269,6 +286,7 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
     n = relax.dim
     cuts, center = (np.zeros((0, 4), dtype=np.int64), np.zeros(0)) if pool is None else pool
     first = oracle_eval(cuts, center, relax, ipm_tol)
+    restart = first.restart
     evals = 1
     best_bound = first.bound
     f_center = first.value
@@ -302,16 +320,20 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
             g_center = cuts_mod.evaluate(cuts, X_center)
             lin_c = [f_center - g_center @ center]
             lin_g = [g_center]
+            lam = None
         if evals >= max_evals or (deadline is not None and time.perf_counter() > deadline):
             break
         G = np.column_stack(lin_g)
-        cand, model = _solve_model(np.array(lin_c), G, center, u)
+        if lam is not None:  # the last weights, 0 on the piece added since
+            lam = np.append(lam, 0.0)
+        cand, model, lam = _solve_model(np.array(lin_c), G, center, u, lam)
         predicted = f_center - model
         if predicted <= STALL_TOL * (1.0 + abs(f_center)):
             reason = "stalled"
             break
 
-        out = oracle_eval(cuts, cand, relax, ipm_tol)
+        out = oracle_eval(cuts, cand, relax, ipm_tol, restart)
+        restart = out.restart
         evals += 1
         best_bound = min(best_bound, out.bound)
         if prunable(best_bound, lower_bound):

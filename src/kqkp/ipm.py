@@ -27,6 +27,20 @@ iteration with sigma = (gap_aff/gap)^3 and no floor (Mehrotra, SIAM J. Optim.
 min(ap_aff, ad_aff) of the way to the boundary, after SDPT3's 0.9 + 0.09 min
 (Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).
 
+A solve can restart from an iterate of an earlier one (reoptimization:
+Gondzio & Grothey, SIAM J. Optim. 2002; Yildirim & Wright, SIAM J. Optim.
+2002).  The bundle method solves one problem after another whose costs
+differ only by cut multipliers, and an optimum of one lies on the boundary
+of the cone, a bad start for the next.  So each solve keeps, as its
+``restart``, its first iterate within relative gap RESTART_GAP that is
+nearly primal feasible: still well inside the cone and centred, yet far
+along the path.  A restarted solve takes X, s, y and t from it, and Z
+moved by minus the change of cost, which keeps the stored dual residual;
+where that Z is not positive definite it keeps the stored Z, and the
+residual takes up the change.  The attempt gets WARM_MAX_ITER iterations;
+unless it ends ``optimal`` the solve starts again cold, so a poor restart
+costs at most that many iterations and the stop test is the same either way.
+
 The returned solution also carries a *certified* dual value: the dual
 iterate is repaired to exact feasibility (clamping the inequality
 multiplier and shifting the diagonal duals by the most negative eigenvalue
@@ -52,6 +66,8 @@ ITER_LIMIT = "iter_limit"
 MAX_ITER = 100
 STEP_MIN = 0.95
 STEP_MAX = 0.99
+RESTART_GAP = 0.3  # relative gap at which an iterate is kept as a restart
+WARM_MAX_ITER = 20  # iterations a restarted solve gets before it starts cold
 
 
 @dataclass
@@ -66,6 +82,9 @@ class SdpSolution:
     certified_dual: float
     iterations: int
     status: str
+    # the first iterate at relative gap <= RESTART_GAP and primal residual
+    # <= 1e-2, as (X, s, y, Z, t, C), or None: a start for a later solve
+    restart: tuple | None
 
 
 def _border(a_bar: np.ndarray) -> np.ndarray:
@@ -152,10 +171,15 @@ def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -
     return float(rhs @ y)
 
 
-def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
+def solve(data: RelaxationData, C: np.ndarray, tol: float,
+          start: tuple | None = None) -> SdpSolution:
     """Solve the relaxation with cost matrix C to relative gap ``tol``.
 
-    The bundle method passes C = C_bar - T'(gamma).
+    The bundle method passes C = C_bar - T'(gamma).  ``start`` is the
+    ``restart`` of an earlier solve on the same data: the solve first runs
+    at most WARM_MAX_ITER iterations from it (``_warm_point``) and, unless
+    that attempt ends ``optimal``, solves again from the cold start;
+    ``iterations`` then counts both attempts.
     """
     n = data.dim
     if C.shape != (n, n):
@@ -165,36 +189,66 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
         empty = np.zeros((0, 0))
         return SdpSolution(X=empty, s=0.0, y=np.zeros(2), Z=empty, t=0.0,
                            primal_obj=0.0, dual_obj=0.0, certified_dual=0.0,
-                           iterations=0, status=OPTIMAL)
-    a_bar = data.a_bar
-    B = _border(a_bar)
-    rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
-    rhs_norm = float(np.linalg.norm(rhs))
-    C_norm = float(np.linalg.norm(C))
-    feas_tol = max(tol, 1e-9)
-    # absolute target for the constraint residuals on X
-    res_abs = 1e-6 if tol <= 1e-6 else 1e-4
+                           iterations=0, status=OPTIMAL, restart=None)
+    if start is None:
+        return _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
+    warm = _iterate(data, C, tol, _warm_point(start, C), WARM_MAX_ITER)
+    if warm.status == OPTIMAL:
+        return warm
+    sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
+    sol.iterations += warm.iterations
+    return sol
 
-    # infeasible start: X with unit diagonal, shaped toward e'Xe = rhs_card
+
+def _cold_point(data: RelaxationData, C: np.ndarray) -> tuple:
+    """The infeasible start (X, s, y, Z, t): X with unit diagonal, shaped
+    toward e'Xe = rhs_card, and Z a multiple of the identity."""
+    n = data.dim
     if n > 1:
         beta = (data.rhs_card - n) / (n * n - n)
         beta = float(np.clip(beta, -0.95 / (n - 1), 0.9))
     else:
         beta = 0.0
     X = (1.0 - beta) * np.eye(n) + beta
-    zeta = max(1.0, C_norm / n)
-    Z = zeta * np.eye(n)
-    s = max(1.0, data.rhs_cap - float(a_bar @ X @ a_bar))
-    t = zeta
+    zeta = max(1.0, float(np.linalg.norm(C)) / n)
+    s = max(1.0, data.rhs_cap - float(data.a_bar @ X @ data.a_bar))
     y = np.zeros(n + 2)
-    y[n + 1] = t
+    y[n + 1] = zeta
+    return X, s, y, zeta * np.eye(n), zeta
+
+
+def _warm_point(start: tuple, C: np.ndarray) -> tuple:
+    """The start (X, s, y, Z, t) for cost C from a ``restart`` of cost
+    C_start: Z - (C - C_start) if positive definite, else Z."""
+    X, s, y, Z, t, C_start = start
+    shifted = Z - (C - C_start)
+    try:
+        _cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return X, s, y, Z, t
+    return X, s, y, shifted, t
+
+
+def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
+             max_iter: int) -> SdpSolution:
+    """At most ``max_iter`` iterations from ``point`` = (X, s, y, Z, t)."""
+    n = data.dim
+    B = _border(data.a_bar)
+    rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
+    rhs_norm = float(np.linalg.norm(rhs))
+    C_norm = float(np.linalg.norm(C))
+    feas_tol = max(tol, 1e-9)
+    # absolute target for the constraint residuals on X
+    res_abs = 1e-6 if tol <= 1e-6 else 1e-4
+    X, s, y, Z, t = point
 
     status = ITER_LIMIT
     iters = 0
     recent_gaps = deque(maxlen=6)  # relgap of the last 6 iterations (stall test)
     pobj = dobj = 0.0
+    restart = None
 
-    for it in range(MAX_ITER):
+    for it in range(max_iter):
         iters = it
         AX = _constraint_op(X, B)
         rp = rhs - AX
@@ -210,6 +264,9 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
         # the diagonal and cardinality equalities, and capacity overshoot
         res = max(float(np.abs(rp[:n + 1]).max()), AX[n + 1] - data.rhs_cap)
         recent_gaps.append(relgap)
+        # the iterates are never changed in place, so references suffice
+        if restart is None and relgap <= RESTART_GAP and rp_rel <= 1e-2:
+            restart = (X, s, y, Z, t, C)
 
         if relgap <= tol and rp_rel <= feas_tol and rd_rel <= feas_tol and res <= res_abs:
             status = OPTIMAL
@@ -272,10 +329,10 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float) -> SdpSolution:
         Z = 0.5 * (Z + Z.T)
         t = t + ad * dt
     else:
-        iters = MAX_ITER
+        iters = max_iter
 
     certified = certify_dual(y, C, B, rhs)
     return SdpSolution(
         X=X, s=float(s), y=y, Z=Z, t=float(t),
         primal_obj=pobj, dual_obj=dobj, certified_dual=certified,
-        iterations=iters, status=status)
+        iterations=iters, status=status, restart=restart)

@@ -46,9 +46,9 @@ def record_ipm_tolerances(monkeypatch) -> list:
     tols = []
     real = ipm.solve
 
-    def spy(data, C, tol):
+    def spy(data, C, tol, start=None):
         tols.append(tol)
-        return real(data, C, tol)
+        return real(data, C, tol, start)
 
     monkeypatch.setattr(ipm, "solve", spy)
     return tols

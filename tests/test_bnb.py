@@ -312,14 +312,14 @@ def _at_capacity(spec: GenSpec, slack: int) -> Instance:
     return replace(inst, b=preprocess(inst).b_prime + slack)
 
 
-# n = 12-16 draws whose SDP trees reach depth 2 or more; between them, warm
+# n = 12-18 draws whose SDP trees reach depth 2 or more; between them, warm
 # pools pass through the b == b' reduction and the n == 2k dummy
 WARM_DRAWS = {
     "d50_s3_n14": make_instance(14, seed=3),
     "d50_s12_n16": make_instance(16, seed=12),
     "n_2k": replace(make_instance(16, seed=1), k=8),
     "b_prime_ties": _at_capacity(GenSpec(14, 50, 20, weight_range=(1, 2)), 0),
-    "b_prime_n_2k": _at_capacity(GenSpec(16, 50, 23, weight_range=(1, 2)), 0),
+    "b_prime_n_2k": _at_capacity(GenSpec(18, 50, 67, weight_range=(1, 2)), 0),
     "b_prime_1_s7": _at_capacity(GenSpec(12, 50, 7), 1),
     "b_prime_1_w3": _at_capacity(GenSpec(14, 50, 3, weight_range=(1, 3)), 1),
     "b_prime_1_w3_s28": _at_capacity(GenSpec(14, 50, 28, weight_range=(1, 3)), 1),
@@ -368,8 +368,8 @@ class TestRootIpmCalls:
         statuses = []
         real = ipm.solve
 
-        def spy(data, C, tol):
-            sol = real(data, C, tol)
+        def spy(data, C, tol, start=None):
+            sol = real(data, C, tol, start)
             statuses.append(sol.status)
             return sol
 

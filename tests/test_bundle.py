@@ -30,14 +30,14 @@ def _center_values(monkeypatch, *args, **kwargs):
     events = []  # ("eval", candidate, OracleValue) or ("center", center)
     real_eval, real_model, real_pool = oracle_eval, bundle._solve_model, bundle._update_pool
 
-    def spy_eval(cuts_, gamma, relax, ipm_tol):
-        out = real_eval(cuts_, gamma, relax, ipm_tol)
+    def spy_eval(cuts_, gamma, relax, ipm_tol, start=None):
+        out = real_eval(cuts_, gamma, relax, ipm_tol, start)
         events.append(("eval", gamma, out))
         return out
 
-    def spy_model(lin_c, G, center, u):
+    def spy_model(lin_c, G, center, u, lam=None):
         events.append(("center", center))
-        return real_model(lin_c, G, center, u)
+        return real_model(lin_c, G, center, u, lam)
 
     def spy_pool(cuts_, gamma, X, m):
         events.append(("center", gamma))
@@ -267,7 +267,7 @@ def _check_exact(lin_c, G, center, u, against_reference=True):
     otherwise, no worse than the SLSQP reference (which can take seconds on
     one subproblem)."""
     lam = bundle._model_weights(lin_c, G, center, u)
-    cand, model = bundle._solve_model(lin_c, G, center, u)
+    cand, model, _ = bundle._solve_model(lin_c, G, center, u)
     assert lam.min() >= 0 and abs(lam.sum() - 1.0) < 1e-12
     assert (cand >= 0).all()
     np.testing.assert_array_equal(cand, np.maximum(0.0, center - G @ lam / u))
@@ -313,13 +313,26 @@ class TestSolveModel:
     def test_exact_on_generated_subproblems(self, sub):
         _check_exact(*sub, against_reference=False)
 
+    @given(subproblems())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_warm_start_gives_the_cold_candidate(self, sub):
+        # as in minimize: the weights of the model without its last piece,
+        # with 0 for that piece
+        lin_c, G, center, u = sub
+        lam = np.ones(1)
+        if len(lin_c) > 1:
+            lam = np.append(bundle._model_weights(lin_c[:-1], G[:, :-1], center, u), 0.0)
+        cold = bundle._solve_model(lin_c, G, center, u)[0]
+        warm = bundle._solve_model(lin_c, G, center, u, lam)[0]
+        assert np.abs(warm - cold).max() <= 1e-9 * (1.0 + np.abs(cold).max())
+
     def test_exact_on_captured_subproblems(self, monkeypatch):
         captured = []
         solve = bundle._solve_model
 
-        def record(lin_c, G, center, u):
+        def record(lin_c, G, center, u, lam=None):
             captured.append((lin_c.copy(), G.copy(), center.copy(), u))
-            return solve(lin_c, G, center, u)
+            return solve(lin_c, G, center, u, lam)
 
         monkeypatch.setattr(bundle, "_solve_model", record)
         minimize(_data(make_instance(14, seed=3)), float("-inf"), max_evals=20, ipm_tol=1e-5)
@@ -347,7 +360,7 @@ class TestSolveModel:
         elif case == "G_zero":
             G[:] = 0.0
         _check_exact(lin_c, G, center, 0.5)
-        cand, model = bundle._solve_model(lin_c, G, center, 0.5)
+        cand, model, _ = bundle._solve_model(lin_c, G, center, 0.5)
         if case == "F_empty":
             assert not cand.any()
         elif case == "G_zero":

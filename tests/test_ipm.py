@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from kqkp import ipm, relaxation
+from kqkp import bnb, bundle, cuts, ipm, relaxation
 from kqkp.instance import Instance, preprocess
 from kqkp.ipm import _inv_factor, _max_step, assemble_schur, certify_dual, solve
 from kqkp.oracle import enumerate_exact
@@ -253,6 +253,63 @@ class TestSolve:
         data = _data(make_instance(8, seed=0))
         with pytest.raises(ValueError):
             solve(data, np.zeros((3, 3)), TIGHT_TOL)
+
+
+def _shifted_cost(data, rng, scale=0.5):
+    """C_bar - T'(gamma) on the triangle cuts violated at the plain SDP
+    optimum, at random multipliers: a cost the bundle could pass."""
+    pool = cuts.separate(solve(data, data.C_bar, bnb.IPM_TOL).X, 40)
+    assert len(pool) > 0
+    gamma = rng.uniform(0, scale, size=len(pool))
+    return data.C_bar - cuts.adjoint_apply(pool, gamma, data.dim)
+
+
+class TestRestart:
+    def test_restart_on_a_shifted_cost(self, rng):
+        for seed in range(4):
+            data = _data(make_instance(20, seed=seed))
+            first = solve(data, data.C_bar, bnb.IPM_TOL)
+            assert first.restart is not None
+            C = _shifted_cost(data, rng)
+            cold = solve(data, C, bnb.IPM_TOL)
+            warm = solve(data, C, bnb.IPM_TOL, first.restart)
+            assert warm.status == ipm.OPTIMAL
+            assert warm.iterations < cold.iterations
+            assert abs(warm.dual_obj - cold.dual_obj) <= 1e-3 * (1 + abs(cold.dual_obj))
+
+    def test_restart_keeps_the_stored_iterate(self):
+        data = _data(make_instance(16, seed=2))
+        sol = solve(data, data.C_bar, bnb.IPM_TOL)
+        X, s, y, Z, t, C = sol.restart
+        assert C is data.C_bar
+        assert X is not sol.X and Z is not sol.Z  # an iterate before the last
+        assert np.linalg.eigvalsh(X)[0] > 0 and np.linalg.eigvalsh(Z)[0] > 0
+        assert s > 0 and t > 0
+
+    def test_restarted_oracle_bounds_valid(self, rng):
+        inst = make_instance(12, seed=4)
+        data = _data(inst)
+        opt = enumerate_exact(inst).value
+        pool = cuts.separate(solve(data, data.C_bar, bnb.IPM_TOL).X, 40)
+        out = bundle.oracle_eval(pool, np.zeros(len(pool)), data, bnb.IPM_TOL)
+        for _ in range(15):
+            start = out.restart
+            assert start is not None
+            out = bundle.oracle_eval(pool, rng.uniform(0, 3, size=len(pool)), data,
+                                     bnb.IPM_TOL, start)
+            assert out.bound >= opt - 1e-6
+
+    def test_failed_restart_reruns_cold(self, monkeypatch, rng):
+        data = _data(make_instance(20, seed=1))
+        start = solve(data, data.C_bar, bnb.IPM_TOL).restart
+        C = _shifted_cost(data, rng)
+        cold = solve(data, C, bnb.IPM_TOL)
+        monkeypatch.setattr(ipm, "WARM_MAX_ITER", 1)
+        sol = solve(data, C, bnb.IPM_TOL, start)
+        assert sol.status == cold.status == ipm.OPTIMAL
+        np.testing.assert_array_equal(sol.X, cold.X)
+        assert sol.certified_dual == cold.certified_dual
+        assert sol.iterations == 1 + cold.iterations
 
 
 class TestKLightestFace:
