@@ -255,12 +255,12 @@ class TestSolve:
             solve(data, np.zeros((3, 3)), TIGHT_TOL)
 
 
-def _shifted_cost(data, rng, scale=0.5):
+def _shifted_cost(data, rng):
     """C_bar - T'(gamma) on the triangle cuts violated at the plain SDP
     optimum, at random multipliers: a cost the bundle could pass."""
     pool = cuts.separate(solve(data, data.C_bar, bnb.IPM_TOL).X, 40)
     assert len(pool) > 0
-    gamma = rng.uniform(0, scale, size=len(pool))
+    gamma = rng.uniform(0, 0.5, size=len(pool))
     return data.C_bar - cuts.adjoint_apply(pool, gamma, data.dim)
 
 
