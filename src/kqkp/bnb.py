@@ -11,11 +11,8 @@ body processes every node, root included: an infeasible leaf, a
 branch-and-prune leaf, or the bundle bound, prune, variable fixing, prune
 and branching on the most fractional variable.  At depth 0 only the
 branch-and-prune threshold and the bundle's evaluation budget differ: the
-root takes ``ROOT_EVALS`` evaluations, other nodes ``NODE_EVALS``.  Every
-node solves its IPMs to the one tolerance ``IPM_TOL``: an evaluation's
-bound is the IPM's certified dual, valid however loosely the solve
-converged, so the tolerance only steers the bundle.  The primal
-heuristic's incumbent is found before the loop.  Every processed node
+root takes ``ROOT_EVALS`` evaluations, other nodes ``NODE_EVALS``.  The
+primal heuristic's incumbent is found before the loop.  Every processed node
 appends one row to the report's node trace.
 
 Every child's bundle starts from its parent's final cut pool and
@@ -23,8 +20,8 @@ multipliers, not from the empty pool: branching on x_v drops the cuts that
 touch v and renumbers the rest, and both children share that one pool.  A
 triangle inequality on items other than v holds on every selection of the
 child, and any nonnegative multipliers give a valid bound, so the search
-stays exact.  ``node_bound`` maps a pool between a node's items and the
-coordinates of its relaxation (see ``relaxation.build``).
+stays exact.  ``_remap`` moves a pool to the child's items and, in
+``node_bound``, between a node's items and its relaxation's coordinates.
 
 For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
@@ -60,7 +57,6 @@ STATUS_INFEASIBLE = "infeasible"
 DEADLINE_CHECK_CALLS = 4096
 ROOT_EVALS = 30  # bundle evaluations at the root
 NODE_EVALS = 10  # bundle evaluations at every other node
-IPM_TOL = 1e-4  # IPM relative gap of every bundle evaluation, root included
 
 
 @dataclass
@@ -225,33 +221,14 @@ def _lift_incumbent(root: Instance, node: Node, sub: Incumbent) -> Incumbent:
     return Incumbent(x, root.objective(x), sub.source)
 
 
-def _drop_item(pool: tuple, v: int) -> tuple:
-    """A pool without the cuts that touch item v, items above v renumbered
-    down by one: the pool of a child that fixes x_v."""
+def _remap(pool: tuple, index: np.ndarray) -> tuple:
+    """A pool ``(cuts, gamma)`` with every cut index i renamed index[i]; the
+    cuts that touch an index mapped to -1 leave.  ``index`` is increasing
+    where >= 0, so the rows stay sorted i < j < k."""
     cuts, gamma = pool
-    keep = (cuts[:, :3] != v).all(axis=1)
-    cuts = cuts[keep]
-    cuts[:, :3] -= cuts[:, :3] > v
-    return cuts, gamma[keep]
-
-
-def _to_relaxation(pool: tuple, data: relaxation.RelaxationData) -> tuple:
-    """A pool on the items of an instance in the coordinates of its
-    relaxation ``data``; cuts on items the b == b' reduction fixed leave."""
-    cuts, gamma = pool
-    coord = np.full(len(data.x_fixed), -1)  # x_fixed has one entry per item
-    coord[data.free] = np.arange(len(data.free))
-    ijk = coord[cuts[:, :3]]
+    ijk = index[cuts[:, :3]]
     keep = (ijk >= 0).all(axis=1)
     return np.column_stack([ijk[keep], cuts[keep, 3]]), gamma[keep]
-
-
-def _from_relaxation(pool: tuple, data: relaxation.RelaxationData) -> tuple:
-    """A pool in the coordinates of ``data`` on the items of its instance;
-    cuts on the n == 2k padding dummy, the last coordinate, leave."""
-    cuts, gamma = pool
-    keep = cuts[:, 2] < len(data.free)  # i < j < k: the largest index is k
-    return np.column_stack([data.free[cuts[keep, :3]], cuts[keep, 3]]), gamma[keep]
 
 
 def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
@@ -267,11 +244,10 @@ def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
     """
     data = relaxation.build(inst)
     max_evals = (ROOT_EVALS if root else NODE_EVALS) if cfg.use_cuts else 1
-    res = bundle_mod.minimize(data, lower_bound, max_evals, IPM_TOL,
-                              cfg.cuts_per_update, deadline,
-                              None if pool is None else _to_relaxation(pool, data))
+    res = bundle_mod.minimize(data, lower_bound, max_evals, cfg.cuts_per_update, deadline,
+                              None if pool is None else _remap(pool, data.coord_of_item))
     return (res.bound, relaxation.extract_fractional(res.X_last, data), res.evals,
-            _from_relaxation((res.pool, res.gamma), data))
+            _remap((res.pool, res.gamma), data.item_of_coord))
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
@@ -354,7 +330,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         orig_v = node.free[v]
         _trace(trace, node, f"branch x{orig_v}")
         child_free = tuple(f for f in node.free if f != orig_v)
-        child_pool = _drop_item(pool, v)
+        child_pool = _remap(pool, np.insert(np.arange(red.n - 1), v, -1))  # v leaves
         for val in (1, 0):
             try:
                 child_red = fix_variable(red, v, val)

@@ -23,7 +23,10 @@ active-set quadratic program in one weight per piece, with a hard cap of
 MODEL_PASSES passes.  The model gains one piece per evaluation and restarts
 at each pool update, so the evaluation budget bounds its size and no piece
 is ever dropped.  The subproblem's accuracy only steers the trajectory;
-every reported bound is an oracle's certified dual value.
+every reported bound is an oracle's certified dual value.  So every
+evaluation, root and nodes alike, solves to one loose relative gap
+``IPM_TOL``: the certified dual is valid however loosely the solve
+converged, so the tolerance only steers the bundle.
 
 Successive evaluations differ only in their cost matrix, so each interior-
 point solve after the first of a ``minimize`` call restarts from the
@@ -56,6 +59,7 @@ U_INIT = 1.0  # initial proximal weight
 GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
 UPDATE_PERIOD = 5  # descent steps between cut pool updates
 POOL_CAPACITY = 10  # cuts the pool may hold per item of the relaxation
+IPM_TOL = 1e-4  # relative gap of every evaluation's interior-point solve
 # cap on the passes of _model_weights, and (times the number of pieces, at
 # most the evaluation budget) on the steps of _simplex_qp; the bb_n40
 # subproblems, each started from the last one's weights, need at most 7 passes
@@ -82,7 +86,7 @@ class BundleResult:
 
 
 def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
-                ipm_tol: float, start: tuple | None = None) -> OracleValue:
+                start: tuple | None = None) -> OracleValue:
     """One evaluation of the dual functional; gamma holds one multiplier per
     row of the cut array ``cuts``, and ``start`` is passed to ``ipm.solve``
     (an earlier evaluation's ``restart``)."""
@@ -91,7 +95,7 @@ def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
         raise ValueError("gamma must be nonnegative")
     cost = relax.C_bar - cuts_mod.adjoint_apply(cuts, gamma, relax.dim)
     egamma = float(gamma.sum())
-    sol = ipm.solve(relax, cost, ipm_tol, start)
+    sol = ipm.solve(relax, cost, IPM_TOL, start)
     g = cuts_mod.evaluate(cuts, sol.X)
     return OracleValue(
         value=egamma + sol.primal_obj + relax.const_term,
@@ -259,7 +263,7 @@ def _update_pool(cuts: np.ndarray, gamma: np.ndarray, X: np.ndarray, m: int):
     return cuts, gamma
 
 
-def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol: float,
+def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
              cuts_per_update: int | None = None,
              deadline: float | None = None,
              pool: tuple[np.ndarray, np.ndarray] | None = None) -> BundleResult:
@@ -270,7 +274,7 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
     evaluation runs at that gamma, which becomes the first center, and the
     first pool update starts from that pool; any start gives valid bounds,
     since every gamma >= 0 does.  Each of the at most ``max_evals``
-    evaluations is an interior-point solve to relative gap ``ipm_tol``;
+    evaluations is an interior-point solve to relative gap ``IPM_TOL``;
     the first starts cold, each later one from the ``restart`` of the one
     before.
     The pool is updated (``_update_pool``) after the first evaluation and
@@ -285,7 +289,7 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
     """
     n = relax.dim
     cuts, center = (np.zeros((0, 4), dtype=np.int64), np.zeros(0)) if pool is None else pool
-    first = oracle_eval(cuts, center, relax, ipm_tol)
+    first = oracle_eval(cuts, center, relax)
     restart = first.restart
     evals = 1
     best_bound = first.bound
@@ -332,7 +336,7 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int, ipm_tol:
             reason = "stalled"
             break
 
-        out = oracle_eval(cuts, cand, relax, ipm_tol, restart)
+        out = oracle_eval(cuts, cand, relax, restart)
         restart = out.restart
         evals += 1
         best_bound = min(best_bound, out.bound)

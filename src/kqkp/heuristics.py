@@ -123,10 +123,14 @@ def varfix_heuristic(inst: Instance, prep: Preprocessed, x_frac: np.ndarray,
     instance.  Never returns worse than the incoming incumbent."""
     best = incumbent
     x_frac = np.asarray(x_frac, dtype=float)
+    last = -1
     for eps in EPSILON_SCHEDULE:
         free = np.nonzero(x_frac >= eps)[0]
         if len(free) < inst.k:
             break  # reduced problem can no longer host k items
+        if len(free) == last:
+            continue  # the sets shrink as eps rises: the last one again
+        last = len(free)
         sub = Instance(inst.k, inst.a[free], inst.b,
                        inst.C[np.ix_(free, free)], inst.offset)
         sub_prep = preprocess(sub)

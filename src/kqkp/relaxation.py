@@ -26,9 +26,10 @@ When n == 2k the projection scale 1/(2k-n) is undefined.  ``build`` then
 appends a zero-profit item of weight b+1, which no feasible selection can
 take, so the optimum is unchanged and 2k != n holds again.
 
-``extract_fractional`` maps back to the coordinates of the instance given
-to ``build``: it drops the dummy coordinate and returns the items fixed by
-the b == b' reduction as 0 or 1.
+``build`` records two index maps, each increasing where >= 0: item of its
+instance -> SDP coordinate (-1 where the b == b' reduction fixed the item)
+and coordinate -> item (-1 for the dummy).  ``extract_fractional`` and the
+search's cut pools go through them.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ class RelaxationData:
     rhs_cap: float
     const_term: float
     proj_scale: float
-    # in the items of the instance given to build: the 0/1 values fixed by
-    # the b == b' reduction, and the items of the leading SDP coordinates
-    # (their x_fixed entries are placeholders)
+    # per item of the instance given to build: the 0/1 value fixed by the
+    # b == b' reduction (a placeholder on an item with a coordinate)
     x_fixed: np.ndarray
-    free: np.ndarray
+    coord_of_item: np.ndarray  # -1: fixed by the b == b' reduction
+    item_of_coord: np.ndarray  # -1: the n == 2k dummy
 
 
 def _pad(inst: Instance, weight: int) -> Instance:
@@ -98,7 +99,7 @@ def _build_k_lightest(inst: Instance) -> RelaxationData:
         return RelaxationData(
             dim=0, C_bar=np.zeros((0, 0)), a_bar=np.zeros(0), rhs_card=0.0,
             rhs_cap=0.0, const_term=float(inst.objective(x)), proj_scale=1.0,
-            x_fixed=x, free=tie[:0],
+            x_fixed=x, coord_of_item=np.full(inst.n, -1), item_of_coord=tie[:0],
         )
     if sub.n == 2 * sub.k:
         # a zero-profit dummy of weight w_k keeps a_bar = 0 and b'; the b+1
@@ -129,6 +130,9 @@ def _build(inst: Instance, b_prime: int, x_fixed: np.ndarray,
 
     a = inst.a.astype(float)
     a_bar = ((a.sum() - (inst.b + b_prime)) * scale) * e + a
+    # the items free (increasing) take the leading coordinates, a dummy the last
+    coord_of_item = np.full(len(x_fixed), -1)
+    coord_of_item[free] = np.arange(len(free))
 
     return RelaxationData(
         dim=n,
@@ -139,7 +143,8 @@ def _build(inst: Instance, b_prime: int, x_fixed: np.ndarray,
         const_term=float(inst.offset),
         proj_scale=scale,
         x_fixed=x_fixed,
-        free=free,
+        coord_of_item=coord_of_item,
+        item_of_coord=np.append(free, np.full(n - len(free), -1)),
     )
 
 
@@ -150,6 +155,7 @@ def extract_fractional(X: np.ndarray, data: RelaxationData) -> np.ndarray:
     """
     y_est = data.proj_scale * (X @ np.ones(data.dim))
     x = np.clip(0.5 * (y_est + 1.0), 0.0, 1.0)
+    item = data.item_of_coord
     out = data.x_fixed.copy()
-    out[data.free] = x[: len(data.free)]
+    out[item[item >= 0]] = x[item >= 0]
     return out

@@ -33,25 +33,24 @@ def minimize_with_bounds(monkeypatch, *args, **kwargs):
         bounds.append(out.bound)
         return out
 
-    monkeypatch.setattr(bundle, "oracle_eval", record)
-    try:
+    # a patch of its own, so the test's other patches (IPM_TOL) stay
+    with monkeypatch.context() as patch:
+        patch.setattr(bundle, "oracle_eval", record)
         return bundle.minimize(*args, **kwargs), bounds
-    finally:
-        monkeypatch.undo()
 
 
-def record_ipm_tolerances(monkeypatch) -> list:
-    """Patch ``ipm.solve`` to append the tolerance of every call to the
+def record_ipm_calls(monkeypatch) -> list:
+    """Patch ``ipm.solve`` to append the arguments of every call to the
     returned list."""
-    tols = []
+    calls = []
     real = ipm.solve
 
-    def spy(data, C, tol, start=None):
-        tols.append(tol)
-        return real(data, C, tol, start)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(ipm, "solve", spy)
-    return tols
+    return calls
 
 
 # Instances with b == b' (capacity equal to the weight of the k lightest

@@ -53,18 +53,19 @@ def test_criterion_01_exactness(suite):
 
 
 def test_criterion_02_bound_validity(suite, monkeypatch):
+    monkeypatch.setattr(bundle, "IPM_TOL", 1e-5)
     violations = 0
     for inst, opt in suite:
         data = relaxation.build(inst)
         # gamma = 0 first, then bundle iterates
-        _, samples = minimize_with_bounds(monkeypatch, data, float("-inf"),
-                                          max_evals=6, ipm_tol=1e-5)
+        _, samples = minimize_with_bounds(monkeypatch, data, float("-inf"), max_evals=6)
         violations += sum(1 for b in samples if b < opt - 1e-6)
     _verdict(2, "bound validity", violations == 0,
              f"{violations} violations over all sampled gamma")
 
 
-def test_criterion_03_bound_ordering():
+def test_criterion_03_bound_ordering(monkeypatch):
+    monkeypatch.setattr(bundle, "IPM_TOL", 1e-6)
     sizes = (20, 26, 32, 38, 44, 50)
     ordered = 0
     improved = 0
@@ -73,10 +74,8 @@ def test_criterion_03_bound_ordering():
     for i in range(total):
         inst = _gen(sizes[i % len(sizes)], DENSITIES[i % 4], 1000 + i)
         data = relaxation.build(inst)
-        sdp = oracle_eval(np.zeros((0, 4), dtype=np.int64), np.zeros(0), data,
-                          ipm_tol=1e-6).bound
-        met = minimize(data, float("-inf"),
-                       max_evals=10, ipm_tol=1e-6).bound
+        sdp = oracle_eval(np.zeros((0, 4), dtype=np.int64), np.zeros(0), data).bound
+        met = minimize(data, float("-inf"), max_evals=10).bound
         if met <= sdp + 1e-6:
             ordered += 1
         inc = primal_heuristic(inst, preprocess(inst))
@@ -152,7 +151,8 @@ def test_criterion_05_ipm_quality():
              f"time {worst_t:.2f}s")
 
 
-def test_criterion_06_subgradient():
+def test_criterion_06_subgradient(monkeypatch):
+    monkeypatch.setattr(bundle, "IPM_TOL", 1e-7)
     rng = np.random.default_rng(55)
     violations = 0
     pairs = 0
@@ -166,8 +166,8 @@ def test_criterion_06_subgradient():
         for _ in range(50):
             g1 = rng.uniform(0, 1.5, size=len(pool))
             g2 = rng.uniform(0, 1.5, size=len(pool))
-            o1 = oracle_eval(pool, g1, data, ipm_tol=1e-7)
-            o2 = oracle_eval(pool, g2, data, ipm_tol=1e-7)
+            o1 = oracle_eval(pool, g1, data)
+            o2 = oracle_eval(pool, g2, data)
             pairs += 1
             # certified bound dominates f(g2), exact linearization at g1
             if o2.bound < o1.value + o1.g @ (g2 - g1) - 1e-6:
@@ -176,10 +176,11 @@ def test_criterion_06_subgradient():
              f"{pairs} pairs, {violations} violations")
 
 
-def test_criterion_07_root_gap():
+def test_criterion_07_root_gap(monkeypatch):
     # the solver only computes SDP root bounds for k > 10 (smaller k is
     # delegated to exact branch-and-prune, root gap zero), so the gap is
     # measured on draws that exercise the relaxation
+    monkeypatch.setattr(bundle, "IPM_TOL", 1e-5)
     gaps = []
     seed = 0
     while len(gaps) < 10:
@@ -189,7 +190,7 @@ def test_criterion_07_root_gap():
             continue
         prep = preprocess(inst)
         data = relaxation.build(inst)
-        res = minimize(data, float("-inf"), max_evals=30, ipm_tol=1e-5)
+        res = minimize(data, float("-inf"), max_evals=30)
         x_frac = relaxation.extract_fractional(res.X_last, data)
         inc = varfix_heuristic(inst, prep, x_frac,
                                primal_heuristic(inst, prep))

@@ -11,6 +11,13 @@ from _reference import reference_solve_model
 from conftest import all_cuts, make_instance, minimize_with_bounds
 
 
+@pytest.fixture(autouse=True)
+def ipm_tol(monkeypatch):
+    """Evaluations here solve to 1e-5, tighter than the pipeline's
+    ``bundle.IPM_TOL``; a test may patch a tighter one over it."""
+    monkeypatch.setattr(bundle, "IPM_TOL", 1e-5)
+
+
 def _data(inst):
     return relaxation.build(inst)
 
@@ -30,8 +37,8 @@ def _center_values(monkeypatch, *args, **kwargs):
     events = []  # ("eval", candidate, OracleValue) or ("center", center)
     real_eval, real_model, real_pool = oracle_eval, bundle._solve_model, bundle._update_pool
 
-    def spy_eval(cuts_, gamma, relax, ipm_tol, start=None):
-        out = real_eval(cuts_, gamma, relax, ipm_tol, start)
+    def spy_eval(cuts_, gamma, relax, start=None):
+        out = real_eval(cuts_, gamma, relax, start)
         events.append(("eval", gamma, out))
         return out
 
@@ -43,13 +50,11 @@ def _center_values(monkeypatch, *args, **kwargs):
         events.append(("center", gamma))
         return real_pool(cuts_, gamma, X, m)
 
-    monkeypatch.setattr(bundle, "oracle_eval", spy_eval)
-    monkeypatch.setattr(bundle, "_solve_model", spy_model)
-    monkeypatch.setattr(bundle, "_update_pool", spy_pool)
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(bundle, "oracle_eval", spy_eval)
+        patch.setattr(bundle, "_solve_model", spy_model)
+        patch.setattr(bundle, "_update_pool", spy_pool)
         res = minimize(*args, **kwargs)
-    finally:
-        monkeypatch.undo()
     evals = [i for i, ev in enumerate(events) if ev[0] == "eval"]
     values = [events[evals[0]][2].value]
     for i in evals[1:]:
@@ -67,11 +72,12 @@ def _seeded_pool(data, n_cuts=40):
 
 
 class TestOracleEval:
-    def test_gamma_zero_equals_sdp_bound(self):
+    def test_gamma_zero_equals_sdp_bound(self, monkeypatch):
         from kqkp import ipm
+        monkeypatch.setattr(bundle, "IPM_TOL", 1e-7)
         inst = make_instance(10, seed=2)
         data = _data(inst)
-        out = oracle_eval(NO_CUTS, np.zeros(0), data, ipm_tol=1e-7)
+        out = oracle_eval(NO_CUTS, np.zeros(0), data)
         ref = ipm.solve(data, data.C_bar, 1e-7).certified_dual + data.const_term
         assert abs(out.bound - ref) < 1e-4 * (1 + abs(out.bound))
 
@@ -81,7 +87,7 @@ class TestOracleEval:
         if len(pool) == 0:
             pytest.skip("no violated cuts on this instance")
         with pytest.raises(ValueError):
-            oracle_eval(pool, -np.ones(len(pool)), data, ipm_tol=1e-5)
+            oracle_eval(pool, -np.ones(len(pool)), data)
 
     def test_bound_valid_for_random_gammas(self, rng):
         inst = make_instance(10, seed=3)
@@ -92,10 +98,11 @@ class TestOracleEval:
             pytest.skip("no violated cuts on this instance")
         for _ in range(10):
             gamma = rng.uniform(0, 2, size=len(pool))
-            out = oracle_eval(pool, gamma, data, ipm_tol=1e-5)
+            out = oracle_eval(pool, gamma, data)
             assert out.bound >= opt.value - 1e-6
 
-    def test_subgradient_inequality(self, rng):
+    def test_subgradient_inequality(self, rng, monkeypatch):
+        monkeypatch.setattr(bundle, "IPM_TOL", 1e-7)
         inst = make_instance(9, seed=6)
         data = _data(inst)
         pool = _seeded_pool(data)
@@ -104,8 +111,8 @@ class TestOracleEval:
         for _ in range(10):
             g1 = rng.uniform(0, 1, size=len(pool))
             g2 = rng.uniform(0, 1, size=len(pool))
-            o1 = oracle_eval(pool, g1, data, ipm_tol=1e-7)
-            o2 = oracle_eval(pool, g2, data, ipm_tol=1e-7)
+            o1 = oracle_eval(pool, g1, data)
+            o2 = oracle_eval(pool, g2, data)
             # f is a max of linear functions; each evaluation underestimates,
             # so allow the oracle's own tolerance
             assert o2.value >= o1.value + o1.g @ (g2 - g1) - 1e-4 * (1 + abs(o1.value))
@@ -115,21 +122,21 @@ class TestMinimize:
     def test_never_worse_than_sdp_bound(self):
         inst = make_instance(12, seed=1)
         data = _data(inst)
-        f0 = oracle_eval(NO_CUTS, np.zeros(0), data, ipm_tol=1e-5).bound
-        res = minimize(data, float("-inf"), max_evals=15, ipm_tol=1e-5)
+        f0 = oracle_eval(NO_CUTS, np.zeros(0), data).bound
+        res = minimize(data, float("-inf"), max_evals=15)
         assert res.bound <= f0 + 1e-6
 
     def test_bound_valid_against_oracle(self):
         for seed in range(8):
             inst = make_instance(11, seed=seed)
             opt = enumerate_exact(inst)
-            res = minimize(_data(inst), float("-inf"), max_evals=10, ipm_tol=1e-5)
+            res = minimize(_data(inst), float("-inf"), max_evals=10)
             assert res.bound >= opt.value - 1e-6
 
     def test_prunes_against_lower_bound(self):
         inst = make_instance(12, seed=5)
         opt = enumerate_exact(inst)
-        res = minimize(_data(inst), float(opt.value), max_evals=30, ipm_tol=1e-5)
+        res = minimize(_data(inst), float(opt.value), max_evals=30)
         assert res.reason in ("pruned", "stalled", "budget", "no_cuts")
         assert res.bound >= opt.value - 1e-6
         if res.reason == "pruned":
@@ -137,27 +144,27 @@ class TestMinimize:
 
     def test_descent_history_monotone(self, monkeypatch):
         _, hist = _center_values(monkeypatch, _data(make_instance(14, seed=3)),
-                                 float("-inf"), max_evals=20, ipm_tol=1e-5)
+                                 float("-inf"), max_evals=20)
         assert len(hist) > 1  # the run takes descent steps
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
     def test_pool_hygiene(self):
         data = _data(make_instance(14, seed=7))
-        res = minimize(data, float("-inf"), max_evals=25, ipm_tol=1e-5)
+        res = minimize(data, float("-inf"), max_evals=25)
         assert len(res.pool) > 0
         assert len(np.unique(res.pool, axis=0)) == len(res.pool)
         assert len(res.pool) <= bundle.POOL_CAPACITY * data.dim
 
     def test_eval_budget_respected(self):
         res = minimize(_data(make_instance(14, seed=2)), float("-inf"),
-                       max_evals=6, ipm_tol=1e-5)
+                       max_evals=6)
         assert res.evals <= 6
 
     def test_bound_samples_all_valid(self, monkeypatch):
         inst = make_instance(10, seed=9)
         opt = enumerate_exact(inst)
         res, samples = minimize_with_bounds(monkeypatch, _data(inst), float("-inf"),
-                                            max_evals=12, ipm_tol=1e-5)
+                                            max_evals=12)
         assert len(samples) == res.evals
         assert all(b >= opt.value - 1e-6 for b in samples)
 
@@ -167,14 +174,14 @@ class TestMinimize:
         inst = Instance(0, np.array([10, 20]), 40, np.array([[3, 5], [5, 7]]))
         data = _data(inst)
         assert data.dim == 2
-        res = minimize(data, float("-inf"), max_evals=5, ipm_tol=1e-5)
+        res = minimize(data, float("-inf"), max_evals=5)
         assert (res.reason, res.evals) == ("no_cuts", 1)
         assert res.bound >= enumerate_exact(inst).value - 1e-6
 
     def test_deadline_stops_early(self):
         import time
         res = minimize(_data(make_instance(16, seed=1)), float("-inf"),
-                       max_evals=50, ipm_tol=1e-5, deadline=time.perf_counter())
+                       max_evals=50, deadline=time.perf_counter())
         assert res.evals <= 2
 
     def test_certified_bound_in_rounding_margin_does_not_prune(self, monkeypatch):
@@ -189,7 +196,7 @@ class TestMinimize:
             return out
 
         monkeypatch.setattr(bundle, "oracle_eval", near_margin)
-        res = minimize(data, 100.0, max_evals=3, ipm_tol=1e-5)
+        res = minimize(data, 100.0, max_evals=3)
         assert res.reason != "pruned"
         assert res.evals > 1
         assert not bundle.prunable(100.0 + 1 - 5e-7, 100.0)
@@ -202,7 +209,7 @@ class TestStartingPool:
         # update, so it is the cold start too, bit for bit
         data = _data(make_instance(12, seed=4))
         some = all_cuts(data.dim)[::7]
-        runs = [minimize(data, float("-inf"), max_evals=12, ipm_tol=1e-5, pool=pool)
+        runs = [minimize(data, float("-inf"), max_evals=12, pool=pool)
                 for pool in (None, (NO_CUTS, np.zeros(0)), (some, np.zeros(len(some))))]
         for res in runs[1:]:
             assert (res.bound, res.evals, res.reason) == \
@@ -214,11 +221,11 @@ class TestStartingPool:
     def test_first_evaluation_at_the_given_pool(self, monkeypatch):
         inst = make_instance(11, seed=3)
         data = _data(inst)
-        start = minimize(data, float("-inf"), max_evals=10, ipm_tol=1e-5)
+        start = minimize(data, float("-inf"), max_evals=10)
         assert len(start.pool) > 0 and start.gamma.max() > 0
         res, bounds = minimize_with_bounds(monkeypatch, data, float("-inf"), max_evals=6,
-                                           ipm_tol=1e-5, pool=(start.pool, start.gamma))
-        assert bounds[0] == oracle_eval(start.pool, start.gamma, data, 1e-5).bound
+                                           pool=(start.pool, start.gamma))
+        assert bounds[0] == oracle_eval(start.pool, start.gamma, data).bound
         assert bounds[0] >= enumerate_exact(inst).value - 1e-6
         assert res.bound <= bounds[0]
 
@@ -335,7 +342,7 @@ class TestSolveModel:
             return solve(lin_c, G, center, u, lam)
 
         monkeypatch.setattr(bundle, "_solve_model", record)
-        minimize(_data(make_instance(14, seed=3)), float("-inf"), max_evals=20, ipm_tol=1e-5)
+        minimize(_data(make_instance(14, seed=3)), float("-inf"), max_evals=20)
         monkeypatch.undo()
         assert len(captured) >= 10
         assert max(len(c[0]) for c in captured) > 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from kqkp import bnb, bundle, cuts, ipm, relaxation
+from kqkp import bundle, cuts, ipm, relaxation
 from kqkp.instance import Instance, preprocess
 from kqkp.ipm import _inv_factor, _max_step, assemble_schur, certify_dual, solve
 from kqkp.oracle import enumerate_exact
@@ -10,7 +10,7 @@ from _reference import (dense_adjoint_op, dense_constraint_op, naive_max_step,
                         naive_schur, random_spd)
 from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
 
-TIGHT_TOL = 1e-7  # tighter than the pipeline's bnb.IPM_TOL, for the IPM-quality checks
+TIGHT_TOL = 1e-7  # tighter than the pipeline's bundle.IPM_TOL, for the IPM-quality checks
 
 
 def _data(inst):
@@ -258,7 +258,7 @@ class TestSolve:
 def _shifted_cost(data, rng):
     """C_bar - T'(gamma) on the triangle cuts violated at the plain SDP
     optimum, at random multipliers: a cost the bundle could pass."""
-    pool = cuts.separate(solve(data, data.C_bar, bnb.IPM_TOL).X, 40)
+    pool = cuts.separate(solve(data, data.C_bar, bundle.IPM_TOL).X, 40)
     assert len(pool) > 0
     gamma = rng.uniform(0, 0.5, size=len(pool))
     return data.C_bar - cuts.adjoint_apply(pool, gamma, data.dim)
@@ -268,18 +268,18 @@ class TestRestart:
     def test_restart_on_a_shifted_cost(self, rng):
         for seed in range(4):
             data = _data(make_instance(20, seed=seed))
-            first = solve(data, data.C_bar, bnb.IPM_TOL)
+            first = solve(data, data.C_bar, bundle.IPM_TOL)
             assert first.restart is not None
             C = _shifted_cost(data, rng)
-            cold = solve(data, C, bnb.IPM_TOL)
-            warm = solve(data, C, bnb.IPM_TOL, first.restart)
+            cold = solve(data, C, bundle.IPM_TOL)
+            warm = solve(data, C, bundle.IPM_TOL, first.restart)
             assert warm.status == ipm.OPTIMAL
             assert warm.iterations < cold.iterations
             assert abs(warm.dual_obj - cold.dual_obj) <= 1e-3 * (1 + abs(cold.dual_obj))
 
     def test_restart_keeps_the_stored_iterate(self):
         data = _data(make_instance(16, seed=2))
-        sol = solve(data, data.C_bar, bnb.IPM_TOL)
+        sol = solve(data, data.C_bar, bundle.IPM_TOL)
         X, s, y, Z, t, C = sol.restart
         assert C is data.C_bar
         assert X is not sol.X and Z is not sol.Z  # an iterate before the last
@@ -290,22 +290,21 @@ class TestRestart:
         inst = make_instance(12, seed=4)
         data = _data(inst)
         opt = enumerate_exact(inst).value
-        pool = cuts.separate(solve(data, data.C_bar, bnb.IPM_TOL).X, 40)
-        out = bundle.oracle_eval(pool, np.zeros(len(pool)), data, bnb.IPM_TOL)
+        pool = cuts.separate(solve(data, data.C_bar, bundle.IPM_TOL).X, 40)
+        out = bundle.oracle_eval(pool, np.zeros(len(pool)), data)
         for _ in range(15):
             start = out.restart
             assert start is not None
-            out = bundle.oracle_eval(pool, rng.uniform(0, 3, size=len(pool)), data,
-                                     bnb.IPM_TOL, start)
+            out = bundle.oracle_eval(pool, rng.uniform(0, 3, size=len(pool)), data, start)
             assert out.bound >= opt - 1e-6
 
     def test_failed_restart_reruns_cold(self, monkeypatch, rng):
         data = _data(make_instance(20, seed=1))
-        start = solve(data, data.C_bar, bnb.IPM_TOL).restart
+        start = solve(data, data.C_bar, bundle.IPM_TOL).restart
         C = _shifted_cost(data, rng)
-        cold = solve(data, C, bnb.IPM_TOL)
+        cold = solve(data, C, bundle.IPM_TOL)
         monkeypatch.setattr(ipm, "WARM_MAX_ITER", 1)
-        sol = solve(data, C, bnb.IPM_TOL, start)
+        sol = solve(data, C, bundle.IPM_TOL, start)
         assert sol.status == cold.status == ipm.OPTIMAL
         np.testing.assert_array_equal(sol.X, cold.X)
         assert sol.certified_dual == cold.certified_dual
