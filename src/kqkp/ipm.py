@@ -17,15 +17,22 @@ with that factor.  A factorization of X, Z or the Schur matrix that fails,
 or yields a non-finite factor, ends the solve as ``slow_progress``.  The
 factorizations and solves call LAPACK directly (dpotrf, dtrtri, dpotrs),
 since at n = 40 the numpy.linalg and scipy.linalg wrappers cost more than
-the flops.  Each step-length test (predictor and corrector, for X and for
-Z) then costs two matrix products, W = L^{-1} dP L^{-T}, and one
-smallest-eigenvalue LAPACK call on W.
+the flops.  The corrector's two step lengths, for X and for Z, are exact:
+each costs two matrix products, W = L^{-1} dP L^{-T}, and one
+smallest-eigenvalue LAPACK call on W.  The predictor's two only steer sigma
+and gamma below, so each is a rung instead: the largest a in LADDER with
+P + a dP passing a Cholesky test (about a sixth of the eigenvalue call at
+n = 100) and within the scalar slack's step, and the exact step only below
+the last rung.  Helmberg, Rendl, Vanderbei & Wolkowicz (SIAM J. Optim.
+1996) likewise keep their iterates positive definite by Cholesky tests.
 
 HKM scaling (Z^{-1}-weighted), infeasible start, one Mehrotra corrector per
 iteration with sigma = (gap_aff/gap)^3 and no floor (Mehrotra, SIAM J. Optim.
 1992), and a corrector step gamma = STEP_MIN + (STEP_MAX - STEP_MIN) *
 min(ap_aff, ad_aff) of the way to the boundary, after SDPT3's 0.9 + 0.09 min
-(Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).
+(Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).  gap_aff, ap_aff and
+ad_aff are read at the predictor's rungs; an affine step rounded down to a
+rung makes sigma and gamma centre a little more.
 
 A solve can restart from an iterate of an earlier one (reoptimization:
 Gondzio & Grothey, SIAM J. Optim. 2002; Yildirim & Wright, SIAM J. Optim.
@@ -66,6 +73,7 @@ ITER_LIMIT = "iter_limit"
 MAX_ITER = 100
 STEP_MIN = 0.95
 STEP_MAX = 0.99
+LADDER = (1.0, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05)  # predictor step lengths, longest first
 RESTART_GAP = 0.3  # relative gap at which an iterate is kept as a restart
 WARM_MAX_ITER = 20  # iterations a restarted solve gets before it starts cold
 
@@ -157,6 +165,25 @@ def _max_step(Li: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> floa
     if dscal < 0:
         alpha = min(alpha, -scal / dscal)
     return alpha
+
+
+def _ladder_step(P: np.ndarray, Li: np.ndarray, dP: np.ndarray, scal: float,
+                 dscal: float) -> float:
+    """The largest rung a of LADDER with P + a*dP pd and a <= -scal/dscal;
+    below the last rung, the exact step capped at 1.
+
+    ``Li`` is the inverse Cholesky factor of P, read only by the fallback.
+    """
+    cap = -scal / dscal if dscal < 0 else np.inf
+    for a in LADDER:
+        if a > cap:
+            continue
+        try:
+            _cholesky(P + a * dP)
+        except np.linalg.LinAlgError:
+            continue
+        return a
+    return min(1.0, _max_step(Li, dP, scal, dscal))
 
 
 def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -> float:
@@ -307,8 +334,8 @@ def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
         try:
             # predictor (affine scaling)
             dXa, dsa, _, dZa, dta = direction(0.0, None, 0.0)
-            ap = min(1.0, _max_step(LXi, dXa, s, dsa))
-            ad = min(1.0, _max_step(LZi, dZa, t, dta))
+            ap = _ladder_step(X, LXi, dXa, s, dsa)
+            ad = _ladder_step(Z, LZi, dZa, t, dta)
             gap_aff = float(np.vdot(X + ap * dXa, Z + ad * dZa)) \
                 + (s + ap * dsa) * (t + ad * dta)
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8), 1.0)

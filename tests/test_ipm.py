@@ -4,7 +4,8 @@ from scipy.linalg import lapack
 
 from kqkp import bundle, cuts, ipm, relaxation
 from kqkp.instance import Instance, preprocess
-from kqkp.ipm import _inv_factor, _max_step, assemble_schur, certify_dual, solve
+from kqkp.ipm import (_inv_factor, _ladder_step, _max_step, assemble_schur, certify_dual,
+                      solve)
 from kqkp.oracle import enumerate_exact
 from _reference import (dense_adjoint_op, dense_constraint_op, naive_max_step,
                         naive_schur, random_spd)
@@ -147,14 +148,82 @@ class TestStepLength:
         # solve stops at the factorization, before any step-length test
         monkeypatch.setattr(ipm, "assemble_schur",
                             lambda Zi, X, B, s, t: fill * np.eye(X.shape[0] + 2))
-        steps = []
-        max_step = ipm._max_step
+        steps, rungs = [], []
+        max_step, ladder_step = ipm._max_step, ipm._ladder_step
         monkeypatch.setattr(ipm, "_max_step", lambda *a: steps.append(a) or max_step(*a))
+        monkeypatch.setattr(ipm, "_ladder_step",
+                            lambda *a: rungs.append(a) or ladder_step(*a))
         data = _data(make_instance(10, seed=0))
         sol = solve(data, data.C_bar, TIGHT_TOL)
         assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
-        assert not steps
+        assert not steps and not rungs
         assert np.isfinite(sol.certified_dual)
+
+
+def _direction_with_step(rng, P, alpha):
+    """A random symmetric dP whose exact step from P is alpha."""
+    B = rng.standard_normal(P.shape)
+    dP = B + B.T
+    return dP * (naive_max_step(P, dP, 1.0, 0.0) / alpha)
+
+
+class TestLadderStep:
+    def test_largest_rung_below_the_exact_step_randomized(self, rng):
+        taken = set()
+        for trial in range(200):
+            n = int(rng.integers(2, 41))
+            P = random_spd(rng, n)
+            dP = _direction_with_step(rng, P, 10 ** rng.uniform(-2, 0.5))
+            exact = naive_max_step(P, dP, 1.0, 0.0)
+            if min(abs(a - exact) for a in ipm.LADDER) <= 1e-9 * exact:
+                continue  # a rung on the boundary: the test could go either way
+            got = _ladder_step(P, _inv_factor(P), dP, 1.0, 0.0)
+            below = [a for a in ipm.LADDER if a < exact]
+            if below:
+                assert got == below[0]
+            else:
+                assert got == pytest.approx(exact, rel=1e-9)
+            taken.add(got if below else "exact")
+        assert taken == {*ipm.LADDER, "exact"}
+
+    def test_psd_direction_gives_one(self, rng):
+        P = random_spd(rng, 15)
+        B = rng.standard_normal((15, 15))
+        assert _ladder_step(P, _inv_factor(P), B @ B.T, 1.0, 0.0) == 1.0
+        assert _ladder_step(P, _inv_factor(P), np.zeros((15, 15)), 1.0, 2.0) == 1.0
+
+    def test_scalar_slack_caps_the_rung(self, rng):
+        P = random_spd(rng, 15)
+        Li = _inv_factor(P)
+        B = rng.standard_normal((15, 15))
+        psd = B @ B.T
+        assert _ladder_step(P, Li, psd, 0.5, -1.0) == 0.4
+        assert _ladder_step(P, Li, psd, 0.6, -1.0) == 0.6  # a rung on the cap is kept
+        assert _ladder_step(P, Li, psd, 0.03, -1.0) == pytest.approx(0.03)
+        dP = _direction_with_step(rng, P, 0.7)
+        assert _ladder_step(P, Li, dP, 0.5, -1.0) == 0.4
+        assert _ladder_step(P, Li, dP, 0.9, -1.0) == 0.6
+
+    def test_nan_direction_passes_no_rung(self, monkeypatch, rng):
+        P = random_spd(rng, 8)
+        Li = _inv_factor(P)
+        rungs = []
+        cholesky = ipm._cholesky
+        monkeypatch.setattr(ipm, "_cholesky", lambda M: rungs.append(M) or cholesky(M))
+        monkeypatch.setattr(ipm, "_max_step", lambda *a: 0.01)
+        assert _ladder_step(P, Li, np.full((8, 8), np.nan), 1.0, 0.0) == 0.01
+        assert len(rungs) == len(ipm.LADDER)
+
+    def test_two_eigenvalue_calls_per_iteration(self, monkeypatch):
+        # the corrector's two exact step lengths; the predictor's rungs are
+        # Cholesky tests, and certify_dual makes one more call
+        calls = []
+        lambda_min = ipm._lambda_min
+        monkeypatch.setattr(ipm, "_lambda_min", lambda S: calls.append(S) or lambda_min(S))
+        data = _data(make_instance(20, seed=0))
+        sol = solve(data, data.C_bar, TIGHT_TOL)
+        assert sol.status == ipm.OPTIMAL and sol.iterations > 5
+        assert len(calls) == 2 * sol.iterations + 1
 
 
 class TestSolve:
