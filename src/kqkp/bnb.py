@@ -240,9 +240,14 @@ def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
     ``time.perf_counter()`` value after which no further evaluation starts.
     ``pool`` is the bundle's start, a cut array on the instance's items and
     its multipliers ``(cuts, gamma)`` (default: the empty pool); the
-    returned pool is the bundle's final one, on the same items.
+    returned pool is the bundle's final one, on the same items.  A relaxation
+    of dimension 0 is exact: x_frac is its best selection, the bound that
+    selection's value, with 0 evaluations and the empty pool.
     """
     data = relaxation.build(inst)
+    if data.dim == 0:
+        return (int(data.const_term), data.x_fixed, 0,
+                (np.zeros((0, 4), dtype=np.int64), np.zeros(0)))
     max_evals = (ROOT_EVALS if root else NODE_EVALS) if cfg.use_cuts else 1
     res = bundle_mod.minimize(data, lower_bound, max_evals, cfg.cuts_per_update, deadline,
                               None if pool is None else _remap(pool, data.coord_of_item))

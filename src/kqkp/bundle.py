@@ -13,7 +13,9 @@ with near-zero multiplier are dropped and the pool is trimmed to
 POOL_CAPACITY cuts per item.  A search may start from a given pool and
 multipliers, such as a parent node's final ones; the empty pool at
 multiplier 0 is the cold start, whose first evaluation is the plain SDP
-bound.
+bound.  ``relaxation.build`` answers the exact cases itself, so every
+relaxation that reaches here has dimension at least 3 and a triangle to
+cut with.
 
 Each candidate minimizes the cutting-plane model plus a proximal term.  That
 subproblem is solved exactly through its dual over the unit simplex of
@@ -270,50 +272,67 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
     """Bundle loop; ``lower_bound`` enables early pruning (use -inf to disable).
 
     ``pool`` is the start, a cut array and its multipliers ``(cuts,
-    gamma)`` with gamma >= 0 (default: the empty pool).  The first
-    evaluation runs at that gamma, which becomes the first center, and the
-    first pool update starts from that pool; any start gives valid bounds,
-    since every gamma >= 0 does.  Each of the at most ``max_evals``
-    evaluations is an interior-point solve to relative gap ``IPM_TOL``;
-    the first starts cold, each later one from the ``restart`` of the one
-    before.
-    The pool is updated (``_update_pool``) after the first evaluation and
-    every UPDATE_PERIOD descent steps, each time adding up to
-    ``cuts_per_update`` cuts (default min(5n, 300)), and the cutting-plane
-    model restarts from the center in the new pool's coordinates.  Stops
-    when (a) the certified bound proves the node prunable (``prunable``),
-    (b) the predicted model decrease stalls, (c) the evaluation budget is
-    exhausted, (d) ``deadline``, a ``time.perf_counter()`` value, has
-    passed or (e) an update leaves the pool empty; the first evaluation
-    always runs.
+    gamma)`` with gamma >= 0 (default: the empty pool); that gamma is the
+    first candidate, and any start gives valid bounds, since every gamma >= 0
+    does.  Each pass evaluates one candidate, an interior-point solve to
+    relative gap ``IPM_TOL`` (the first cold, each later one from the
+    ``restart`` of the one before), and then, in this order: (1) stops as
+    ``pruned`` once the certified bound proves the node prunable
+    (``prunable``); (2) takes a descent step to the candidate, the first
+    evaluation being the first center; (3) updates the pool
+    (``_update_pool``) if an update is due, after the first evaluation
+    unless it spent the budget and after every UPDATE_PERIOD-th descent
+    step, adding up to ``cuts_per_update`` cuts (default min(5n, 300)) and
+    restarting the cutting-plane model from the center in the new pool's
+    coordinates, and stops as ``no_cuts`` if the pool is left empty; (4)
+    stops as ``budget`` once ``max_evals`` evaluations have run or
+    ``deadline``, a ``time.perf_counter()`` value, has passed; (5) solves
+    the model for the next candidate and stops as ``stalled`` when its
+    predicted decrease does.  The result holds the center's pool and
+    multipliers, so an update at the last evaluation reaches it.
     """
-    n = relax.dim
-    cuts, center = (np.zeros((0, 4), dtype=np.int64), np.zeros(0)) if pool is None else pool
-    first = oracle_eval(cuts, center, relax)
-    restart = first.restart
-    evals = 1
-    best_bound = first.bound
-    f_center = first.value
-    X_center = first.X
-
-    def result(reason):
-        return BundleResult(best_bound, X_center, cuts, center, evals, reason)
-
-    if prunable(best_bound, lower_bound):
-        return result("pruned")
-    if evals >= max_evals:
-        return result("budget")
-    if n < 3:  # no triangle to cut with
-        return result("no_cuts")
-
-    m = min(5 * n, 300) if cuts_per_update is None else cuts_per_update
+    m = min(5 * relax.dim, 300) if cuts_per_update is None else cuts_per_update
+    cuts, cand = (np.zeros((0, 4), dtype=np.int64), np.zeros(0)) if pool is None else pool
+    center = cand
     u = U_INIT
+    evals = 0
     descents = 0
     nulls_in_row = 0
-    reason = "budget"
-    update_due = True  # the first update refreshes the starting pool
+    best_bound = np.inf
+    restart = None
 
     while True:
+        out = oracle_eval(cuts, cand, relax, restart)
+        restart = out.restart
+        evals += 1
+        best_bound = min(best_bound, out.bound)
+        if prunable(best_bound, lower_bound):
+            X_center = out.X
+            reason = "pruned"
+            break
+
+        if evals == 1:  # the start is the first center
+            f_center = out.value
+            X_center = out.X
+            update_due = evals < max_evals
+        else:
+            lin_c.append(out.value - out.g @ cand)
+            lin_g.append(out.g)
+            if out.value <= f_center - DESCENT_RATIO * predicted:
+                # descent step
+                center = cand
+                f_center = out.value
+                X_center = out.X
+                descents += 1
+                nulls_in_row = 0
+                u = max(u * 0.5, 1e-3)
+                update_due = descents % UPDATE_PERIOD == 0
+            else:
+                nulls_in_row += 1
+                if nulls_in_row >= 3:
+                    u = min(u * 2.0, 1e4)
+                    nulls_in_row = 0
+
         if update_due:
             update_due = False
             cuts, center = _update_pool(cuts, center, X_center, m)
@@ -326,6 +345,7 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
             lin_g = [g_center]
             lam = None
         if evals >= max_evals or (deadline is not None and time.perf_counter() > deadline):
+            reason = "budget"
             break
         G = np.column_stack(lin_g)
         if lam is not None:  # the last weights, 0 on the piece added since
@@ -336,31 +356,4 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
             reason = "stalled"
             break
 
-        out = oracle_eval(cuts, cand, relax, restart)
-        restart = out.restart
-        evals += 1
-        best_bound = min(best_bound, out.bound)
-        if prunable(best_bound, lower_bound):
-            X_center = out.X
-            reason = "pruned"
-            break
-
-        lin_c.append(out.value - out.g @ cand)
-        lin_g.append(out.g)
-
-        if out.value <= f_center - DESCENT_RATIO * predicted:
-            # descent step
-            center = cand
-            f_center = out.value
-            X_center = out.X
-            descents += 1
-            nulls_in_row = 0
-            u = max(u * 0.5, 1e-3)
-            update_due = descents % UPDATE_PERIOD == 0
-        else:
-            nulls_in_row += 1
-            if nulls_in_row >= 3:
-                u = min(u * 2.0, 1e4)
-                nulls_in_row = 0
-
-    return result(reason)
+    return BundleResult(best_bound, X_center, cuts, center, evals, reason)

@@ -147,10 +147,6 @@ def cmd_bound(args) -> int:
     evals = 0
     if inst.k > prep.k_max:
         bound = float("-inf")
-    elif inst.k == 1:
-        # nothing to relax: validate makes every item fit, so the optimum,
-        # and the bound, is the largest diagonal entry
-        bound = int(np.diag(inst.C).max())
     else:
         bound, _, evals, _ = bnb.node_bound(inst, cfg, float("-inf"), root=True,
                                             deadline=t0 + cfg.time_limit_s)

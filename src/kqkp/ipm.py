@@ -202,21 +202,17 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float,
           start: tuple | None = None) -> SdpSolution:
     """Solve the relaxation with cost matrix C to relative gap ``tol``.
 
-    The bundle method passes C = C_bar - T'(gamma).  ``start`` is the
-    ``restart`` of an earlier solve on the same data: the solve first runs
-    at most WARM_MAX_ITER iterations from it (``_warm_point``) and, unless
-    that attempt ends ``optimal``, solves again from the cold start;
-    ``iterations`` then counts both attempts.
+    ``data`` is a relaxation that ``relaxation.build`` did not solve
+    exactly, so its dimension is at least 3.  The bundle method passes
+    C = C_bar - T'(gamma).  ``start`` is the ``restart`` of an earlier
+    solve on the same data: the solve first runs at most WARM_MAX_ITER
+    iterations from it (``_warm_point``) and, unless that attempt ends
+    ``optimal``, solves again from the cold start; ``iterations`` then
+    counts both attempts.
     """
     n = data.dim
     if C.shape != (n, n):
         raise ValueError(f"cost matrix must be {n}x{n}")
-    if n == 0:
-        # the b == b' reduction solved its face; the bound is const_term
-        empty = np.zeros((0, 0))
-        return SdpSolution(X=empty, s=0.0, y=np.zeros(2), Z=empty, t=0.0,
-                           primal_obj=0.0, dual_obj=0.0, certified_dual=0.0,
-                           iterations=0, status=OPTIMAL, restart=None)
     if start is None:
         return _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
     warm = _iterate(data, C, tol, _warm_point(start, C), WARM_MAX_ITER)
@@ -231,11 +227,8 @@ def _cold_point(data: RelaxationData, C: np.ndarray) -> tuple:
     """The infeasible start (X, s, y, Z, t): X with unit diagonal, shaped
     toward e'Xe = rhs_card, and Z a multiple of the identity."""
     n = data.dim
-    if n > 1:
-        beta = (data.rhs_card - n) / (n * n - n)
-        beta = float(np.clip(beta, -0.95 / (n - 1), 0.9))
-    else:
-        beta = 0.0
+    beta = (data.rhs_card - n) / (n * n - n)
+    beta = float(np.clip(beta, -0.95 / (n - 1), 0.9))
     X = (1.0 - beta) * np.eye(n) + beta
     zeta = max(1.0, float(np.linalg.norm(C)) / n)
     s = max(1.0, data.rhs_cap - float(data.a_bar @ X @ data.a_bar))

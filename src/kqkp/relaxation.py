@@ -17,10 +17,13 @@ therefore reduces that case exactly before relaxing: every feasible
 selection then takes all items lighter than the k-th smallest weight w_k and
 ``need`` items of weight w_k, so the lighter items are fixed to 1, the
 heavier ones to 0, and the SDP is built on the tie class alone, where every
-weight is w_k, a_bar = 0 and the capacity row is the trivial 0 <= 0.  If the
-face holds one selection, or one item of the tie class is to be chosen,
-the relaxation has dimension 0 and its bound is the value of the best
-selection.
+weight is w_k, a_bar = 0 and the capacity row is the trivial 0 <= 0.
+
+``build`` alone decides that a relaxation is exact: when the instance, or
+its b == b' face, has k in {0, 1, n}, its best selection (no item, the
+fitting item of largest diagonal entry, or every item) and its value are
+the relaxation, of dimension 0, in ``x_fixed`` and ``const_term``.  Any
+other relaxation has dimension at least 3, so a triangle cut exists.
 
 When n == 2k the projection scale 1/(2k-n) is undefined.  ``build`` then
 appends a zero-profit item of weight b+1, which no feasible selection can
@@ -51,61 +54,62 @@ class RelaxationData:
     const_term: float
     proj_scale: float
     # per item of the instance given to build: the 0/1 value fixed by the
-    # b == b' reduction (a placeholder on an item with a coordinate)
+    # b == b' reduction, or at dimension 0 the best selection (a placeholder
+    # on an item with a coordinate)
     x_fixed: np.ndarray
     coord_of_item: np.ndarray  # -1: fixed by the b == b' reduction
     item_of_coord: np.ndarray  # -1: the n == 2k dummy
 
 
-def _pad(inst: Instance, weight: int) -> Instance:
-    """Append a zero-profit item of the given weight."""
-    a2 = np.append(inst.a, weight)
-    C2 = np.zeros((inst.n + 1, inst.n + 1), dtype=inst.C.dtype)
-    C2[: inst.n, : inst.n] = inst.C
-    return Instance(inst.k, a2, inst.b, C2, inst.offset)
-
-
 def build(inst: Instance) -> RelaxationData:
-    """Relaxation data of ``inst``; b == b' and n == 2k are handled here."""
-    prep = preprocess(inst)
-    if 1 <= inst.k <= inst.n and inst.b == prep.b_prime:
-        return _build_k_lightest(inst)
-    x_fixed, free = np.zeros(inst.n), np.arange(inst.n)
-    if inst.n == 2 * inst.k:
-        # a zero-profit dummy of weight b+1 is never selectable and is not
-        # among the k lightest, so the optimum and b' stay as they are
-        inst = _pad(inst, inst.b + 1)
-    return _build(inst, prep.b_prime, x_fixed, free)
+    """Relaxation data of ``inst``, which must have k <= k_max (every caller
+    checks that first); b == b', k in {0, 1, n} and n == 2k are handled here."""
+    b_prime = preprocess(inst).b_prime
+    sub, x_fixed, free = inst, np.zeros(inst.n), np.arange(inst.n)
+    pad = inst.b + 1
+    if inst.k >= 1 and inst.b == b_prime:
+        sub, x_fixed, free = _face(inst)
+        # every item of the face weighs w_k, so its b' is its b; a dummy of
+        # weight w_k keeps a_bar = 0, where the b+1 dummy would not
+        b_prime = sub.b
+        pad = int(sub.a[0])
+    if sub.k in (0, 1, sub.n):
+        return _exact(inst, sub, x_fixed, free)
+    if sub.n == 2 * sub.k:
+        # a zero-profit dummy leaves b' as it is: weight b+1 is never among
+        # the k lightest (nor selectable), and on the face every weight is w_k
+        C = np.zeros((sub.n + 1, sub.n + 1), dtype=sub.C.dtype)
+        C[: sub.n, : sub.n] = sub.C
+        sub = Instance(sub.k, np.append(sub.a, pad), sub.b, C, sub.offset)
+    return _build(sub, b_prime, x_fixed, free)
 
 
-def _build_k_lightest(inst: Instance) -> RelaxationData:
-    """Exact reduction of b == b' to the tie class of the k-th weight w_k."""
+def _face(inst: Instance):
+    """The b == b' face: (the instance on the tie class of the k-th weight
+    w_k, x_fixed with lighter items at 1 and heavier at 0, the tie class)."""
     a = inst.a
     wk = int(np.sort(a)[inst.k - 1])
     sub = inst
     for j in range(inst.n - 1, -1, -1):  # descending keeps lower indices valid
         if a[j] != wk:
             sub = fix_variable(sub, j, int(a[j] < wk))
-    tie = np.flatnonzero(a == wk)
-    x = (a < wk).astype(float)
-    if sub.k in (0, 1, sub.n):
-        # the face holds one selection, or its best is one item of the tie
-        # class (every tie item weighs w_k == sub.b, so each fits): the bound
-        # is the value of that selection, nothing to relax
-        if sub.k == sub.n:
-            x[tie] = 1.0
-        elif sub.k == 1:
-            x[tie[int(np.argmax(np.diag(sub.C)))]] = 1.0
-        return RelaxationData(
-            dim=0, C_bar=np.zeros((0, 0)), a_bar=np.zeros(0), rhs_card=0.0,
-            rhs_cap=0.0, const_term=float(inst.objective(x)), proj_scale=1.0,
-            x_fixed=x, coord_of_item=np.full(inst.n, -1), item_of_coord=tie[:0],
-        )
-    if sub.n == 2 * sub.k:
-        # a zero-profit dummy of weight w_k keeps a_bar = 0 and b'; the b+1
-        # dummy of build would make b == b' again on the padded instance
-        sub = _pad(sub, wk)
-    return _build(sub, preprocess(sub).b_prime, x, tie)
+    return sub, (a < wk).astype(float), np.flatnonzero(a == wk)
+
+
+def _exact(inst: Instance, sub: Instance, x_fixed: np.ndarray,
+           free: np.ndarray) -> RelaxationData:
+    """Dimension 0: ``sub``, on the items ``free`` of ``inst``, has k in
+    {0, 1, n}, so ``x_fixed`` completed by its best selection is optimal."""
+    if sub.k == sub.n:
+        x_fixed[free] = 1.0
+    elif sub.k == 1:
+        fitting = np.where(sub.a <= sub.b, np.diag(sub.C), -np.inf)
+        x_fixed[free[int(np.argmax(fitting))]] = 1.0
+    return RelaxationData(
+        dim=0, C_bar=np.zeros((0, 0)), a_bar=np.zeros(0), rhs_card=0.0,
+        rhs_cap=0.0, const_term=float(inst.objective(x_fixed)), proj_scale=1.0,
+        x_fixed=x_fixed, coord_of_item=np.full(inst.n, -1), item_of_coord=free[:0],
+    )
 
 
 def _build(inst: Instance, b_prime: int, x_fixed: np.ndarray,

@@ -257,6 +257,25 @@ class TestSolve:
         assert rep.nodes == 1
 
 
+class TestExactNodes:
+    @pytest.mark.parametrize("name", ["all_tied_unique", "one_of_tie", "k0", "k1", "kn"])
+    def test_dimension_zero_bound_runs_no_ipm(self, monkeypatch, name):
+        base = make_instance(10, seed=2)
+        cases = {"k0": Instance(0, base.a, base.b, base.C),
+                 "k1": Instance(1, base.a, base.b, base.C),
+                 "kn": Instance(base.n, base.a, int(base.a.sum()), base.C)}
+        inst = cases[name] if name in cases else k_lightest_instance(name)
+        assert relaxation.build(inst).dim == 0
+        calls = record_ipm_calls(monkeypatch)
+        some = all_cuts(inst.n)[::5]
+        bound, x, evals, (cuts_, gamma) = bnb.node_bound(
+            inst, SolverConfig(), float("-inf"), root=True, pool=(some, np.ones(len(some))))
+        opt = enumerate_exact(inst)
+        assert (calls, evals, len(cuts_), len(gamma)) == ([], 0, 0, 0)
+        assert bound == opt.value and isinstance(bound, int)
+        assert inst.is_feasible(x) and inst.objective(x) == opt.value
+
+
 def _rank_one(x: np.ndarray) -> np.ndarray:
     """X = yy' with y = 2x - e: the relaxation point of a 0/1 vector."""
     y = 2.0 * x - 1.0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from kqkp import bnb, bundle, cuts, relaxation
 from kqkp.bundle import minimize, oracle_eval
-from kqkp.instance import Instance
 from kqkp.oracle import enumerate_exact
 from _reference import reference_solve_model
 from conftest import all_cuts, make_instance, minimize_with_bounds
@@ -168,16 +167,6 @@ class TestMinimize:
         assert len(samples) == res.evals
         assert all(b >= opt.value - 1e-6 for b in samples)
 
-    def test_no_triangle_below_dimension_three(self):
-        # a 2-item instance with k = 0 relaxes to dimension 2: evaluations are
-        # left, but no triangle cut exists
-        inst = Instance(0, np.array([10, 20]), 40, np.array([[3, 5], [5, 7]]))
-        data = _data(inst)
-        assert data.dim == 2
-        res = minimize(data, float("-inf"), max_evals=5)
-        assert (res.reason, res.evals) == ("no_cuts", 1)
-        assert res.bound >= enumerate_exact(inst).value - 1e-6
-
     def test_deadline_stops_early(self):
         import time
         res = minimize(_data(make_instance(16, seed=1)), float("-inf"),
@@ -201,6 +190,57 @@ class TestMinimize:
         assert res.evals > 1
         assert not bundle.prunable(100.0 + 1 - 5e-7, 100.0)
         assert bundle.prunable(100.0 + 1 - 2e-6, 100.0)
+
+
+def _eval_and_update_calls(monkeypatch, *args, **kwargs):
+    """``minimize(*args, **kwargs)`` and its calls of ``oracle_eval`` and
+    ``_update_pool`` in order, as ("eval", None) and ("update", the pool
+    that update returned)."""
+    events = []
+    real_eval, real_pool = oracle_eval, bundle._update_pool
+
+    def spy_eval(*eval_args):
+        events.append(("eval", None))
+        return real_eval(*eval_args)
+
+    def spy_pool(*pool_args):
+        out = real_pool(*pool_args)
+        events.append(("update", out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bundle, "oracle_eval", spy_eval)
+        patch.setattr(bundle, "_update_pool", spy_pool)
+        res = minimize(*args, **kwargs)
+    return res, events
+
+
+class TestLoopOrder:
+    def test_first_evaluation_spending_the_budget_keeps_the_start(self, monkeypatch):
+        data = _data(make_instance(12, seed=4))
+        some = all_cuts(data.dim)[::7]
+        start = (some, np.full(len(some), 0.5))
+        res, events = _eval_and_update_calls(monkeypatch, data, float("-inf"),
+                                             max_evals=1, pool=start)
+        assert [kind for kind, _ in events] == ["eval"]
+        assert (res.reason, res.evals) == ("budget", 1)
+        assert res.pool is start[0] and res.gamma is start[1]
+
+    def test_update_due_at_the_last_evaluation_reaches_the_result(self, monkeypatch):
+        monkeypatch.setattr(bundle, "UPDATE_PERIOD", 1)  # every descent step updates
+        data = _data(make_instance(14, seed=3))
+        _, events = _eval_and_update_calls(monkeypatch, data, float("-inf"), max_evals=20)
+        kinds = [kind for kind, _ in events]
+        # the first descent step: an update right after an evaluation other
+        # than the first
+        due = next(i for i in range(3, len(kinds)) if kinds[i - 1:i + 1] == ["eval", "update"])
+        last = kinds[:due].count("eval")
+        res, events = _eval_and_update_calls(monkeypatch, data, float("-inf"),
+                                             max_evals=last)
+        assert [kind for kind, _ in events[-2:]] == ["eval", "update"]
+        assert (res.reason, res.evals) == ("budget", last)
+        cuts_, gamma = events[-1][1]
+        assert res.pool is cuts_ and res.gamma is gamma
 
 
 class TestStartingPool:

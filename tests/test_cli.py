@@ -15,7 +15,7 @@ from kqkp.bnb import SolverConfig
 from kqkp.heuristics import primal_heuristic
 from kqkp.instance import Instance, dump, load, preprocess
 from kqkp.oracle import enumerate_exact
-from conftest import make_instance, record_ipm_calls
+from conftest import k_lightest_instance, make_instance, record_ipm_calls
 
 
 def _write(tmp_path, inst, name="inst.txt"):
@@ -160,16 +160,20 @@ class TestBound:
 
     @pytest.mark.parametrize("mode", ["sdp", "sdpmet"])
     def test_k1_bound_is_the_largest_diagonal_entry(self, tmp_path, capsys, mode):
-        # nothing to relax at k = 1: every item fits, the best one is the bound
+        # nothing to relax at k = 1: every item fits, the best one is the
+        # bound; nor on a b == b' face with one selection, or one item of the
+        # tie class to choose.  Each prints its exact value with no evaluation.
         C = np.array([[3, 7, 1], [7, 5, 2], [1, 2, 9]])
-        inst = Instance(1, np.array([1, 2, 3]), 3, C)
-        path = _write(tmp_path, inst)
-        code, out = _run(capsys, ["bound", str(path), "--mode", mode])
-        payload = _strict_json(out)
-        assert code == 0
-        assert (payload["bound"], payload["evals"]) == (9, 0)
-        assert isinstance(payload["bound"], int)
-        assert payload["bound"] == enumerate_exact(inst).value
+        k1 = Instance(1, np.array([1, 2, 3]), 3, C)
+        faces = [k_lightest_instance(name) for name in ("all_tied_unique", "one_of_tie")]
+        for i, inst in enumerate([k1, *faces]):
+            path = _write(tmp_path, inst, f"inst{i}.txt")
+            code, out = _run(capsys, ["bound", str(path), "--mode", mode])
+            payload = _strict_json(out)
+            assert code == 0
+            assert (payload["bound"], payload["evals"]) == (enumerate_exact(inst).value, 0)
+            assert isinstance(payload["bound"], int)
+        assert enumerate_exact(k1).value == 9
 
     def test_infeasible_bound_is_strict_json_null(self, tmp_path, capsys):
         # k = 3 exceeds k_max = 2: the two lightest weights already fill b = 4

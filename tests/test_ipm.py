@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from kqkp import bundle, cuts, ipm, relaxation
+from kqkp import bnb, bundle, cuts, ipm, relaxation
 from kqkp.instance import Instance, preprocess
 from kqkp.ipm import (_inv_factor, _ladder_step, _max_step, assemble_schur, certify_dual,
                       solve)
@@ -18,9 +18,15 @@ def _data(inst):
     return relaxation.build(inst)
 
 
-def _bound(data):
-    """Certified upper bound in original objective units."""
-    return solve(data, data.C_bar, TIGHT_TOL).certified_dual + data.const_term
+def _bound(inst):
+    """Certified plain SDP bound in original objective units: ``bnb.node_bound``
+    with one evaluation, its IPM solved to TIGHT_TOL; exact where the
+    relaxation has dimension 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundle, "IPM_TOL", TIGHT_TOL)
+        bound, _, _, _ = bnb.node_bound(inst, bnb.SolverConfig(use_cuts=False),
+                                        float("-inf"), root=True)
+    return bound
 
 
 def _gap_and_residual(data, sol):
@@ -231,10 +237,9 @@ class TestSolve:
         # b' == b makes the capacity cut <A, X> <= 0
         inst = Instance(2, np.array([1, 1, 1]), 2,
                         np.array([[1, 2, 0], [2, 1, 1], [0, 1, 3]]))
-        data = _data(inst)
-        assert data.rhs_cap == 0.0
+        assert _data(inst).rhs_cap == 0.0
         opt = enumerate_exact(inst)
-        assert _bound(data) >= opt.value - 1e-6
+        assert _bound(inst) >= opt.value - 1e-6
 
     def test_zero_cost(self):
         inst = make_instance(8, seed=1)
@@ -247,7 +252,7 @@ class TestSolve:
         for seed in range(20):
             inst = make_instance(10, seed=seed)
             opt = enumerate_exact(inst)
-            assert _bound(_data(inst)) >= opt.value - 1e-6
+            assert _bound(inst) >= opt.value - 1e-6
 
     def test_tighter_capacity_never_raises_bound(self):
         hits = 0
@@ -259,7 +264,7 @@ class TestSolve:
             tight = Instance(inst.k, inst.a, inst.b - 1, inst.C)
             if preprocess(tight).k_max < inst.k:
                 continue
-            assert _bound(_data(tight)) <= _bound(_data(inst)) + 1e-5
+            assert _bound(tight) <= _bound(inst) + 1e-5
             hits += 1
         assert hits >= 3
 
@@ -389,32 +394,29 @@ class TestKLightestFace:
         inst = make_instance(12, seed=6)
         tight = Instance(inst.k, inst.a, inst.b - 1, inst.C)
         assert tight.b == preprocess(tight).b_prime
-        data = _data(tight)
-        assert solve(data, data.C_bar, TIGHT_TOL).status == ipm.OPTIMAL
         assert enumerate_exact(tight).value == 1530
-        assert abs(_bound(data) - 1530) <= 1e-6
+        assert _bound(tight) == 1530
 
     @pytest.mark.parametrize("name", sorted(K_LIGHTEST_CASES))
     def test_bound_valid_and_solved_to_optimality(self, name):
         for seed in range(3):
             inst = k_lightest_instance(name, seed=seed)
-            data = _data(inst)
-            sol = solve(data, data.C_bar, TIGHT_TOL)
-            assert sol.status == ipm.OPTIMAL
             opt = enumerate_exact(inst).value
-            val = sol.certified_dual + data.const_term
+            val = _bound(inst)
             assert val >= opt - 1e-6
             _, tie, _, need = k_lightest_face(inst)
             if need in (1, tie.sum()):
                 # one selection, or the best single item of the tie class
-                assert abs(val - opt) <= 1e-6
+                assert val == opt
+            else:
+                data = _data(inst)
+                assert solve(data, data.C_bar, TIGHT_TOL).status == ipm.OPTIMAL
 
     def test_zero_dimensional_relaxation(self):
-        data = _data(k_lightest_instance("all_tied_unique"))
+        inst = k_lightest_instance("all_tied_unique")
+        data = _data(inst)
         assert data.dim == 0
-        sol = solve(data, np.zeros((0, 0)), TIGHT_TOL)
-        assert sol.status == ipm.OPTIMAL and sol.iterations == 0
-        assert _bound(data) == data.const_term
+        assert _bound(inst) == data.const_term == enumerate_exact(inst).value
 
 
 def test_certify_dual_repairs_infeasible_point(rng):

@@ -211,3 +211,36 @@ class TestKLightestReduction:
         data = build(padded)
         x = extract_fractional(np.eye(data.dim), data)
         assert x.shape == (7,) and x[-1] == 0 and x[0] == 1
+
+
+class TestExactCases:
+    def test_dimension_zero_or_at_least_three(self):
+        # build decides every exact case: a relaxation of dimension 0 holds
+        # the best selection and its value, and any other relaxation has a
+        # triangle to cut with
+        base = make_instance(10, seed=5)
+        total = int(base.a.sum())
+        heavy = Instance(1, np.array([5, 1, 9, 2]), 4, np.diag([3, 2, 8, 1]))
+        cases = [
+            Instance(0, base.a, base.b, base.C),
+            Instance(1, base.a, base.b, base.C),
+            Instance(base.n, base.a, total, base.C),
+            heavy,  # the largest diagonal entry is on an item heavier than b
+            Instance(0, np.array([10, 20]), 40, np.array([[3, 5], [5, 7]])),
+            Instance(2, np.array([1, 2, 3]), 5, np.ones((3, 3), dtype=np.int64)),
+            # n == 2k, with slack above b'
+            Instance(5, base.a, int(np.sort(base.a)[:5].sum()) + 1, base.C),
+        ]
+        cases += [k_lightest_instance(name, seed) for name in sorted(K_LIGHTEST_CASES)
+                  for seed in range(2)]
+        dims = []
+        for inst in cases:
+            data = build(inst)
+            dims.append(data.dim)
+            assert data.dim == 0 or data.dim >= 3
+            if data.dim == 0:
+                opt = enumerate_exact(inst)
+                assert data.const_term == opt.value
+                assert inst.is_feasible(data.x_fixed)
+                assert inst.objective(data.x_fixed) == opt.value
+        assert dims[:7] == [0, 0, 0, 0, 0, 3, base.n + 1]

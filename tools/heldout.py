@@ -10,12 +10,14 @@ go to branch-and-prune and run no IPM.  ``roots`` bounds six larger draws
 with ``bnb.node_bound(..., root=True)``, as ``kqkp bound`` does.  IPM
 iterations and statuses are counted by wrapping ``ipm.solve``, so a
 restarted solve that falls back to the cold start counts once, with both
-attempts' iterations.
+attempts' iterations; the bundle's stop reasons are counted by wrapping
+``bundle.minimize``.
 
 Per draw the script prints its status, value (or root bound), nodes, evals,
-IPM iterations and the IPM statuses other than ``optimal``; per set the
-totals and a digest of the answers (status and value of every draw, or
-every root bound to 1e-2), so two checkouts compare line by line.  It
+IPM iterations, the IPM statuses other than ``optimal`` and the bundle's
+stop reasons (``stop_<reason>``); per set the totals and a digest of the
+answers (status and value of every draw, or every root bound to 1e-2), so
+two checkouts compare line by line.  It
 prints no times: run both sides of a comparison on one machine, one after
 the other.  BLAS runs on one thread.  ``--checkout`` imports ``kqkp`` from DIR/src instead of the
 checkout holding this script.
@@ -48,23 +50,29 @@ DENSITIES = (25, 50, 75, 100)
 
 
 @contextmanager
-def count_ipm(ipm):
-    """Wrap ``ipm.solve`` for the block; yields a Counter of its iterations
-    (``iters``) and of each status it returned."""
+def count_calls(ipm, bundle):
+    """Wrap ``ipm.solve`` and ``bundle.minimize`` for the block; yields a
+    Counter of the IPM's iterations (``iters``), of each status it returned
+    and of each stop reason of the bundle (``stop_<reason>``)."""
     counts = Counter()
-    real = ipm.solve
+    real_solve, real_minimize = ipm.solve, bundle.minimize
 
-    def counted(*args):
-        sol = real(*args)
+    def solve(*args):
+        sol = real_solve(*args)
         counts["iters"] += sol.iterations
         counts[sol.status] += 1
         return sol
 
-    ipm.solve = counted
+    def minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        counts[f"stop_{res.reason}"] += 1
+        return res
+
+    ipm.solve, bundle.minimize = solve, minimize
     try:
         yield counts
     finally:
-        ipm.solve = real
+        ipm.solve, bundle.minimize = real_solve, real_minimize
 
 
 def row(label: str, answer: str, nodes: int, evals: int, counts: Counter) -> str:
@@ -74,7 +82,7 @@ def row(label: str, answer: str, nodes: int, evals: int, counts: Counter) -> str
             f"ipm_iters {counts['iters']:>6} {other}").rstrip()
 
 
-def run_set(name: str, bnb, generator, ipm) -> None:
+def run_set(name: str, bnb, bundle, generator, ipm) -> None:
     if name == "roots":
         draws = ROOTS
     else:
@@ -86,7 +94,7 @@ def run_set(name: str, bnb, generator, ipm) -> None:
         inst = generator.generate(generator.GenSpec(n, d, s))
         if name != "roots" and inst.k <= 10:
             continue
-        with count_ipm(ipm) as counts:
+        with count_calls(ipm, bundle) as counts:
             if name == "roots":
                 bound, _, used, _ = bnb.node_bound(inst, bnb.SolverConfig(),
                                                    float("-inf"), root=True)
@@ -120,10 +128,10 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    from kqkp import bnb, generator, ipm
+    from kqkp import bnb, bundle, generator, ipm
 
     for name in names:
-        run_set(name, bnb, generator, ipm)
+        run_set(name, bnb, bundle, generator, ipm)
     return 0
 
 
