@@ -29,11 +29,9 @@ pruning by cardinality/capacity feasibility, as in the paper, and by a
 combinatorial upper bound against the best value so far (see
 ``branch_and_prune``).  It is exact for its subtree and takes over at the
 root for k <= 10 and at a node once the remaining cardinality drops to
-<= 5.  A cardinality of 1, or one equal to the number of free items, goes
-to it at any threshold: that search is linear in n or a single selection.
-It reports only selections that beat the incumbent.  It honours the time
-limit like the rest of the search: stopped at the root, the solve returns
-its incumbent with no bound.
+<= 5.  It reports only selections that beat the incumbent.  It honours the
+time limit like the rest of the search: stopped at the root, the solve
+returns its incumbent with no bound.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ class SolverConfig:
     cuts_per_update: int | None = None  # None -> min(5n, 300)
     bnp_node_k: int = 5
     bnp_root_k: int = 10
-    use_cuts: bool = True  # False: one evaluation, the plain SDP bound
 
 
 @dataclass
@@ -231,25 +228,24 @@ def _remap(pool: tuple, index: np.ndarray) -> tuple:
     return np.column_stack([ijk[keep], cuts[keep, 3]]), gamma[keep]
 
 
-def node_bound(inst: Instance, cfg: SolverConfig, lower_bound: float,
-               root: bool, deadline: float | None = None, pool: tuple | None = None):
-    """Bundle (or plain SDP) bound for an instance: (bound, x_frac, evals, pool).
+def node_bound(inst: Instance, lower_bound: float, max_evals: int,
+               cuts_per_update: int | None = None, deadline: float | None = None,
+               pool: tuple | None = None):
+    """Bundle bound for an instance: (bound, x_frac, evals, pool).
 
-    ``lower_bound`` lets the bundle stop once the bound proves the node
-    prunable (``-inf`` disables that); ``deadline`` is a
-    ``time.perf_counter()`` value after which no further evaluation starts.
-    ``pool`` is the bundle's start, a cut array on the instance's items and
-    its multipliers ``(cuts, gamma)`` (default: the empty pool); the
-    returned pool is the bundle's final one, on the same items.  A relaxation
-    of dimension 0 is exact: x_frac is its best selection, the bound that
-    selection's value, with 0 evaluations and the empty pool.
+    The arguments are ``bundle.minimize``'s, on the instance's items (one
+    evaluation gives the plain SDP bound).  ``pool`` is the bundle's start,
+    a cut array on the instance's items and its multipliers ``(cuts,
+    gamma)`` (default: the empty pool); the returned pool is the bundle's
+    final one, on the same items.  A relaxation of dimension 0 is exact:
+    x_frac is its best selection, the bound that selection's value, with 0
+    evaluations and the empty pool.
     """
     data = relaxation.build(inst)
     if data.dim == 0:
         return (int(data.const_term), data.x_fixed, 0,
                 (np.zeros((0, 4), dtype=np.int64), np.zeros(0)))
-    max_evals = (ROOT_EVALS if root else NODE_EVALS) if cfg.use_cuts else 1
-    res = bundle_mod.minimize(data, lower_bound, max_evals, cfg.cuts_per_update, deadline,
+    res = bundle_mod.minimize(data, lower_bound, max_evals, cuts_per_update, deadline,
                               None if pool is None else _remap(pool, data.coord_of_item))
     return (res.bound, relaxation.extract_fractional(res.X_last, data), res.evals,
             _remap((res.pool, res.gamma), data.item_of_coord))
@@ -293,13 +289,14 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         if bundle_mod.prunable(-neg_bound, best.value):
             break  # best-first: every remaining node is prunable
         nodes += 1
-        at_root = node.depth == 0
         red = node.reduced
-        red_prep = prep if at_root else preprocess(red)
+        red_prep = preprocess(red)
+        bnp_k, max_evals = ((cfg.bnp_root_k, ROOT_EVALS) if node.depth == 0
+                            else (cfg.bnp_node_k, NODE_EVALS))
         if red.k > red_prep.k_max:
             _trace(trace, node, "infeasible")
             continue
-        if red.k <= (cfg.bnp_root_k if at_root else cfg.bnp_node_k) or red.k in (1, red.n):
+        if red.k <= bnp_k:
             stopped = False
             try:
                 # a reduced objective, offset included, is the root objective
@@ -316,8 +313,8 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 # the incumbent's value is no bound: the search did not finish
                 return time_limit_report(node.bound)
             continue
-        nb, x_frac, used, pool = node_bound(red, cfg, best.value, root=at_root,
-                                            deadline=deadline, pool=node.pool)
+        nb, x_frac, used, pool = node_bound(red, best.value, max_evals, cfg.cuts_per_update,
+                                            deadline, node.pool)
         evals += used
         node.bound = min(node.bound, nb)
         if bundle_mod.prunable(node.bound, best.value):

@@ -64,18 +64,18 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     """Branch-and-prune thresholds: read by a search, not by ``bound``."""
-    p.add_argument("--bnp-node-k", type=int, default=_DEFAULT.bnp_node_k, metavar="K",
-                   help="switch to branch-and-prune when node cardinality <= K")
-    p.add_argument("--bnp-root-k", type=int, default=_DEFAULT.bnp_root_k, metavar="K",
-                   help="solve the whole instance by branch-and-prune when k <= K")
+    p.add_argument("--bnp-node-k", type=_int_at_least(0), default=_DEFAULT.bnp_node_k,
+                   metavar="K", help="switch to branch-and-prune when node cardinality <= K")
+    p.add_argument("--bnp-root-k", type=_int_at_least(0), default=_DEFAULT.bnp_root_k,
+                   metavar="K", help="solve the whole instance by branch-and-prune when k <= K")
 
 
 def _config_from_args(args) -> bnb.SolverConfig:
     return bnb.SolverConfig(
         time_limit_s=args.time_limit,
         cuts_per_update=args.cuts_m,
-        bnp_node_k=getattr(args, "bnp_node_k", _DEFAULT.bnp_node_k),
-        bnp_root_k=getattr(args, "bnp_root_k", _DEFAULT.bnp_root_k),
+        bnp_node_k=args.bnp_node_k,
+        bnp_root_k=args.bnp_root_k,
     )
 
 
@@ -139,8 +139,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    cfg = _config_from_args(args)
-    cfg.use_cuts = args.mode == "sdpmet"
     inst = _load_validated(args.path)
     prep = preprocess(inst)
     t0 = time.perf_counter()
@@ -148,8 +146,9 @@ def cmd_bound(args) -> int:
     if inst.k > prep.k_max:
         bound = float("-inf")
     else:
-        bound, _, evals, _ = bnb.node_bound(inst, cfg, float("-inf"), root=True,
-                                            deadline=t0 + cfg.time_limit_s)
+        max_evals = 1 if args.mode == "sdp" else bnb.ROOT_EVALS
+        bound, _, evals, _ = bnb.node_bound(inst, float("-inf"), max_evals, args.cuts_m,
+                                            t0 + args.time_limit)
     payload = {
         "instance": str(args.path),
         "mode": args.mode,

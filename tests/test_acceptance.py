@@ -203,18 +203,16 @@ def test_criterion_07_root_gap(monkeypatch):
 def test_criterion_08_node_economy(suite, monkeypatch):
     with_cuts = []
     without = []
-    monkeypatch.setattr(bnb, "ROOT_EVALS", 10)
-    monkeypatch.setattr(bnb, "NODE_EVALS", 5)
-    cfg_met = SolverConfig(bnp_root_k=0, bnp_node_k=0, use_cuts=True)
-    cfg_sdp = SolverConfig(bnp_root_k=0, bnp_node_k=0, use_cuts=False)
-    for inst, opt in suite:
-        if inst.n != 16:
-            continue
-        r1 = solve(inst, cfg_met)
-        r2 = solve(inst, cfg_sdp)
-        assert r1.best.value == opt and r2.best.value == opt
-        with_cuts.append(r1.nodes)
-        without.append(r2.nodes)
+    cfg = SolverConfig(bnp_root_k=0, bnp_node_k=0)
+    suite16 = [(inst, opt) for inst, opt in suite if inst.n == 16]
+    # one evaluation per node is the plain SDP bound: no cut is ever added
+    for (root_evals, node_evals), nodes in (((10, 5), with_cuts), ((1, 1), without)):
+        monkeypatch.setattr(bnb, "ROOT_EVALS", root_evals)
+        monkeypatch.setattr(bnb, "NODE_EVALS", node_evals)
+        for inst, opt in suite16:
+            rep = solve(inst, cfg)
+            assert rep.best.value == opt
+            nodes.append(rep.nodes)
     m1 = statistics.median(with_cuts)
     m2 = statistics.median(without)
     _verdict(8, "node economy", m1 <= m2,

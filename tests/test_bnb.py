@@ -1,3 +1,4 @@
+import json
 import time
 import types
 from dataclasses import replace
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqkp import bnb, cuts, generator, ipm, relaxation
+from kqkp import bnb, cli, cuts, generator, ipm, relaxation
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
 from kqkp.generator import GenSpec
 from kqkp.heuristics import primal_heuristic
-from kqkp.instance import InfeasibleFix, Instance, fix_variable, preprocess
+from kqkp.instance import InfeasibleFix, Instance, dump, fix_variable, preprocess
 from kqkp.oracle import enumerate_exact
 from conftest import (K_LIGHTEST_CASES, all_cuts, k_lightest_instance, make_instance,
                       record_ipm_calls)
@@ -35,7 +36,7 @@ class TestBranchAndPrune:
         inst = Instance(3, a, 6, np.ones((3, 3), dtype=np.int64))
         out = branch_and_prune(inst)
         assert np.array_equal(out.x, [1, 1, 1])
-        # one selection: the solve enumerates it at the root, whatever the threshold
+        # one selection: below the thresholds the root's exact bound is the answer
         rep = solve(inst, SDP_CFG)
         assert np.array_equal(rep.best.x, [1, 1, 1])
         assert (rep.nodes, rep.evals, rep.root_bound) == (1, 0, rep.best.value)
@@ -168,18 +169,20 @@ class TestSolve:
         assert rep.best is None
 
     def test_trivial_k1(self):
-        # k = 1 is a branch-and-prune leaf at any threshold, processed in the
-        # loop like every node, so the time limit applies to it too
+        # k = 1 is a branch-and-prune leaf under the default thresholds and
+        # otherwise the relaxation's exact bound, with no evaluation; either
+        # is processed in the loop like every node, so the time limit
+        # applies to it too
         inst = Instance(1, np.array([1, 1, 1]), 2,
                         np.diag([2, 7, 4]).astype(np.int64))
-        for cfg in (SolverConfig(), SDP_CFG):
+        for cfg, action in ((SolverConfig(), "bnp_leaf"), (SDP_CFG, "prune")):
             rep = solve(inst, cfg)
             assert rep.status == bnb.STATUS_OPTIMAL
-            assert rep.best.value == 7
+            assert (rep.best.value, rep.evals) == (7, 0)
             assert len(rep.node_trace) == rep.nodes == 1
             assert rep.root_bound == rep.best.value
-            # the leaf's row carries the bound it proved
-            assert rep.node_trace == [(0, 0, 7.0, "bnp_leaf")]
+            # the row carries the bound the node proved
+            assert rep.node_trace == [(0, 0, 7, action)]
         rep = solve(inst, SolverConfig(time_limit_s=0))
         assert rep.status == bnb.STATUS_TIME_LIMIT
         assert rep.best.value == 7
@@ -269,11 +272,34 @@ class TestExactNodes:
         calls = record_ipm_calls(monkeypatch)
         some = all_cuts(inst.n)[::5]
         bound, x, evals, (cuts_, gamma) = bnb.node_bound(
-            inst, SolverConfig(), float("-inf"), root=True, pool=(some, np.ones(len(some))))
+            inst, float("-inf"), bnb.ROOT_EVALS, pool=(some, np.ones(len(some))))
         opt = enumerate_exact(inst)
         assert (calls, evals, len(cuts_), len(gamma)) == ([], 0, 0, 0)
         assert bound == opt.value and isinstance(bound, int)
         assert inst.is_feasible(x) and inst.objective(x) == opt.value
+
+    def test_k_equals_n_node_above_threshold_runs_no_branch_and_prune(self, monkeypatch):
+        # n = k + 1 = 9: the root branches, and its x = 0 child has
+        # k == n = 8, above bnp_node_k
+        base = make_instance(9, seed=2)
+        inst = Instance(8, base.a, int(base.a.sum() - np.sort(base.a)[-3]), base.C)
+        cfg = SolverConfig(bnp_root_k=0)
+        bounded = []
+        real = bnb.node_bound
+
+        def node_bound(red, *args):
+            out = real(red, *args)
+            bounded.append((red.k, red.n, out[2]))
+            return out
+
+        def no_branch_and_prune(*args, **kwargs):
+            raise AssertionError("branch_and_prune called")
+
+        monkeypatch.setattr(bnb, "node_bound", node_bound)
+        monkeypatch.setattr(bnb, "branch_and_prune", no_branch_and_prune)
+        rep = solve(inst, cfg)
+        assert (8, 8, 0) in bounded and 8 > cfg.bnp_node_k
+        assert rep.best.value == enumerate_exact(inst).value
 
 
 def _rank_one(x: np.ndarray) -> np.ndarray:
@@ -416,10 +442,11 @@ class TestIpmTolerance:
 
 
 class TestRootIpmCalls:
-    def test_cut_shifted_root_costs_solve_to_optimal(self, monkeypatch):
-        # the n = 40 d50 s1 root: with a floor sigma >= 0.5 after a short
-        # step, its second IPM stalled at relative gap 4e-2 (slow_progress)
-        # and the bundle stopped after 2 evals
+    def test_cut_shifted_root_costs_solve_to_optimal(self, monkeypatch, tmp_path, capsys):
+        # the n = 40 d50 s1 root, bounded as `kqkp bound --mode sdpmet` does:
+        # with a floor sigma >= 0.5 after a short step, its second IPM
+        # stalled at relative gap 4e-2 (slow_progress) and the bundle
+        # stopped after 2 evals
         statuses = []
         real = ipm.solve
 
@@ -429,9 +456,10 @@ class TestRootIpmCalls:
             return sol
 
         monkeypatch.setattr(ipm, "solve", spy)
-        inst = generator.generate(GenSpec(40, 50, 1))
-        evals = bnb.node_bound(inst, SolverConfig(), -np.inf, root=True)[2]
-        assert evals == bnb.ROOT_EVALS
+        path = tmp_path / "n40_d50_s1.txt"
+        dump(generator.generate(GenSpec(40, 50, 1)), path)
+        assert cli.main(["bound", str(path), "--mode", "sdpmet"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["evals"] == bnb.ROOT_EVALS
         assert statuses == [ipm.OPTIMAL] * bnb.ROOT_EVALS
 
 

@@ -301,6 +301,11 @@ def test_nonpositive_cuts_m_is_usage_error(capsys, value):
     assert "--cuts-m" in err
 
 
+@pytest.mark.parametrize("flag", ["--bnp-node-k", "--bnp-root-k"])
+def test_negative_bnp_threshold_is_usage_error(capsys, flag):
+    assert flag in _usage_error(capsys, ["solve", "F", flag, "-3"])
+
+
 @pytest.mark.parametrize("value", ["0", "1", "2"])
 def test_generate_needs_three_items(capsys, value):
     err = _usage_error(capsys, ["generate", "--n", value, "--density", "50", "--seed", "1"])

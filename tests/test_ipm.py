@@ -24,8 +24,7 @@ def _bound(inst):
     relaxation has dimension 0."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundle, "IPM_TOL", TIGHT_TOL)
-        bound, _, _, _ = bnb.node_bound(inst, bnb.SolverConfig(use_cuts=False),
-                                        float("-inf"), root=True)
+        bound, _, _, _ = bnb.node_bound(inst, float("-inf"), max_evals=1)
     return bound
 
 

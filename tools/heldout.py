@@ -7,20 +7,22 @@ The three tree sets run ``bnb.solve`` with ``SolverConfig()`` (set D with
 ``time_limit_s=150``) on generator draws whose density is
 (25, 50, 75, 100)[seed mod 4]; draws with k <= 10 are skipped, since they
 go to branch-and-prune and run no IPM.  ``roots`` bounds six larger draws
-with ``bnb.node_bound(..., root=True)``, as ``kqkp bound`` does.  IPM
-iterations and statuses are counted by wrapping ``ipm.solve``, so a
-restarted solve that falls back to the cold start counts once, with both
-attempts' iterations; the bundle's stop reasons are counted by wrapping
-``bundle.minimize``.
+with ``bnb.node_bound`` and ``bnb.ROOT_EVALS`` evaluations, as ``kqkp bound
+--mode sdpmet`` does.  IPM iterations and statuses are counted by wrapping
+``ipm.solve``, so a restarted solve that falls back to the cold start counts
+once, with both attempts' iterations; the bundle's stop reasons are counted
+by wrapping ``bundle.minimize``.
 
 Per draw the script prints its status, value (or root bound), nodes, evals,
 IPM iterations, the IPM statuses other than ``optimal`` and the bundle's
 stop reasons (``stop_<reason>``); per set the totals and a digest of the
 answers (status and value of every draw, or every root bound to 1e-2), so
-two checkouts compare line by line.  It
-prints no times: run both sides of a comparison on one machine, one after
-the other.  BLAS runs on one thread.  ``--checkout`` imports ``kqkp`` from DIR/src instead of the
-checkout holding this script.
+two checkouts compare line by line.  It prints no times: run both sides of
+a comparison on one machine, one after the other.  BLAS runs on one thread.
+``--checkout`` imports ``kqkp`` from DIR/src instead of the checkout holding
+this script; that checkout must take the calls above with the same
+signatures, so compare across a signature change by running each side's own
+copy of this script.
 """
 
 from __future__ import annotations
@@ -96,8 +98,7 @@ def run_set(name: str, bnb, bundle, generator, ipm) -> None:
             continue
         with count_calls(ipm, bundle) as counts:
             if name == "roots":
-                bound, _, used, _ = bnb.node_bound(inst, bnb.SolverConfig(),
-                                                   float("-inf"), root=True)
+                bound, _, used, _ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
                 answer, drawn = f"bound {bound:.2f}", 0
             else:
                 cfg = bnb.SolverConfig(time_limit_s=TIME_LIMIT.get(name, 10800.0))
