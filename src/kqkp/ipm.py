@@ -8,31 +8,40 @@ n x 2 border B = [e, a_bar]: the constraint map is A(W) = (diag W; the
 column sums of B o (W B)) and its adjoint is A'(y) = Diag(y[:n]) +
 B Diag(y[n:]) B'.  Every Schur-complement entry and every application of
 A or A' therefore costs O(n^2), so one iteration costs O(n^3) overall.
-Per iteration each iterate P in {X, Z} is factored once, P = L L', and its
-triangular inverse L^{-1} is formed once; Z^{-1} is L_Z^{-T} L_Z^{-1}.
-Under HKM scaling with X, Z positive definite the (n+2) x (n+2) Schur
-matrix is symmetric positive definite, so it too is Cholesky-factored once
-per iteration, and the predictor and corrector directions are both solved
-with that factor.  A factorization of X, Z or the Schur matrix that fails,
-or yields a non-finite factor, ends the solve as ``slow_progress``.  The
-factorizations and solves call LAPACK directly (dpotrf, dtrtri, dpotrs),
-since at n = 40 the numpy.linalg and scipy.linalg wrappers cost more than
-the flops.  The corrector's two step lengths, for X and for Z, are exact:
-each costs two matrix products, W = L^{-1} dP L^{-T}, and one
-smallest-eigenvalue LAPACK call on W.  The predictor's two only steer sigma
-and gamma below, so each is a rung instead: the largest a in LADDER with
-P + a dP passing a Cholesky test (about a sixth of the eigenvalue call at
-n = 100) and within the scalar slack's step, and the exact step only below
-the last rung.  Helmberg, Rendl, Vanderbei & Wolkowicz (SIAM J. Optim.
-1996) likewise keep their iterates positive definite by Cholesky tests.
+Per iteration Z is factored once, Z = L L', and Z^{-1} = L^{-T} L^{-1} is
+formed from its triangular inverse.  Under HKM scaling with X, Z positive
+definite the (n+2) x (n+2) Schur matrix is symmetric positive definite, so
+it too is Cholesky-factored once per iteration, and the predictor and
+corrector directions are both solved with that factor.  A factorization of
+Z or the Schur matrix that fails, or yields a non-finite factor, ends the
+solve as ``slow_progress``.  The factorizations and solves call LAPACK
+directly (dpotrf, dtrtri, dpotrs), since at n = 40 the numpy.linalg and
+scipy.linalg wrappers cost more than the flops.
+
+All four step lengths, for X and for Z in the predictor and the corrector,
+come from one ladder search: the largest a in LADDER with P + a dP passing
+a Cholesky test (about a sixth of a smallest-eigenvalue call at n = 100)
+and within the scalar slack's step.  Where the rung above a failed its
+test, the corrector runs one more test at their midpoint and moves a up to
+it if it passes, which halves the bracket on the distance to the boundary;
+its step is gamma * a, so P + gamma a dP is positive definite by convexity.
+So an iteration makes four ladder searches and at most two midpoint tests,
+and it factors the iterate P and calls the eigenvalue routine (dsyevr on
+L^{-1} dP L^{-T}) only for a step below the last rung, whose exact value it
+then takes; a non-pd X fails every rung and that factorization, and ends
+the solve as ``slow_progress``.  Helmberg, Rendl, Vanderbei & Wolkowicz
+(SIAM J. Optim. 1996) likewise keep their iterates positive definite by
+Cholesky tests.
 
 HKM scaling (Z^{-1}-weighted), infeasible start, one Mehrotra corrector per
 iteration with sigma = (gap_aff/gap)^3 and no floor (Mehrotra, SIAM J. Optim.
-1992), and a corrector step gamma = STEP_MIN + (STEP_MAX - STEP_MIN) *
-min(ap_aff, ad_aff) of the way to the boundary, after SDPT3's 0.9 + 0.09 min
-(Toh, Todd & Tutuncu, Optim. Methods Softw. 1999).  gap_aff, ap_aff and
-ad_aff are read at the predictor's rungs; an affine step rounded down to a
-rung makes sigma and gamma centre a little more.
+1992), and a corrector step of gamma = STEP_MIN + (STEP_MAX - STEP_MIN) *
+min(ap_aff, ad_aff) times its ladder length a, after SDPT3's 0.9 + 0.09 min
+of the way to the boundary (Toh, Todd & Tutuncu, Optim. Methods Softw.
+1999).  gap_aff, ap_aff and ad_aff are read at the predictor's rungs; an
+affine step rounded down to a rung makes sigma and gamma centre a little
+more.  The corrector's a falls short of the distance to the boundary by at
+most half a rung gap.
 
 A solve can restart from an iterate of an earlier one (reoptimization:
 Gondzio & Grothey, SIAM J. Optim. 2002; Yildirim & Wright, SIAM J. Optim.
@@ -73,7 +82,7 @@ ITER_LIMIT = "iter_limit"
 MAX_ITER = 100
 STEP_MIN = 0.95
 STEP_MAX = 0.99
-LADDER = (1.0, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05)  # predictor step lengths, longest first
+LADDER = (1.0, 0.9, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05)  # step lengths, longest first
 RESTART_GAP = 0.3  # relative gap at which an iterate is kept as a restart
 WARM_MAX_ITER = 20  # iterations a restarted solve gets before it starts cold
 
@@ -167,23 +176,46 @@ def _max_step(Li: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> floa
     return alpha
 
 
-def _ladder_step(P: np.ndarray, Li: np.ndarray, dP: np.ndarray, scal: float,
-                 dscal: float) -> float:
-    """The largest rung a of LADDER with P + a*dP pd and a <= -scal/dscal;
-    below the last rung, the exact step capped at 1.
+def _is_pd(P: np.ndarray) -> bool:
+    """Whether P passes a Cholesky test."""
+    try:
+        _cholesky(P)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    ``Li`` is the inverse Cholesky factor of P, read only by the fallback.
-    """
+
+def _ladder(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> tuple:
+    """(a, b): the largest rung a of LADDER with P + a*dP pd and
+    a <= -scal/dscal, and b, the rung above a if its test failed, else None.
+    Below the last rung a is the exact step capped at 1 (which factors P),
+    and b is None.  The rungs are tested top down, so a NaN direction passes
+    none."""
     cap = -scal / dscal if dscal < 0 else np.inf
+    failed = None
     for a in LADDER:
         if a > cap:
             continue
-        try:
-            _cholesky(P + a * dP)
-        except np.linalg.LinAlgError:
-            continue
-        return a
-    return min(1.0, _max_step(Li, dP, scal, dscal))
+        if _is_pd(P + a * dP):
+            return a, failed
+        failed = a
+    return min(1.0, _max_step(_inv_factor(P), dP, scal, dscal)), None
+
+
+def _ladder_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:
+    """The predictor's step length: the a of ``_ladder``."""
+    return _ladder(P, dP, scal, dscal)[0]
+
+
+def _corrector_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:
+    """The corrector's step length: the a of ``_ladder``, moved up to the
+    midpoint of a and b where b failed its test and the midpoint passes.
+    One more Cholesky test halves the bracket on the distance to the
+    boundary, so a falls short of it by at most half a rung gap."""
+    a, b = _ladder(P, dP, scal, dscal)
+    if b is not None and _is_pd(P + 0.5 * (a + b) * dP):
+        return 0.5 * (a + b)
+    return a
 
 
 def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -> float:
@@ -242,11 +274,7 @@ def _warm_point(start: tuple, C: np.ndarray) -> tuple:
     C_start: Z - (C - C_start) if positive definite, else Z."""
     X, s, y, Z, t, C_start = start
     shifted = Z - (C - C_start)
-    try:
-        _cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return X, s, y, Z, t
-    return X, s, y, shifted, t
+    return X, s, y, shifted if _is_pd(shifted) else Z, t
 
 
 def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
@@ -298,7 +326,6 @@ def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
 
         try:
             LZi = _inv_factor(Z)
-            LXi = _inv_factor(X)
             Zi = LZi.T @ LZi
             LM = _cholesky(assemble_schur(Zi, X, B, s, t))
         except np.linalg.LinAlgError:
@@ -327,16 +354,16 @@ def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
         try:
             # predictor (affine scaling)
             dXa, dsa, _, dZa, dta = direction(0.0, None, 0.0)
-            ap = _ladder_step(X, LXi, dXa, s, dsa)
-            ad = _ladder_step(Z, LZi, dZa, t, dta)
+            ap = _ladder_step(X, dXa, s, dsa)
+            ad = _ladder_step(Z, dZa, t, dta)
             gap_aff = float(np.vdot(X + ap * dXa, Z + ad * dZa)) \
                 + (s + ap * dsa) * (t + ad * dta)
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8), 1.0)
             gamma = STEP_MIN + (STEP_MAX - STEP_MIN) * min(ap, ad)
             # corrector
             dX, ds, dy, dZ, dt = direction(sigma * mu, dZa @ dXa, dsa * dta)
-            ap = min(1.0, gamma * _max_step(LXi, dX, s, ds))
-            ad = min(1.0, gamma * _max_step(LZi, dZ, t, dt))
+            ap = gamma * _corrector_step(X, dX, s, ds)
+            ad = gamma * _corrector_step(Z, dZ, t, dt)
         except np.linalg.LinAlgError:
             status = SLOW_PROGRESS
             break

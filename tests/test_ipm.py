@@ -4,8 +4,8 @@ from scipy.linalg import lapack
 
 from kqkp import bnb, bundle, cuts, ipm, relaxation
 from kqkp.instance import Instance, preprocess
-from kqkp.ipm import (_inv_factor, _ladder_step, _max_step, assemble_schur, certify_dual,
-                      solve)
+from kqkp.ipm import (_corrector_step, _inv_factor, _ladder_step, _max_step, assemble_schur,
+                      certify_dual, solve)
 from kqkp.oracle import enumerate_exact
 from _reference import (dense_adjoint_op, dense_constraint_op, naive_max_step,
                         naive_schur, random_spd)
@@ -133,19 +133,37 @@ class TestStepLength:
             _inv_factor(np.diag([1.0, -1.0, 2.0]))
 
     def test_failed_primal_factorization_ends_as_slow_progress(self, monkeypatch):
-        # the first iterate pairs Z = zeta*I with a dense X, so X is the only
-        # non-diagonal matrix factored; its factorization fails
-        factor = ipm._inv_factor
+        # X is only factored by a step length's fallback below the last rung.
+        # A start X + E whose E has a zero diagonal and E B = 0 leaves the
+        # Schur matrix of the cold start unchanged, but makes X indefinite:
+        # every rung of the predictor's X step fails, and so does the
+        # fallback's factorization of X
+        cold_point = ipm._cold_point
 
-        def failing(P):
-            if np.count_nonzero(P - np.diag(np.diag(P))):
-                raise np.linalg.LinAlgError("not positive definite")
-            return factor(P)
+        def indefinite(data, C):
+            X, s, y, Z, t = cold_point(data, C)
+            n = data.dim
+            B = ipm._border(data.a_bar)
+            half = n // 2
+            w, u = np.zeros(n), np.zeros(n)
+            w[:half] = np.linalg.svd(B[:half].T)[2][-1]
+            u[half:] = np.linalg.svd(B[half:].T)[2][-1]
+            E = 10.0 * (np.outer(w, u) + np.outer(u, w))
+            assert np.abs(E @ B).max() <= 1e-12 and not E.diagonal().any()
+            return X + E, s, y, Z, t
 
-        monkeypatch.setattr(ipm, "_inv_factor", failing)
+        factored = []
+        inv_factor = ipm._inv_factor
+        monkeypatch.setattr(ipm, "_cold_point", indefinite)
+        monkeypatch.setattr(ipm, "_inv_factor", lambda P: factored.append(P) or inv_factor(P))
         data = _data(make_instance(10, seed=0))
+        X0 = indefinite(data, data.C_bar)[0]
+        assert np.linalg.eigvalsh(X0)[0] < 0
         sol = solve(data, data.C_bar, TIGHT_TOL)
         assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
+        # Z, then X in the fallback, which raises
+        assert len(factored) == 2 and np.array_equal(factored[1], X0)
+        assert np.isfinite(sol.certified_dual)
 
     @pytest.mark.parametrize("fill", [-1.0, np.nan], ids=["indefinite", "nan"])
     def test_failed_schur_factorization_ends_as_slow_progress(self, monkeypatch, fill):
@@ -154,10 +172,9 @@ class TestStepLength:
         monkeypatch.setattr(ipm, "assemble_schur",
                             lambda Zi, X, B, s, t: fill * np.eye(X.shape[0] + 2))
         steps, rungs = [], []
-        max_step, ladder_step = ipm._max_step, ipm._ladder_step
+        max_step, ladder = ipm._max_step, ipm._ladder
         monkeypatch.setattr(ipm, "_max_step", lambda *a: steps.append(a) or max_step(*a))
-        monkeypatch.setattr(ipm, "_ladder_step",
-                            lambda *a: rungs.append(a) or ladder_step(*a))
+        monkeypatch.setattr(ipm, "_ladder", lambda *a: rungs.append(a) or ladder(*a))
         data = _data(make_instance(10, seed=0))
         sol = solve(data, data.C_bar, TIGHT_TOL)
         assert sol.status == ipm.SLOW_PROGRESS and sol.iterations == 0
@@ -182,7 +199,7 @@ class TestLadderStep:
             exact = naive_max_step(P, dP, 1.0, 0.0)
             if min(abs(a - exact) for a in ipm.LADDER) <= 1e-9 * exact:
                 continue  # a rung on the boundary: the test could go either way
-            got = _ladder_step(P, _inv_factor(P), dP, 1.0, 0.0)
+            got = _ladder_step(P, dP, 1.0, 0.0)
             below = [a for a in ipm.LADDER if a < exact]
             if below:
                 assert got == below[0]
@@ -194,41 +211,96 @@ class TestLadderStep:
     def test_psd_direction_gives_one(self, rng):
         P = random_spd(rng, 15)
         B = rng.standard_normal((15, 15))
-        assert _ladder_step(P, _inv_factor(P), B @ B.T, 1.0, 0.0) == 1.0
-        assert _ladder_step(P, _inv_factor(P), np.zeros((15, 15)), 1.0, 2.0) == 1.0
+        for step in (_ladder_step, _corrector_step):
+            assert step(P, B @ B.T, 1.0, 0.0) == 1.0
+            assert step(P, np.zeros((15, 15)), 1.0, 2.0) == 1.0
 
     def test_scalar_slack_caps_the_rung(self, rng):
         P = random_spd(rng, 15)
-        Li = _inv_factor(P)
         B = rng.standard_normal((15, 15))
         psd = B @ B.T
-        assert _ladder_step(P, Li, psd, 0.5, -1.0) == 0.4
-        assert _ladder_step(P, Li, psd, 0.6, -1.0) == 0.6  # a rung on the cap is kept
-        assert _ladder_step(P, Li, psd, 0.03, -1.0) == pytest.approx(0.03)
-        dP = _direction_with_step(rng, P, 0.7)
-        assert _ladder_step(P, Li, dP, 0.5, -1.0) == 0.4
-        assert _ladder_step(P, Li, dP, 0.9, -1.0) == 0.6
+        dP = _direction_with_step(rng, P, 0.75)
+        for step in (_ladder_step, _corrector_step):
+            assert step(P, psd, 0.5, -1.0) == 0.4
+            assert step(P, psd, 0.6, -1.0) == 0.6  # a rung on the cap is kept
+            assert step(P, psd, 0.03, -1.0) == pytest.approx(0.03)
+            assert step(P, dP, 0.5, -1.0) == 0.4
+            assert step(P, dP, 0.65, -1.0) == 0.6  # the rung above is over the cap
+        assert _ladder_step(P, dP, 0.9, -1.0) == 0.6
+        assert _corrector_step(P, dP, 0.9, -1.0) == 0.7  # 0.8 failed, 0.7 passes
+        assert _corrector_step(P, dP, 0.8, -1.0) == 0.7
 
     def test_nan_direction_passes_no_rung(self, monkeypatch, rng):
         P = random_spd(rng, 8)
-        Li = _inv_factor(P)
         rungs = []
         cholesky = ipm._cholesky
         monkeypatch.setattr(ipm, "_cholesky", lambda M: rungs.append(M) or cholesky(M))
         monkeypatch.setattr(ipm, "_max_step", lambda *a: 0.01)
-        assert _ladder_step(P, Li, np.full((8, 8), np.nan), 1.0, 0.0) == 0.01
-        assert len(rungs) == len(ipm.LADDER)
+        for step in (_ladder_step, _corrector_step):
+            rungs.clear()
+            assert step(P, np.full((8, 8), np.nan), 1.0, 0.0) == 0.01
+            # every rung, then the fallback's factorization of P
+            assert len(rungs) == len(ipm.LADDER) + 1
 
-    def test_two_eigenvalue_calls_per_iteration(self, monkeypatch):
-        # the corrector's two exact step lengths; the predictor's rungs are
-        # Cholesky tests, and certify_dual makes one more call
-        calls = []
-        lambda_min = ipm._lambda_min
-        monkeypatch.setattr(ipm, "_lambda_min", lambda S: calls.append(S) or lambda_min(S))
-        data = _data(make_instance(20, seed=0))
-        sol = solve(data, data.C_bar, TIGHT_TOL)
-        assert sol.status == ipm.OPTIMAL and sol.iterations > 5
-        assert len(calls) == 2 * sol.iterations + 1
+    def test_corrector_within_half_a_rung_gap_randomized(self, rng):
+        midpoints = 0
+        for trial in range(200):
+            n = int(rng.integers(2, 41))
+            P = random_spd(rng, n)
+            dP = _direction_with_step(rng, P, 10 ** rng.uniform(-2, 0.5))
+            exact = naive_max_step(P, dP, 1.0, 0.0)
+            got = _corrector_step(P, dP, 1.0, 0.0)
+            if exact < ipm.LADDER[-1]:
+                assert got == pytest.approx(exact, rel=1e-9)
+                continue
+            assert got <= min(1.0, exact) and ipm._is_pd(P + got * dP)
+            if exact >= 1.0:
+                assert got == 1.0
+                continue
+            # exact lies in [lo, hi) for two adjacent rungs
+            hi = min(a for a in ipm.LADDER if a > exact)
+            lo = max(a for a in ipm.LADDER if a <= exact)
+            assert exact - got <= 0.5 * (hi - lo)
+            midpoints += got == 0.5 * (hi + lo)
+        assert midpoints > 20
+
+    def test_eigenvalue_calls_only_below_the_last_rung(self, monkeypatch):
+        # each iteration factors Z once, for the Schur matrix; X is factored,
+        # and an eigenvalue computed, only in a step length's fallback below
+        # the last rung, and certify_dual makes one more eigenvalue call
+        calls = {"lambda_min": 0, "inv_factor": 0, "fallback": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(ipm, fn.__name__, counted)
+
+        spy("lambda_min", ipm._lambda_min)
+        spy("inv_factor", ipm._inv_factor)
+        spy("fallback", ipm._max_step)
+        iterations = 0
+        for seed in range(4):
+            data = _data(make_instance(20, seed=seed))
+            sol = solve(data, data.C_bar, TIGHT_TOL)
+            assert sol.status == ipm.OPTIMAL and sol.iterations > 5
+            iterations += sol.iterations
+        assert calls["lambda_min"] == calls["fallback"] + 4
+        assert calls["inv_factor"] == iterations + calls["fallback"]
+        assert calls["fallback"] <= iterations  # of 4 step lengths per iteration
+
+    def test_every_iterate_is_interior(self, monkeypatch):
+        # the iterate that starts iteration m is the one a solve capped at m
+        # iterations returns
+        for n, seed in ((20, 1), (30, 2), (40, 3)):
+            data = _data(make_instance(n, seed=seed))
+            last = solve(data, data.C_bar, TIGHT_TOL).iterations
+            for m in range(1, last + 1):
+                monkeypatch.setattr(ipm, "MAX_ITER", m)
+                sol = solve(data, data.C_bar, TIGHT_TOL)
+                assert ipm._is_pd(sol.X) and ipm._is_pd(sol.Z)
+                assert sol.s > 0 and sol.t > 0
+            monkeypatch.undo()
 
 
 class TestSolve:
