@@ -163,11 +163,20 @@ def _simplex_qp(Q: np.ndarray, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _line_max(z: np.ndarray, b: np.ndarray, cd: float, u: float) -> float:
     """The t in [0, 1] maximizing theta(lam + t d), where z = center - G lam / u,
     b = G d / u and cd = c'd.  The slope cd + u * sum(b * max(0, z - t b)) is
-    continuous, piecewise linear and nonincreasing in t: find its zero."""
+    continuous, piecewise linear and nonincreasing in t: find its zero.
+    Between kinks z / b it is cd + u (S1 - t S2), S1 and S2 summing b z and
+    b^2 over the terms with z > t b, which a kink adds (b < 0) or drops."""
     with np.errstate(divide="ignore", invalid="ignore"):
         kinks = z / b
-    ts = np.concatenate(([0.0], np.sort(kinks[(kinks > 0) & (kinks < 1)]), [1.0]))
-    slope = cd + u * (b[:, None] * np.maximum(0.0, z[:, None] - np.outer(b, ts))).sum(0)
+    inner = np.flatnonzero((kinks > 0) & (kinks < 1))
+    inner = inner[np.argsort(kinks[inner])]
+    ts = np.concatenate(([0.0], kinks[inner], [1.0]))
+    # active just right of t = 0: a term with z = 0 and b < 0 enters at 0
+    active = ((b > 0) & (kinks > 0)) | ((b < 0) & (kinks <= 0))
+    bz, bb, sign = b * z, b * b, -np.sign(b[inner])
+    S1 = np.cumsum(np.concatenate(([bz[active].sum()], sign * bz[inner], [0.0])))
+    S2 = np.cumsum(np.concatenate(([bb[active].sum()], sign * bb[inner], [0.0])))
+    slope = cd + u * (S1 - ts * S2)
     if slope[-1] >= 0:
         return 1.0
     i = int(np.argmax(slope < 0))

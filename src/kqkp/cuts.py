@@ -17,7 +17,6 @@ empty list is a (0, 4) array.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -31,8 +30,9 @@ def _triples(n: int) -> np.ndarray:
     """Flat indices i*n+j, i*n+k, j*n+k of the entries (i, j), (i, k), (j, k)
     of an n x n matrix, one column per triple i < j < k in lexicographic
     order: a (3, C(n,3)) array."""
-    arr = np.array(list(combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
-    I, J, K = arr.T
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    # nonzero lists the (i, j, k) with i < j < k in C, so lexicographic, order
+    I, J, K = np.nonzero(upper[:, :, None] & upper[None, :, :])
     return np.stack([I * n + J, I * n + K, J * n + K])
 
 

@@ -12,7 +12,9 @@ Per iteration Z is factored once, Z = L L', and Z^{-1} = L^{-T} L^{-1} is
 formed from its triangular inverse.  Under HKM scaling with X, Z positive
 definite the (n+2) x (n+2) Schur matrix is symmetric positive definite, so
 it too is Cholesky-factored once per iteration, and the predictor and
-corrector directions are both solved with that factor.  A factorization of
+corrector directions are both solved with that factor.  An iteration makes
+five n x n products: Z^{-1}, Rd X, the corrector term dZ_aff dX_aff and one
+product with Z^{-1} per direction (``_direction``).  A factorization of
 Z or the Schur matrix that fails, or yields a non-finite factor, ends the
 solve as ``slow_progress``.  The factorizations and solves call LAPACK
 directly (dpotrf, dtrtri, dpotrs), since at n = 40 the numpy.linalg and
@@ -25,13 +27,15 @@ and within the scalar slack's step.  Where the rung above a failed its
 test, the corrector runs one more test at their midpoint and moves a up to
 it if it passes, which halves the bracket on the distance to the boundary;
 its step is gamma * a, so P + gamma a dP is positive definite by convexity.
-So an iteration makes four ladder searches and at most two midpoint tests,
-and it factors the iterate P and calls the eigenvalue routine (dsyevr on
-L^{-1} dP L^{-T}) only for a step below the last rung, whose exact value it
-then takes; a non-pd X fails every rung and that factorization, and ends
-the solve as ``slow_progress``.  Helmberg, Rendl, Vanderbei & Wolkowicz
-(SIAM J. Optim. 1996) likewise keep their iterates positive definite by
-Cholesky tests.
+Each search starts one rung above where it ended in the last iteration
+(rung 0 in the first) and walks up or down to the rungs a search from the
+top would find.  So an iteration makes four ladder searches and at most two
+midpoint tests, and it factors the iterate P and calls the eigenvalue
+routine (dsyevr on L^{-1} dP L^{-T}) only for a step below the last rung,
+whose exact value it then takes; a non-pd X fails every rung and that
+factorization, and ends the solve as ``slow_progress``.  Helmberg, Rendl,
+Vanderbei & Wolkowicz (SIAM J. Optim. 1996) likewise keep their iterates
+positive definite by Cholesky tests.
 
 HKM scaling (Z^{-1}-weighted), infeasible start, one Mehrotra corrector per
 iteration with sigma = (gap_aff/gap)^3 and no floor (Mehrotra, SIAM J. Optim.
@@ -59,9 +63,9 @@ costs at most that many iterations and the stop test is the same either way.
 
 The returned solution also carries a *certified* dual value: the dual
 iterate is repaired to exact feasibility (clamping the inequality
-multiplier and shifting the diagonal duals by the most negative eigenvalue
-of the reconstructed dual slack matrix), which makes the reported upper
-bound valid regardless of how tightly the solve converged.
+multiplier; a Cholesky test that covers its rounding proves the dual slack
+matrix psd, or else the diagonal duals move by its smallest eigenvalue),
+which makes the reported upper bound valid however loosely it converged.
 """
 
 from __future__ import annotations
@@ -185,48 +189,80 @@ def _is_pd(P: np.ndarray) -> bool:
     return True
 
 
-def _ladder(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> tuple:
-    """(a, b): the largest rung a of LADDER with P + a*dP pd and
-    a <= -scal/dscal, and b, the rung above a if its test failed, else None.
-    Below the last rung a is the exact step capped at 1 (which factors P),
-    and b is None.  The rungs are tested top down, so a NaN direction passes
-    none."""
+def _ladder(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float,
+            start: int = 0) -> tuple:
+    """(a, b, i): the largest rung a = LADDER[i] with P + a*dP pd and
+    a <= -scal/dscal, and b, the rung above a if its test failed, else None;
+    below the last rung the exact step capped at 1 (which factors P), None
+    and len(LADDER).  The search tests rung ``start`` (or the first under the
+    cap) and walks up while rungs pass, down while they fail: P + a*dP is pd
+    on an interval of a, so a and b are those of a search from the top."""
     cap = -scal / dscal if dscal < 0 else np.inf
-    failed = None
-    for a in LADDER:
-        if a > cap:
-            continue
-        if _is_pd(P + a * dP):
-            return a, failed
-        failed = a
-    return min(1.0, _max_step(_inv_factor(P), dP, scal, dscal)), None
+    top = next((i for i, a in enumerate(LADDER) if a <= cap), len(LADDER))
+    i = max(start, top)
+    if i < len(LADDER) and _is_pd(P + LADDER[i] * dP):
+        while i > top and _is_pd(P + LADDER[i - 1] * dP):
+            i -= 1
+        return LADDER[i], LADDER[i - 1] if i > top else None, i
+    for i in range(i + 1, len(LADDER)):
+        if _is_pd(P + LADDER[i] * dP):
+            return LADDER[i], LADDER[i - 1], i
+    return min(1.0, _max_step(_inv_factor(P), dP, scal, dscal)), None, len(LADDER)
 
 
-def _ladder_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:
-    """The predictor's step length: the a of ``_ladder``."""
-    return _ladder(P, dP, scal, dscal)[0]
-
-
-def _corrector_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> float:
-    """The corrector's step length: the a of ``_ladder``, moved up to the
-    midpoint of a and b where b failed its test and the midpoint passes.
-    One more Cholesky test halves the bracket on the distance to the
-    boundary, so a falls short of it by at most half a rung gap."""
-    a, b = _ladder(P, dP, scal, dscal)
+def _corrector_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float,
+                    start: int = 0) -> tuple:
+    """(a, i): the (a, i) of ``_ladder``, a moved up to the midpoint of a and
+    b where b failed and the midpoint passes its test.  That halves the
+    bracket: a is within half a rung gap of the boundary."""
+    a, b, i = _ladder(P, dP, scal, dscal, start)
     if b is not None and _is_pd(P + 0.5 * (a + b) * dP):
-        return 0.5 * (a + b)
-    return a
+        return 0.5 * (a + b), i
+    return a, i
+
+
+def _direction(Zi: np.ndarray, LM: np.ndarray, X: np.ndarray, s: float, t: float, B: np.ndarray,
+               rhs: np.ndarray, Rd: np.ndarray, N: np.ndarray, mu: float, scorr: float) -> tuple:
+    """The HKM direction (dX, ds, dy, dZ, dt), LM the Schur factor: dX = Z^{-1}
+    (N + mu I - A'(dy) X) - X, N = Rd X - Corr, its one n x n product.  The
+    right-hand side A(Z^{-1} (N + mu I)) - rhs + s e_{n+1} costs O(n^2): row
+    sums of Z^{-1} o N', column sums of (Z^{-1} B) o (N B + mu B)."""
+    n = X.shape[0]
+    rs = (mu - s * t - scorr) / t
+    r = np.concatenate([np.einsum("ij,ji->i", Zi, N) + mu * Zi.diagonal(),
+                        ((Zi @ B) * (N @ B + mu * B)).sum(axis=0)]) - rhs
+    r[n + 1] += s + rs
+    dy, _ = lapack.dpotrs(LM, r, lower=1)
+    dZ = _adjoint_op(dy, B) - Rd
+    # A'(dy) X in O(n^2): Diag(dy[:n]) X + B Diag(dy[n:]) (B'X)
+    M = N - dy[:n, None] * X
+    M -= (B * dy[n:]) @ (B.T @ X)
+    M.flat[::n + 1] += mu
+    dX = Zi @ M - X
+    dX = 0.5 * (dX + dX.T)
+    dt = float(dy[n + 1])
+    return dX, rs - (s / t) * dt, dy, dZ, dt
 
 
 def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -> float:
-    """Repair y to exact dual feasibility and return the (valid) dual value."""
+    """Repair y to exact dual feasibility and return the (valid) dual value.
+
+    With y[n+1] clamped at 0, a Cholesky factorization of A = fl(Zc - delta
+    I), Zc = A'(y) - C, that runs to completion proves Zc (as computed; its
+    lower triangle) psd (Rump, BIT 46, 2006): with u = 2^-53 and g_k = k u /
+    (1 - k u) the factor has R'R = A + E, |E| <= g_{n+1} |R'||R| (Higham,
+    Accuracy and Stability, 2002, Thm 10.3), so lambda_min(A) >= -g_{n+1} /
+    (1 - g_{n+1}) trace(A); the subtraction moves A_ii by <= u |Zc_ii -
+    delta|.  So lambda_min(Zc) >= delta - (n+2) u T / (1 - 2 (n+2) u), T =
+    sum |Zc_ii|, and delta = 2 (n+2) u T + 2^-1000 covers that, its own
+    rounding and underflow.  Else y[:n] moves by delta - lambda_min(Zc)."""
     n = C.shape[0]
     y = y.copy()
     y[n + 1] = max(y[n + 1], 0.0)
     Zc = _adjoint_op(y, B) - C
-    lam = _lambda_min(0.5 * (Zc + Zc.T))
-    if lam < 0:
-        y[:n] += -lam * (1.0 + 1e-12) + 1e-14
+    Zc.flat[::n + 1] -= (n + 2) * 2.0 ** -52 * float(np.abs(Zc.diagonal()).sum()) + 2.0 ** -1000
+    if not _is_pd(Zc):
+        y[:n] -= _lambda_min(0.5 * (Zc + Zc.T))
     return float(rhs @ y)
 
 
@@ -295,6 +331,7 @@ def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
     recent_gaps = deque(maxlen=6)  # relgap of the last 6 iterations (stall test)
     pobj = dobj = 0.0
     restart = None
+    px = pz = cx = cz = 0  # the rung where each ladder search ended last
 
     for it in range(max_iter):
         iters = it
@@ -332,42 +369,26 @@ def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
             status = SLOW_PROGRESS
             break
 
-        ZiRdX = Zi @ (Rd @ X)
-        BtX = B.T @ X
-
-        def direction(mu_t, Corr, scorr):
-            stuff = mu_t * Zi - X + ZiRdX
-            if Corr is not None:
-                stuff = stuff - Zi @ Corr
-            rs = (mu_t - s * t - scorr) / t
-            r = _constraint_op(stuff, B) - rp
-            r[n + 1] += rs
-            dy, _ = lapack.dpotrs(LM, r, lower=1)
-            dZ = _adjoint_op(dy, B) - Rd
-            # A'(dy) X in O(n^2): Diag(dy[:n]) X + B Diag(dy[n:]) (B'X)
-            dX = stuff - Zi @ (dy[:n, None] * X + (B * dy[n:]) @ BtX)
-            dX = 0.5 * (dX + dX.T)
-            dt = float(dy[n + 1])
-            ds = rs - (s / t) * dt
-            return dX, ds, dy, dZ, dt
-
+        RdX = Rd @ X
         try:
             # predictor (affine scaling)
-            dXa, dsa, _, dZa, dta = direction(0.0, None, 0.0)
-            ap = _ladder_step(X, dXa, s, dsa)
-            ad = _ladder_step(Z, dZa, t, dta)
+            dXa, dsa, _, dZa, dta = _direction(Zi, LM, X, s, t, B, rhs, Rd, RdX, 0.0, 0.0)
+            ap, _, px = _ladder(X, dXa, s, dsa, max(px - 1, 0))
+            ad, _, pz = _ladder(Z, dZa, t, dta, max(pz - 1, 0))
             gap_aff = float(np.vdot(X + ap * dXa, Z + ad * dZa)) \
                 + (s + ap * dsa) * (t + ad * dta)
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-8), 1.0)
             gamma = STEP_MIN + (STEP_MAX - STEP_MIN) * min(ap, ad)
             # corrector
-            dX, ds, dy, dZ, dt = direction(sigma * mu, dZa @ dXa, dsa * dta)
-            ap = gamma * _corrector_step(X, dX, s, ds)
-            ad = gamma * _corrector_step(Z, dZ, t, dt)
+            dX, ds, dy, dZ, dt = _direction(Zi, LM, X, s, t, B, rhs, Rd, RdX - dZa @ dXa,
+                                            sigma * mu, dsa * dta)
+            ap, cx = _corrector_step(X, dX, s, ds, max(cx - 1, 0))
+            ad, cz = _corrector_step(Z, dZ, t, dt, max(cz - 1, 0))
         except np.linalg.LinAlgError:
             status = SLOW_PROGRESS
             break
 
+        ap, ad = gamma * ap, gamma * ad
         X = X + ap * dX
         X = 0.5 * (X + X.T)
         s = s + ap * ds

@@ -10,6 +10,16 @@ Python tuples, so it shares no code with the vectorized ``cuts.separate``.
 The naive step length factors P afresh, applies L^{-1} by two triangular
 solves and takes the full spectrum, where ``ipm._max_step`` reuses an
 inverse factor and asks LAPACK for one eigenvalue.
+The top-down ladder tests every rung from the longest, with numpy's
+Cholesky factorization, where ``ipm._ladder`` starts at a given rung and
+walks up or down.
+The reference search direction is the formula the IPM used before it
+folded the cost residual into one product with Z^{-1}: it forms
+Z^{-1} Rd X and Z^{-1} Corr apart, and solves the Schur system built from
+the trace formula.
+The dense line search of the bundle evaluates the slope at every kink as an
+m x (kinks + 2) matrix, where ``bundle._line_max`` sorts the kinks and
+keeps running sums.
 The reference bundle subproblem solver hands the simplex dual to SciPy's
 general-purpose SLSQP, where ``bundle._solve_model`` solves it exactly by an
 active-set method of its own; the package itself does not use
@@ -78,6 +88,59 @@ def naive_max_step(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> 
     if dscal < 0:
         alpha = min(alpha, -scal / dscal)
     return alpha
+
+
+def _passes_cholesky(P: np.ndarray) -> bool:
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(P)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def top_down_ladder(P: np.ndarray, dP: np.ndarray, scal: float, dscal: float,
+                    rungs) -> tuple:
+    """(a, b): the first rung a, from the longest, with a <= -scal/dscal and
+    P + a*dP positive definite, and b, the rung tested just before it if it
+    failed, else None; below the last rung the exact step capped at 1."""
+    failed = None
+    for a in rungs:
+        if dscal < 0 and a > -scal / dscal:
+            continue
+        if _passes_cholesky(P + a * dP):
+            return a, failed
+        failed = a
+    return min(1.0, naive_max_step(P, dP, scal, dscal)), None
+
+
+def reference_direction(Zi, X, s, t, a_bar, rp, Rd, Corr, mu, scorr) -> tuple:
+    """The HKM direction (dX, ds, dy, dZ, dt) from the unfolded formula:
+    W = mu Z^{-1} - X + Z^{-1} Rd X - Z^{-1} Corr, M dy = A(W) - rp (plus
+    the slack's row), dZ = A'(dy) - Rd and dX = sym(W - Z^{-1} A'(dy) X)."""
+    n = X.shape[0]
+    W = mu * Zi - X + Zi @ (Rd @ X) - Zi @ Corr
+    rs = (mu - s * t - scorr) / t
+    r = dense_constraint_op(W, a_bar) - rp
+    r[n + 1] += rs
+    dy = np.linalg.solve(naive_schur(Zi, X, a_bar, s, t), r)
+    Aty = dense_adjoint_op(dy, a_bar)
+    dX = W - Zi @ Aty @ X
+    dt = float(dy[n + 1])
+    return 0.5 * (dX + dX.T), rs - (s / t) * dt, dy, Aty - Rd, dt
+
+
+def dense_line_max(z: np.ndarray, b: np.ndarray, cd: float, u: float) -> float:
+    """The t in [0, 1] where cd + u * sum(b * max(0, z - t b)) crosses zero,
+    the slope evaluated at 0, 1 and every kink z/b in between."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = z / b
+    ts = np.concatenate(([0.0], np.sort(kinks[(kinks > 0) & (kinks < 1)]), [1.0]))
+    slope = cd + u * (b[:, None] * np.maximum(0.0, z[:, None] - np.outer(b, ts))).sum(0)
+    if slope[-1] >= 0:
+        return 1.0
+    i = int(np.argmax(slope < 0))
+    if i == 0:
+        return 0.0
+    return ts[i - 1] + (ts[i] - ts[i - 1]) * slope[i - 1] / (slope[i - 1] - slope[i])
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:

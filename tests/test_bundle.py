@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from kqkp import bnb, bundle, cuts, relaxation
 from kqkp.bundle import minimize, oracle_eval
 from kqkp.oracle import enumerate_exact
-from _reference import reference_solve_model
+from _reference import dense_line_max, reference_solve_model
 from conftest import all_cuts, make_instance, minimize_with_bounds
 
 
@@ -352,6 +352,40 @@ def subproblems(draw):
     zero_share = draw(st.floats(0, 1))
     center = np.where(rng.random(m) < zero_share, 0.0, rng.uniform(0.0, 30.0, size=m))
     return lin_c, G, center, u
+
+
+@st.composite
+def line_searches(draw):
+    """(z, b, cd, u) of a line search: coordinates from a grid that makes
+    b = 0, z = 0 and kinks z / b at 0 and 1 common, or random floats."""
+    m = draw(st.integers(1, 60))
+    grid = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    value = grid if draw(st.booleans()) else st.floats(-5.0, 5.0)
+    z = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(value, min_size=m, max_size=m)))
+    ones = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    b[ones] = z[ones]  # kinks at 1, or 0 / 0
+    cd = draw(st.floats(-20.0, 20.0) | st.sampled_from([-1.0, 0.0, 1.0]))
+    return z, b, cd, 10.0 ** draw(st.floats(-2, 2))
+
+
+def _line_value(z, b, cd, u, t):
+    """theta along the line up to a constant: the integral of the slope."""
+    return cd * t - 0.5 * u * float((np.maximum(0.0, z - t * b) ** 2).sum())
+
+
+class TestLineMax:
+    @given(line_searches())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_dense_slope_formula(self, search):
+        z, b, cd, u = search
+        got, want = bundle._line_max(z, b, cd, u), dense_line_max(z, b, cd, u)
+        assert 0.0 <= got <= 1.0
+        if abs(got - want) > 1e-12:
+            # a slope flat at zero to rounding: any t there maximizes theta
+            scale = 1.0 + abs(cd) + u * float((np.abs(b) * (np.abs(z) + np.abs(b))).sum())
+            assert abs(_line_value(z, b, cd, u, got)
+                       - _line_value(z, b, cd, u, want)) <= 1e-12 * scale
 
 
 class TestSolveModel:

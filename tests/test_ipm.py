@@ -4,11 +4,10 @@ from scipy.linalg import lapack
 
 from kqkp import bnb, bundle, cuts, ipm, relaxation
 from kqkp.instance import Instance, preprocess
-from kqkp.ipm import (_corrector_step, _inv_factor, _ladder_step, _max_step, assemble_schur,
-                      certify_dual, solve)
+from kqkp.ipm import _inv_factor, _max_step, assemble_schur, certify_dual, solve
 from kqkp.oracle import enumerate_exact
 from _reference import (dense_adjoint_op, dense_constraint_op, naive_max_step,
-                        naive_schur, random_spd)
+                        naive_schur, random_spd, reference_direction, top_down_ladder)
 from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
 
 TIGHT_TOL = 1e-7  # tighter than the pipeline's bundle.IPM_TOL, for the IPM-quality checks
@@ -189,6 +188,16 @@ def _direction_with_step(rng, P, alpha):
     return dP * (naive_max_step(P, dP, 1.0, 0.0) / alpha)
 
 
+def _ladder_step(P, dP, scal, dscal):
+    """The predictor's step length from a search that starts at rung 0."""
+    return ipm._ladder(P, dP, scal, dscal)[0]
+
+
+def _corrector_step(P, dP, scal, dscal):
+    """The corrector's step length from a search that starts at rung 0."""
+    return ipm._corrector_step(P, dP, scal, dscal)[0]
+
+
 class TestLadderStep:
     def test_largest_rung_below_the_exact_step_randomized(self, rng):
         taken = set()
@@ -242,6 +251,53 @@ class TestLadderStep:
             # every rung, then the fallback's factorization of P
             assert len(rungs) == len(ipm.LADDER) + 1
 
+    def test_every_start_gives_the_top_down_result_randomized(self, rng):
+        # P + a dP is pd on an interval of a, so where the search starts
+        # does not change the rung it returns or the failed rung above it
+        rungs = len(ipm.LADDER)
+        taken, capped = set(), 0
+        for trial in range(150):
+            n = int(rng.integers(4, 31))
+            P = random_spd(rng, n)
+            dP = _direction_with_step(rng, P, 10 ** rng.uniform(-2, 0.5))
+            if not np.isfinite(dP).all():
+                continue  # a psd direction, which has no exact step to scale
+            exact = naive_max_step(P, dP, 1.0, 0.0)
+            if min(abs(a - exact) for a in ipm.LADDER) <= 1e-9 * exact:
+                continue  # a rung on the boundary: the test could go either way
+            # a scalar cap between two rungs, below the last, or none
+            cap = rng.choice([rng.uniform(0.03, 1.2), rng.uniform(0.001, 0.05), np.inf])
+            scal, dscal = (1.0, 0.0) if cap == np.inf else (cap, -1.0)
+            capped += cap < 1.0
+            want_a, want_b = top_down_ladder(P, dP, scal, dscal, ipm.LADDER)
+            for start in range(rungs):
+                a, b, i = ipm._ladder(P, dP, scal, dscal, start)
+                assert a == pytest.approx(want_a, rel=1e-9) and b == want_b
+                assert i == (ipm.LADDER.index(a) if a in ipm.LADDER else rungs)
+                taken.add(i)
+        assert taken == set(range(rungs + 1)) and capped > 30
+
+    def test_every_start_walks_from_its_rung(self, monkeypatch, rng):
+        # a direction with exact step 0.7 passes rungs 0.6 (index 3) and
+        # below: from index j the search tests rungs j, j-1, ..., 2 when j
+        # passes, and j, j+1, ..., 3 when it fails
+        P = random_spd(rng, 12)
+        dP = _direction_with_step(rng, P, 0.7)
+        tested = []
+        is_pd = ipm._is_pd
+        monkeypatch.setattr(ipm, "_is_pd", lambda M: tested.append(M) or is_pd(M))
+        for start in range(len(ipm.LADDER)):
+            tested.clear()
+            assert ipm._ladder(P, dP, 1.0, 0.0, start) == (0.6, 0.8, 3)
+            assert len(tested) == (start - 1 if start >= 3 else 4 - start)
+        # NaN passes no rung from any start: the rungs from it, then the fallback
+        monkeypatch.setattr(ipm, "_max_step", lambda *a: 0.01)
+        for start in range(len(ipm.LADDER)):
+            tested.clear()
+            assert ipm._ladder(P, np.full((12, 12), np.nan), 1.0, 0.0, start) \
+                == (0.01, None, len(ipm.LADDER))
+            assert len(tested) == len(ipm.LADDER) - start
+
     def test_corrector_within_half_a_rung_gap_randomized(self, rng):
         midpoints = 0
         for trial in range(200):
@@ -267,7 +323,7 @@ class TestLadderStep:
     def test_eigenvalue_calls_only_below_the_last_rung(self, monkeypatch):
         # each iteration factors Z once, for the Schur matrix; X is factored,
         # and an eigenvalue computed, only in a step length's fallback below
-        # the last rung, and certify_dual makes one more eigenvalue call
+        # the last rung, and in a certificate whose Cholesky test failed
         calls = {"lambda_min": 0, "inv_factor": 0, "fallback": 0}
 
         def spy(name, fn):
@@ -279,13 +335,28 @@ class TestLadderStep:
         spy("lambda_min", ipm._lambda_min)
         spy("inv_factor", ipm._inv_factor)
         spy("fallback", ipm._max_step)
+        tests, certificates = [], []  # (Cholesky tests, eigenvalue calls) per certificate
+        is_pd, certify = ipm._is_pd, ipm.certify_dual
+        monkeypatch.setattr(ipm, "_is_pd", lambda M: tests.append(is_pd(M)) or tests[-1])
+
+        def certificate(*args):
+            seen, eigs = len(tests), calls["lambda_min"]
+            value = certify(*args)
+            certificates.append((tests[seen:], calls["lambda_min"] - eigs))
+            return value
+
+        monkeypatch.setattr(ipm, "certify_dual", certificate)
         iterations = 0
         for seed in range(4):
             data = _data(make_instance(20, seed=seed))
             sol = solve(data, data.C_bar, TIGHT_TOL)
             assert sol.status == ipm.OPTIMAL and sol.iterations > 5
             iterations += sol.iterations
-        assert calls["lambda_min"] == calls["fallback"] + 4
+        # one Cholesky test per certificate, and an eigenvalue call only if it failed
+        assert [(len(t), e) for t, e in certificates] == [(1, 1 - t[0]) for t, _ in certificates]
+        assert len(certificates) == 4
+        failed = sum(e for _, e in certificates)
+        assert calls["lambda_min"] == calls["fallback"] + failed
         assert calls["inv_factor"] == iterations + calls["fallback"]
         assert calls["fallback"] <= iterations  # of 4 step lengths per iteration
 
@@ -490,6 +561,67 @@ class TestKLightestFace:
         assert _bound(inst) == data.const_term == enumerate_exact(inst).value
 
 
+class TestDirection:
+    def test_folded_direction_matches_the_old_formula_randomized(self, rng):
+        # random interior points: X, Z pd, s, t > 0, any y, cost and rhs
+        for trial in range(12):
+            n = int(rng.integers(10, 41))
+            X, Z = random_spd(rng, n), random_spd(rng, n)
+            a_bar = rng.standard_normal(n)
+            B = ipm._border(a_bar)
+            s, t = rng.uniform(0.1, 5.0, size=2)
+            C = rng.standard_normal((n, n))
+            C = C + C.T
+            rhs = np.concatenate([np.ones(n), rng.uniform(1.0, n * n, size=2)])
+            rp = rhs - ipm._constraint_op(X, B)
+            rp[n + 1] -= s
+            Rd = C - (ipm._adjoint_op(rng.standard_normal(n + 2), B) - Z)
+            LZi = _inv_factor(Z)
+            Zi = LZi.T @ LZi
+            LM = ipm._cholesky(assemble_schur(Zi, X, B, s, t))
+            mu = (float(np.vdot(X, Z)) + s * t) / (n + 1)
+            pred = ipm._direction(Zi, LM, X, s, t, B, rhs, Rd, Rd @ X, 0.0, 0.0)
+            dXa, dsa, _, dZa, dta = pred
+            corr = ipm._direction(Zi, LM, X, s, t, B, rhs, Rd, Rd @ X - dZa @ dXa,
+                                  0.3 * mu, dsa * dta)
+            for got, unfolded in ((pred, (np.zeros((n, n)), 0.0, 0.0)),
+                                  (corr, (dZa @ dXa, 0.3 * mu, dsa * dta))):
+                want = reference_direction(Zi, X, s, t, a_bar, rp, Rd, *unfolded)
+                for g, w in zip(got, want):
+                    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+class TestCertificate:
+    @staticmethod
+    def _diagonal(d):
+        # y and C with Zc = A'(y) - C = Diag(d) exactly, and rhs'y = d[-1]
+        n = len(d)
+        y = np.concatenate([d, [0.0, 0.0]])
+        rhs = np.zeros(n + 2)
+        rhs[n - 1] = 1.0
+        return y, np.zeros((n, n)), ipm._border(np.arange(1.0, n + 1)), rhs
+
+    def test_float_psd_slack_below_the_rounding_bound_is_shifted(self, monkeypatch):
+        n = 6
+        d = np.ones(n)
+        d[-1] = 1e-17
+        # a plain Cholesky test and dsyevr both read Diag(d) as definite
+        assert ipm._is_pd(np.diag(d)) and ipm._lambda_min(np.diag(d)) >= 0
+        calls = []
+        lambda_min = ipm._lambda_min
+        monkeypatch.setattr(ipm, "_lambda_min", lambda S: calls.append(S) or lambda_min(S))
+        delta = (n + 2) * 2.0 ** -52 * d.sum()
+        # the verified test fails, and y[:n] moves by delta - 1e-17
+        assert certify_dual(*self._diagonal(d)) == pytest.approx(delta, rel=1e-12)
+        assert len(calls) == 1
+
+    def test_comfortably_definite_slack_is_returned_unshifted(self, monkeypatch):
+        monkeypatch.setattr(ipm, "_lambda_min", None)  # no eigenvalue call
+        for d in (np.ones(6), np.linspace(1e-6, 1.0, 40)):
+            y, C, B, rhs = self._diagonal(d)
+            assert certify_dual(y, C, B, rhs) == d[-1] == rhs @ y
+
+
 def test_certify_dual_repairs_infeasible_point(rng):
     n = 6
     data = _data(make_instance(n, seed=7))
@@ -500,6 +632,8 @@ def test_certify_dual_repairs_infeasible_point(rng):
     y2 = y.copy()
     y2[n + 1] = max(y2[n + 1], 0.0)
     Zc = dense_adjoint_op(y2, data.a_bar) - data.C_bar
-    shift = max(0.0, -float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0]))
-    y2[:n] += shift * (1 + 1e-12) + 1e-14
+    # the certificate's Cholesky test fails; y[:n] moves by -lambda_min + delta
+    delta = (n + 2) * 2.0 ** -52 * float(np.abs(Zc.diagonal()).sum())
+    assert float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0]) < 0
+    y2[:n] += delta - float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0])
     assert abs(val - float(rhs @ y2)) < 1e-8 * (1 + abs(val))

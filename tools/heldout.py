@@ -11,14 +11,18 @@ with ``bnb.node_bound`` and ``bnb.ROOT_EVALS`` evaluations, as ``kqkp bound
 --mode sdpmet`` does.  IPM iterations and statuses are counted by wrapping
 ``ipm.solve``, so a restarted solve that falls back to the cold start counts
 once, with both attempts' iterations; the bundle's stop reasons are counted
-by wrapping ``bundle.minimize``, and the IPM's exact eigenvalue step lengths
+by wrapping ``bundle.minimize``, the IPM's exact eigenvalue step lengths
 by wrapping ``ipm._max_step``: each is one of an iteration's four step
 lengths that fell below the last rung of ``ipm.LADDER`` (in a checkout whose
-corrector takes exact steps, its two per iteration count too).
+corrector takes exact steps, its two per iteration count too), and its
+Cholesky tests by wrapping ``ipm._is_pd``: the ladder's rungs and midpoints,
+the restart's test of its shifted Z and, where ``certify_dual`` makes one,
+the certificate's test.
 
 Per draw the script prints its status, value (or root bound), nodes, evals,
-IPM iterations, exact step lengths (``fallbacks``), the IPM statuses other
-than ``optimal`` and the bundle's stop reasons (``stop_<reason>``); per set
+IPM iterations, exact step lengths (``fallbacks``), Cholesky tests
+(``chol``), the IPM statuses other than ``optimal`` and the bundle's stop
+reasons (``stop_<reason>``); per set
 the totals and a digest of the answers (status and value of every draw, or
 every root bound to 1e-2), so two checkouts compare line by line.  It
 prints no times: run both sides of a comparison on one machine, one after
@@ -56,12 +60,14 @@ DENSITIES = (25, 50, 75, 100)
 
 @contextmanager
 def count_calls(ipm, bundle):
-    """Wrap ``ipm.solve``, ``ipm._max_step`` and ``bundle.minimize`` for the
-    block; yields a Counter of the IPM's iterations (``iters``), of each
-    status it returned, of its exact step lengths (``fallbacks``) and of each
+    """Wrap ``ipm.solve``, ``ipm._max_step``, ``ipm._is_pd`` and
+    ``bundle.minimize`` for the block; yields a Counter of the IPM's
+    iterations (``iters``), of each status it returned, of its exact step
+    lengths (``fallbacks``), of its Cholesky tests (``chol``) and of each
     stop reason of the bundle (``stop_<reason>``)."""
     counts = Counter()
-    real_solve, real_minimize, real_max_step = ipm.solve, bundle.minimize, ipm._max_step
+    real_solve, real_minimize = ipm.solve, bundle.minimize
+    real_max_step, real_is_pd = ipm._max_step, ipm._is_pd
 
     def solve(*args):
         sol = real_solve(*args)
@@ -78,19 +84,24 @@ def count_calls(ipm, bundle):
         counts["fallbacks"] += 1
         return real_max_step(*args)
 
-    ipm.solve, bundle.minimize, ipm._max_step = solve, minimize, max_step
+    def is_pd(*args):
+        counts["chol"] += 1
+        return real_is_pd(*args)
+
+    ipm.solve, bundle.minimize, ipm._max_step, ipm._is_pd = solve, minimize, max_step, is_pd
     try:
         yield counts
     finally:
-        ipm.solve, bundle.minimize, ipm._max_step = real_solve, real_minimize, real_max_step
+        ipm.solve, bundle.minimize = real_solve, real_minimize
+        ipm._max_step, ipm._is_pd = real_max_step, real_is_pd
 
 
 def row(label: str, answer: str, nodes: int, evals: int, counts: Counter) -> str:
     other = " ".join(f"{k}={v}" for k, v in sorted(counts.items())
-                     if k not in ("iters", "optimal", "fallbacks"))
+                     if k not in ("iters", "optimal", "fallbacks", "chol"))
     return (f"{label:<16} {answer:<26} nodes {nodes:>5} evals {evals:>5} "
             f"ipm_iters {counts['iters']:>6} fallbacks {counts['fallbacks']:>5} "
-            f"{other}").rstrip()
+            f"chol {counts['chol']:>7} {other}").rstrip()
 
 
 def run_set(name: str, bnb, bundle, generator, ipm) -> None:
