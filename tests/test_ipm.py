@@ -634,6 +634,7 @@ def test_certify_dual_repairs_infeasible_point(rng):
     Zc = dense_adjoint_op(y2, data.a_bar) - data.C_bar
     # the certificate's Cholesky test fails; y[:n] moves by -lambda_min + delta
     delta = (n + 2) * 2.0 ** -52 * float(np.abs(Zc.diagonal()).sum())
-    assert float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0]) < 0
-    y2[:n] += delta - float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0])
+    lam = float(np.linalg.eigvalsh(0.5 * (Zc + Zc.T))[0])
+    assert lam < 0
+    y2[:n] += delta - lam
     assert abs(val - float(rhs @ y2)) < 1e-8 * (1 + abs(val))
