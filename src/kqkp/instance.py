@@ -14,6 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+EXACT_LIMIT = 2**53  # every integer below it is a float64
+
+
 class InstanceError(ValueError):
     """Base class for malformed or inconsistent problem data."""
 
@@ -87,6 +90,8 @@ def validate(inst: Instance) -> Instance:
     """Check the root-instance invariants and return the instance unchanged.
 
     Data must be nonnegative, C symmetric, and max_j a_j <= b < sum_j a_j.
+    sum(a) and sum(C) must be below 2^53, so that every bound computed in
+    floats and every objective value is exact in float64.
     """
     if inst.n == 0:
         raise InstanceError("instance has no items")
@@ -96,6 +101,13 @@ def validate(inst: Instance) -> Instance:
         raise NegativeData("k, b, weights and profits must be nonnegative")
     if not np.array_equal(inst.C, inst.C.T):
         raise NonSymmetric("profit matrix is not symmetric")
+    # A float64 sum cannot wrap around as an int64 sum can.  Over these
+    # nonnegative integers it is exact while the true sum is below 2^53 and
+    # is at least 2^53 once the true sum is, since rounding is monotone.
+    for what, values in (("weights", inst.a), ("profits", inst.C)):
+        approx = values.sum(dtype=np.float64)
+        if approx >= EXACT_LIMIT:
+            raise InstanceError(f"the sum of {what} is about {approx:.3g}; it must be below 2^53")
     total = int(inst.a.sum())
     if not (int(inst.a.max()) <= inst.b < total):
         raise CapacityOutOfRange(
@@ -153,6 +165,10 @@ def to_text(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fits(v: int) -> bool:
+    return -2**63 <= v < 2**63
+
+
 def parse_text(text: str) -> Instance:
     rows = []  # (line_no, tokens)
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -181,7 +197,13 @@ def parse_text(text: str) -> Instance:
         raise ParseError(ln, f"expected {n + 2} data lines, found {len(rows)}")
     a = ints(rows[1], expect=n)
     C = [ints(rows[2 + i], expect=n) for i in range(n)]
-    return Instance(k, np.array(a), b, np.array(C))
+    values = [[n, k, b], a, *C]
+    data = np.array(values[1:])  # int64 exactly when every entry fits in it
+    if data.dtype != np.int64 or not (_fits(k) and _fits(b)):
+        ln, tok = next((ln, t) for (ln, toks), vals in zip(rows, values)
+                       for t, v in zip(toks, vals) if not _fits(v))
+        raise ParseError(ln, f"integer out of the 64-bit range: {tok}")
+    return Instance(k, data[0], b, data[1:])
 
 
 def load(path) -> Instance:

@@ -18,7 +18,12 @@ product with Z^{-1} per direction (``_direction``).  A factorization of
 Z or the Schur matrix that fails, or yields a non-finite factor, ends the
 solve as ``slow_progress``.  The factorizations and solves call LAPACK
 directly (dpotrf, dtrtri, dpotrs), since at n = 40 the numpy.linalg and
-scipy.linalg wrappers cost more than the flops.
+scipy.linalg wrappers cost more than the flops.  ``lapack`` is scipy's f2py
+extension scipy.linalg._flapack, which ``_load_lapack`` finds in scipy's
+linalg directory and loads by itself: the scipy.linalg package init, which
+clones the numpy namespace and so loads numpy.f2py, numpy.testing and more,
+would cost every process about 0.2 s and 17 MB for wrappers that load in a
+few milliseconds.
 
 All four step lengths, for X and for Z in the predictor and the corrector,
 come from one ladder search: the largest a in LADDER with P + a dP passing
@@ -70,14 +75,39 @@ which makes the reported upper bound valid however loosely it converged.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .relaxation import RelaxationData
+
+
+def _load_lapack():
+    """scipy's f2py LAPACK wrappers, loaded without the scipy.linalg package.
+
+    The extension scipy.linalg._flapack is found in scipy's linalg directory
+    and loaded under its own name, so a later ``import scipy.linalg`` reuses
+    it and ``scipy.linalg.lapack.dpotrf`` is this module's ``dpotrf``.  Where
+    the file is not found, the public scipy.linalg.lapack is imported.
+    """
+    name = "scipy.linalg._flapack"
+    spec = PathFinder.find_spec(name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+    if spec is None:
+        return importlib.import_module("scipy.linalg.lapack")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_lapack()
 
 OPTIMAL = "optimal"
 SLOW_PROGRESS = "slow_progress"

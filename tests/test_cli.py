@@ -77,6 +77,25 @@ class TestSolve:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("weights, b, c00", [
+        ([10**23, 4, 5, 6], 9, 2),  # a weight outside int64
+        ([3, 4, 5, 6], 9, 10**23),  # a profit outside int64
+        ([3, 4, 5, 6], 9, 3074457345618258602),  # x'Cx not exact in a float
+        ([2**62] * 5 + [10], 2**62 + 5, 2),  # weights whose int64 sum wraps around
+    ], ids=["weight_1e23", "profit_1e23", "profit_3e18", "weight_sum_wraps"])
+    def test_out_of_range_integers_are_bad_input(self, tmp_path, capsys, weights, b, c00):
+        n = len(weights)
+        C = [[1] * n for _ in range(n)]
+        C[0][0] = c00
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join(" ".join(map(str, row))
+                                  for row in [[n, 2, b], weights, *C]) + "\n")
+        code = cli.main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_BAD_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         assert cli.main(["solve", "/nonexistent/file.txt"]) == 1
 
@@ -258,14 +277,18 @@ class TestCheck:
         assert cli.main(["check", str(path)]) == 1
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the bundle subproblem has its own exact solver; loading scipy.optimize
-    # would add to the start-up time and memory of every command
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg", "numpy.f2py"])
+def test_import_leaves_module_unloaded(module):
+    # the bundle subproblem has its own exact solver and the IPM loads only
+    # scipy's LAPACK extension; the scipy.optimize and scipy.linalg package
+    # inits (the latter loads numpy.f2py) would add to the start-up time and
+    # memory of every command.  The key is exact: the extension itself is
+    # registered as scipy.linalg._flapack
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, kqkp.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, kqkp.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True, timeout=60)
     assert out.stdout.strip() == "False"
 

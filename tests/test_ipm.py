@@ -1,3 +1,5 @@
+from importlib.machinery import PathFinder
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -41,6 +43,21 @@ def _gap_and_residual(data, sol):
     rp_rel = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(rhs)))
     rd_rel = float(np.linalg.norm(Rd)) / (1.0 + float(np.linalg.norm(C)))
     return abs(pobj - dobj) / (1.0 + abs(dobj)), max(rp_rel, rd_rel)
+
+
+class TestLapackLoad:
+    @pytest.mark.parametrize("routine", ["dpotrf", "dtrtri", "dpotrs", "dsyevr"])
+    def test_same_wrappers_as_scipy_linalg(self, routine):
+        assert getattr(ipm.lapack, routine) is getattr(lapack, routine)
+
+    def test_missing_extension_falls_back_to_scipy_linalg(self, monkeypatch):
+        find_spec = PathFinder.find_spec
+
+        def hide_flapack(name, path=None, target=None):
+            return None if name == "scipy.linalg._flapack" else find_spec(name, path, target)
+
+        monkeypatch.setattr(PathFinder, "find_spec", hide_flapack)
+        assert ipm._load_lapack() is lapack
 
 
 class TestSchurAssembly:
