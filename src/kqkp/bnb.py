@@ -8,12 +8,28 @@ on): all data are integers, so the optimum is integral.
 
 The root is the first queue entry, with an infinite bound, and one loop
 body processes every node, root included: an infeasible leaf, a
-branch-and-prune leaf, or the bundle bound, prune, variable fixing, prune
-and branching on the most fractional variable.  At depth 0 only the
+branch-and-prune leaf, or the bundle bound, prune, the variable-fixing
+heuristic (``varfix_heuristic``, a primal heuristic), prune, the face test
+and branching on the most fractional variable left.  At depth 0 only the
 branch-and-prune threshold and the bundle's evaluation budget differ: the
 root takes ``ROOT_EVALS`` evaluations, other nodes ``NODE_EVALS``.  The
 primal heuristic's incumbent is found before the loop.  Every processed node
 appends one row to the report's node trace.
+
+The face test fixes variables from the node's own certified SDP dual, with
+no further evaluation (Helmberg, SIAM J. Matrix Anal. Appl. 21, 2000).  It
+bounds both faces x_j = 0 and x_j = 1 of every item from the dual of the
+bundle's best evaluation (``ipm.face_bounds``); a face whose certified
+bound is prunable holds no selection that beats the incumbent, and an item
+that the b == b' reduction fixed has its other face excluded outright.
+The node is pruned when both faces of an item are excluded or the fixes
+leave no feasible selection.  Otherwise every item with an excluded face
+is fixed to its other value (every exclusion is against the same
+incumbent, so all hold at once), the fixed items leave the pool and
+x_frac, and the node branches on what is left without a second bound; its
+trace action reads, say, ``branch x7 fix 12``.  Where the fixes leave k at
+or below the node's branch-and-prune threshold, or no item, branch-and-
+prune finishes the fixed node at once (``bnp_leaf fix 12``).
 
 Every child's bundle starts from its parent's final cut pool and
 multipliers, not from the empty pool: branching on x_v drops the cuts that
@@ -43,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bundle as bundle_mod
-from . import relaxation
+from . import ipm, relaxation
 from .heuristics import BRANCH_LEAF, Incumbent, primal_heuristic, varfix_heuristic
 from .instance import InfeasibleFix, Instance, fix_variable, preprocess
 
@@ -228,10 +244,22 @@ def _remap(pool: tuple, index: np.ndarray) -> tuple:
     return np.column_stack([ijk[keep], cuts[keep, 3]]), gamma[keep]
 
 
+def _fix(inst: Instance, items: np.ndarray, ones: np.ndarray) -> Instance | None:
+    """``inst`` with x_j fixed to 1 where ``ones`` holds, else 0, for j in
+    ``items`` (increasing); None if a fix, or the cardinality left, is
+    infeasible."""
+    try:
+        for j, one in zip(items[::-1], ones[::-1]):  # descending keeps lower indices valid
+            inst = fix_variable(inst, int(j), int(one))
+    except InfeasibleFix:
+        return None
+    return inst if inst.k <= preprocess(inst).k_max else None
+
+
 def node_bound(inst: Instance, lower_bound: float, max_evals: int,
                cuts_per_update: int | None = None, deadline: float | None = None,
                pool: tuple | None = None):
-    """Bundle bound for an instance: (bound, x_frac, evals, pool).
+    """Bundle bound for an instance: (bound, x_frac, evals, pool, excluded).
 
     The arguments are ``bundle.minimize``'s, on the instance's items (one
     evaluation gives the plain SDP bound).  ``pool`` is the bundle's start,
@@ -240,15 +268,35 @@ def node_bound(inst: Instance, lower_bound: float, max_evals: int,
     final one, on the same items.  A relaxation of dimension 0 is exact:
     x_frac is its best selection, the bound that selection's value, with 0
     evaluations and the empty pool.
+
+    ``excluded(value)`` is the face test: an (n, 2) bool array, True at [j,
+    v] where no selection with x_j = v is worth more than ``value``.  An
+    item that the b == b' reduction fixed has its other face excluded; every
+    other face is excluded by its certified bound (``ipm.face_bounds``) from
+    the dual of the bundle's best evaluation, so the test runs no further
+    evaluation.  At dimension 0 it excludes nothing.
     """
     data = relaxation.build(inst)
     if data.dim == 0:
         return (int(data.const_term), data.x_fixed, 0,
-                (np.zeros((0, 4), dtype=np.int64), np.zeros(0)))
+                (np.zeros((0, 4), dtype=np.int64), np.zeros(0)),
+                lambda value: np.zeros((inst.n, 2), dtype=bool))
     res = bundle_mod.minimize(data, lower_bound, max_evals, cuts_per_update, deadline,
                               None if pool is None else _remap(pool, data.coord_of_item))
+
+    def excluded(value: float) -> np.ndarray:
+        out = np.zeros((inst.n, 2), dtype=bool)
+        fixed = np.flatnonzero(data.coord_of_item < 0)
+        out[fixed, 1 - data.x_fixed[fixed].astype(int)] = True
+        if res.dual is not None:
+            y, cost, offset = res.dual
+            bounds = ipm.face_bounds(data, y, cost, value + 1 - offset) + offset
+            item = data.item_of_coord
+            out[item[item >= 0]] = bundle_mod.prunable(bounds[item >= 0], value)
+        return out
+
     return (res.bound, relaxation.extract_fractional(res.X_last, data), res.evals,
-            _remap((res.pool, res.gamma), data.item_of_coord))
+            _remap((res.pool, res.gamma), data.item_of_coord), excluded)
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
@@ -277,6 +325,28 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     if root.k > prep.k_max:
         return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0, float("nan"))
 
+    def bnp_leaf(node: Node, leaf: Node, action: str) -> SolveReport | None:
+        """Finish ``node`` by branch-and-prune on the instance of ``leaf``:
+        the node itself, or the node after its face test's fixes.  Returns
+        the time-limit report if the deadline stopped the search."""
+        nonlocal best
+        stopped = False
+        try:
+            # a reduced objective, offset included, is the root objective
+            # of the lifted selection, so the incumbent is the floor as is
+            sub = branch_and_prune(leaf.reduced, best.value, deadline)
+        except TimeLimitReached as stop:
+            sub, stopped = stop.best, True
+        if sub is not None:
+            best = _lift_incumbent(root, leaf, sub)
+        if not stopped and leaf is node:
+            # nothing left in this subtree beats best; a fixed node keeps the
+            # bound its bundle proved, so a root's stays its SDP bound
+            node.bound = best.value
+        _trace(trace, node, action)
+        # the incumbent's value is no bound: the search did not finish
+        return time_limit_report(node.bound) if stopped else None
+
     best = primal_heuristic(root, prep)
     evals = nodes = seq = 0
     root_node = Node(root, tuple(range(root.n)), (), 0, float("inf"))
@@ -297,24 +367,11 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             _trace(trace, node, "infeasible")
             continue
         if red.k <= bnp_k:
-            stopped = False
-            try:
-                # a reduced objective, offset included, is the root objective
-                # of the lifted selection, so the incumbent is the floor as is
-                sub = branch_and_prune(red, best.value, deadline)
-            except TimeLimitReached as stop:
-                sub, stopped = stop.best, True
-            if sub is not None:
-                best = _lift_incumbent(root, node, sub)
-            if not stopped:
-                node.bound = best.value  # nothing left in this subtree beats best
-            _trace(trace, node, "bnp_leaf")
-            if stopped:
-                # the incumbent's value is no bound: the search did not finish
-                return time_limit_report(node.bound)
+            if (stop := bnp_leaf(node, node, "bnp_leaf")) is not None:
+                return stop
             continue
-        nb, x_frac, used, pool = node_bound(red, best.value, max_evals, cfg.cuts_per_update,
-                                            deadline, node.pool)
+        nb, x_frac, used, pool, excluded = node_bound(red, best.value, max_evals,
+                                                      cfg.cuts_per_update, deadline, node.pool)
         evals += used
         node.bound = min(node.bound, nb)
         if bundle_mod.prunable(node.bound, best.value):
@@ -327,12 +384,31 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             _trace(trace, node, "prune")
             continue
 
-        # branch on the most fractional coordinate
-        v = int(np.argmin(np.abs(0.5 - np.asarray(x_frac))))
-        orig_v = node.free[v]
-        _trace(trace, node, f"branch x{orig_v}")
-        child_free = tuple(f for f in node.free if f != orig_v)
-        child_pool = _remap(pool, np.insert(np.arange(red.n - 1), v, -1))  # v leaves
+        # the face test: fix every item one of whose faces is excluded
+        faces = excluded(best.value)
+        fix = np.flatnonzero(faces.any(axis=1))
+        red = None if faces.all(axis=1).any() else _fix(red, fix, faces[fix, 0])
+        if red is None:
+            _trace(trace, node, "prune")
+            continue
+        keep = np.flatnonzero(~faces.any(axis=1))
+        fixed_ones = node.fixed_ones + tuple(node.free[j] for j in fix if faces[j, 0])
+        note = f" fix {len(fix)}" if len(fix) else ""
+        if red.k <= bnp_k or len(keep) == 0:
+            leaf = Node(red, tuple(node.free[j] for j in keep), fixed_ones, node.depth, node.bound)
+            if (stop := bnp_leaf(node, leaf, "bnp_leaf" + note)) is not None:
+                return stop
+            continue
+
+        # branch on the most fractional coordinate of the items left
+        v = int(np.argmin(np.abs(0.5 - np.asarray(x_frac)[keep])))
+        orig_v = node.free[keep[v]]
+        _trace(trace, node, f"branch x{orig_v}{note}")
+        rest = np.delete(keep, v)
+        index = np.full(len(node.free), -1)
+        index[rest] = np.arange(len(rest))  # the fixed items and v leave
+        child_free = tuple(node.free[j] for j in rest)
+        child_pool = _remap(pool, index)
         for val in (1, 0):
             try:
                 child_red = fix_variable(red, v, val)
@@ -341,7 +417,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             child = Node(
                 child_red,
                 child_free,
-                node.fixed_ones + (orig_v,) if val == 1 else node.fixed_ones,
+                fixed_ones + (orig_v,) if val == 1 else fixed_ones,
                 node.depth + 1,
                 node.bound,
                 child_pool,

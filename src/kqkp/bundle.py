@@ -75,6 +75,8 @@ class OracleValue:
     g: np.ndarray  # subgradient e - T(X*) on the pool
     X: np.ndarray
     restart: tuple | None  # the IPM's restart, a start for the next evaluation
+    # (y, cost, offset): bound = offset + ipm.certify_dual of y and cost
+    dual: tuple
 
 
 @dataclass
@@ -85,6 +87,7 @@ class BundleResult:
     gamma: np.ndarray  # the center's multipliers, one per row of pool
     evals: int
     reason: str  # pruned | stalled | budget | no_cuts
+    dual: tuple  # the ``dual`` of the evaluation whose bound is ``bound``
 
 
 def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
@@ -105,6 +108,7 @@ def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
         g=g,
         X=sol.X,
         restart=sol.restart,
+        dual=(sol.y, cost, egamma + relax.const_term),
     )
 
 
@@ -165,8 +169,11 @@ def _line_max(z: np.ndarray, b: np.ndarray, cd: float, u: float) -> float:
     b = G d / u and cd = c'd.  The slope cd + u * sum(b * max(0, z - t b)) is
     continuous, piecewise linear and nonincreasing in t: find its zero.
     Between kinks z / b it is cd + u (S1 - t S2), S1 and S2 summing b z and
-    b^2 over the terms with z > t b, which a kink adds (b < 0) or drops."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    b^2 over the terms with z > t b, which a kink adds (b < 0) or drops.
+    A kink that overflows to +-inf is harmless: it lies outside (0, 1), and
+    its sign still places the term correctly in ``active``; a term with
+    b = 0 adds 0 to every sum."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kinks = z / b
     inner = np.flatnonzero((kinks > 0) & (kinks < 1))
     inner = inner[np.argsort(kinks[inner])]
@@ -308,13 +315,15 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
     descents = 0
     nulls_in_row = 0
     best_bound = np.inf
+    dual = None
     restart = None
 
     while True:
         out = oracle_eval(cuts, cand, relax, restart)
         restart = out.restart
         evals += 1
-        best_bound = min(best_bound, out.bound)
+        if out.bound < best_bound:
+            best_bound, dual = out.bound, out.dual
         if prunable(best_bound, lower_bound):
             X_center = out.X
             reason = "pruned"
@@ -365,4 +374,4 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
             reason = "stalled"
             break
 
-    return BundleResult(best_bound, X_center, cuts, center, evals, reason)
+    return BundleResult(best_bound, X_center, cuts, center, evals, reason, dual)

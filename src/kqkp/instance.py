@@ -119,14 +119,10 @@ def validate(inst: Instance) -> Instance:
 
 def preprocess(inst: Instance) -> Preprocessed:
     """Compute k_max and b'.  Pure and idempotent."""
-    w = np.sort(inst.a)
-    csum = np.cumsum(w)
+    csum = np.cumsum(np.sort(inst.a))
     k_max = int(np.searchsorted(csum, inst.b, side="right"))
-    if inst.k <= 0:
-        b_prime = 0
-    else:
-        b_prime = int(csum[min(inst.k, inst.n) - 1])
-    return Preprocessed(k_max, b_prime)
+    m = min(inst.k, inst.n)  # an instance with no items (n = 0) has b' = 0
+    return Preprocessed(k_max, int(csum[m - 1]) if m > 0 else 0)
 
 
 def fix_variable(inst: Instance, j: int, value: int) -> Instance:

@@ -119,6 +119,8 @@ STEP_MAX = 0.99
 LADDER = (1.0, 0.9, 0.8, 0.6, 0.4, 0.2, 0.1, 0.05)  # step lengths, longest first
 RESTART_GAP = 0.3  # relative gap at which an iterate is kept as a restart
 WARM_MAX_ITER = 20  # iterations a restarted solve gets before it starts cold
+FACE_STEPS = 6  # Newton steps of ``face_bounds``'s search
+FACE_T0 = 0.003  # its start, in units of the median eigenvalue gap of Zc
 
 
 @dataclass
@@ -294,6 +296,89 @@ def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -
     if not _is_pd(Zc):
         y[:n] -= _lambda_min(0.5 * (Zc + Zc.T))
     return float(rhs @ y)
+
+
+def face_bounds(data: RelaxationData, y: np.ndarray, C: np.ndarray,
+                level: float) -> np.ndarray:
+    """Certified bounds from the dual (y, C) on the faces x_c = 0 and x_c = 1
+    of the relaxation, with no further solve (Helmberg, SIAM J. Matrix Anal.
+    Appl. 21, 2000): a (dim, 2) array whose entry [c, v] bounds the
+    relaxation with the one more row <F_c, X> = r_v, F_c = (e e_c' + e_c
+    e')/2 and r_v = (2v - 1) / proj_scale, which every selection with x_c =
+    v satisfies.  Only the faces whose estimate falls below ``level`` are
+    certified; every other entry, and the rows of the n == 2k dummy, is inf.
+
+    With y[n+1] clamped at 0 and Zc = A'(y) - C = Q Diag(w) Q', each (tau,
+    mu) with Zc + tau I + mu F_c psd is dual feasible for the face, of value
+    rhs'y + dim tau + mu r (trace X = dim).  F_c has rank 2, so for tau > -w_1
+    the best mu is -2 sign(r) / G with G = sqrt(uu vv) + sign(r) uv, where
+    uu, uv and vv are e_c'M^{-1}e_c, e'M^{-1}e_c and e'M^{-1}e for M = Zc +
+    tau I (the 2 x 2 condition of M + mu F_c on span{e, e_c}).  The
+    estimate phi = rhs'y + dim tau - 2 |r| / G is convex in tau, and one
+    search runs for all faces at once in t = tau + w_1: FACE_STEPS Newton
+    steps on 1 / (dim - phi'), nearly linear in t where phi' rises like dim
+    - c / t, kept inside the bracket that the sign of phi' gives and
+    bisecting it (geometrically) where a step leaves it; each face keeps
+    the best t it met.  t starts at FACE_T0 times the median eigenvalue gap,
+    near the minimizers of n = 40 to 50 trees, and stays above 1e-6 times
+    it, where the leading terms of uu vv and uv^2 cancel.  Each face to
+    certify gets one ``certify_dual`` of (y + (tau + delta) on the diagonal,
+    C - mu F_c); delta = 1e-9 max |w| keeps that Cholesky test off the
+    singular boundary of the mu chosen.
+    """
+    n = data.dim
+    B = _border(data.a_bar)
+    rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
+    y = y.copy()
+    y[n + 1] = max(y[n + 1], 0.0)
+    w, Q = np.linalg.eigh(_adjoint_op(y, B) - C)
+    q = Q.sum(axis=0)  # Q'e
+    coord = np.repeat(np.flatnonzero(data.item_of_coord >= 0), 2)  # faces (c, 0), (c, 1)
+    sign = np.tile([-1.0, 1.0], len(coord) // 2) * math.copysign(1.0, data.proj_scale)
+    r = abs(1.0 / data.proj_scale)
+    # weights of uu, uv and vv on each term 1 / (w_i + tau) of M^{-1}
+    W = np.stack([Q[coord] ** 2, Q[coord] * q, np.broadcast_to(q * q, (len(coord), n))], axis=1)
+    gaps = w - w[0]
+    unit = float(np.median(gaps)) + 1e-9 * (1.0 + gaps[-1])
+    lo, hi = np.full(len(coord), 1e-6 * unit), np.full(len(coord), 10.0 * (gaps[-1] + unit))
+    t = np.full(len(coord), FACE_T0 * unit)
+    est, best_t, best_G = np.full(len(coord), np.inf), t, np.ones(len(coord))
+    base = float(rhs @ y) - n * w[0]
+    # a G that cancels to 0 or below gives an inf or nan estimate, which
+    # never becomes the best; a tiny G gives a low one that its
+    # certificate then disproves
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(FACE_STEPS):
+            d = 1.0 / (gaps + t[:, None])
+            # uu, uv, vv and their first and second derivatives in t
+            S = W @ np.stack([d, d * d, d * d * d], axis=-1)
+            uu, uv, vv = S[..., 0].T
+            uu1, uv1, vv1 = -S[..., 1].T
+            uu2, uv2, vv2 = 2.0 * S[..., 2].T
+            R = np.sqrt(uu * vv)
+            R1 = (uu1 * vv + uu * vv1) / (2.0 * R)
+            R2 = (uu2 * vv + 2.0 * uu1 * vv1 + uu * vv2 - 2.0 * R1 * R1) / (2.0 * R)
+            G, G1, G2 = R + sign * uv, R1 + sign * uv1, R2 + sign * uv2
+            value = base + n * t - 2.0 * r / G
+            better = value < est
+            est, best_t, best_G = (np.where(better, value, est), np.where(better, t, best_t),
+                                   np.where(better, G, best_G))
+            h = -2.0 * r * G1 / (G * G)  # dim - phi'
+            curv = 2.0 * r * (G2 / (G * G) - 2.0 * G1 * G1 / (G * G * G))  # phi''
+            lo, hi = np.where(h > n, t, lo), np.where(h > n, hi, t)
+            step = t - (1.0 / h - 1.0 / n) * h * h / curv
+            t = np.where((step > lo) & (step < hi), step, np.sqrt(lo * hi))
+    out = np.full((n, 2), np.inf)
+    delta = 1e-9 * float(np.abs(w).max())
+    for f in np.flatnonzero(est < level):
+        c, mu = coord[f], -2.0 * sign[f] / best_G[f]
+        yf = y.copy()
+        yf[:n] += best_t[f] - w[0] + delta
+        Cf = C.copy()
+        Cf[c] -= 0.5 * mu
+        Cf[:, c] -= 0.5 * mu
+        out[c, f % 2] = certify_dual(yf, Cf, B, rhs) + mu * sign[f] * r
+    return out
 
 
 def solve(data: RelaxationData, C: np.ndarray, tol: float,

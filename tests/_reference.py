@@ -32,6 +32,8 @@ relaxation that the identity tests of ``relaxation`` evaluate.
 Glover's linearization (Management Sci. 1975), solved by SciPy's MILP
 interface to HiGHS, is an exact solver that shares nothing with the SDP
 branch-and-bound and, unlike enumeration, reaches n = 30.
+The face optima enumerate every feasible selection, the ground truth for
+the face test's bounds on x_j = 0 and x_j = 1.
 """
 
 from __future__ import annotations
@@ -269,3 +271,18 @@ def glover_milp(inst) -> np.ndarray:
     if not res.success:
         raise RuntimeError(res.message)
     return np.round(res.x[:n]).astype(np.int64)
+
+
+def face_optima(inst) -> np.ndarray:
+    """(n, 2) array: at [j, v] the best value of a feasible selection with
+    x_j = v, -inf where there is none; by enumeration of every selection."""
+    n = inst.n
+    X = np.array([[int(i in subset) for i in range(n)]
+                  for subset in combinations(range(n), inst.k)], dtype=np.int64).reshape(-1, n)
+    X = X[X @ inst.a <= inst.b]
+    values = np.einsum("ij,jk,ik->i", X, inst.C, X) + inst.offset
+    best = np.full((n, 2), -np.inf)
+    for v in (0, 1):
+        if len(X):
+            best[:, v] = np.where(X == v, values[:, None], -np.inf).max(axis=0)
+    return best

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import types
 from dataclasses import replace
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 from kqkp import bnb, cli, cuts, generator, ipm, relaxation
 from kqkp.bnb import SolverConfig, branch_and_prune, solve
 from kqkp.generator import GenSpec
-from kqkp.heuristics import primal_heuristic
+from kqkp.heuristics import Incumbent, primal_heuristic
 from kqkp.instance import InfeasibleFix, Instance, dump, fix_variable, preprocess
 from kqkp.oracle import enumerate_exact
 from conftest import (K_LIGHTEST_CASES, all_cuts, k_lightest_instance, make_instance,
                       record_ipm_calls)
-from _reference import feasibility_branch_and_prune, glover_milp
+from _reference import face_optima, feasibility_branch_and_prune, glover_milp
 
 SDP_CFG = SolverConfig(bnp_root_k=0, bnp_node_k=0)
 
@@ -271,7 +272,7 @@ class TestExactNodes:
         assert relaxation.build(inst).dim == 0
         calls = record_ipm_calls(monkeypatch)
         some = all_cuts(inst.n)[::5]
-        bound, x, evals, (cuts_, gamma) = bnb.node_bound(
+        bound, x, evals, (cuts_, gamma), _ = bnb.node_bound(
             inst, float("-inf"), bnb.ROOT_EVALS, pool=(some, np.ones(len(some))))
         opt = enumerate_exact(inst)
         assert (calls, evals, len(cuts_), len(gamma)) == ([], 0, 0, 0)
@@ -279,10 +280,11 @@ class TestExactNodes:
         assert inst.is_feasible(x) and inst.objective(x) == opt.value
 
     def test_k_equals_n_node_above_threshold_runs_no_branch_and_prune(self, monkeypatch):
-        # n = k + 1 = 9: the root branches, and its x = 0 child has
-        # k == n = 8, above bnp_node_k
-        base = make_instance(9, seed=2)
-        inst = Instance(8, base.a, int(base.a.sum() - np.sort(base.a)[-3]), base.C)
+        # n = 15, k = 13: the root fixes 4 items and branches, its x = 1
+        # child fixes one item to 0 and branches, and that child's x = 0
+        # child has k == n = 8, above bnp_node_k
+        base = make_instance(15, density=100, seed=1)
+        inst = Instance(13, base.a, int(base.a.sum() - np.sort(base.a)[-4]), base.C)
         cfg = SolverConfig(bnp_root_k=0)
         bounded = []
         real = bnb.node_bound
@@ -300,6 +302,77 @@ class TestExactNodes:
         rep = solve(inst, cfg)
         assert (8, 8, 0) in bounded and 8 > cfg.bnp_node_k
         assert rep.best.value == enumerate_exact(inst).value
+
+
+# n = 12-24 draws on which the face test excludes faces at opt - 1, with
+# n == 2k (a dummy coordinate) and b == b' (items fixed by the reduction)
+FACE_DRAWS = {
+    **{f"n{n}_s{seed}": make_instance(n, seed=seed) for n, seed in
+       ((16, 2), (16, 3), (18, 0), (18, 3), (20, 2), (22, 4), (24, 0))},
+    "n_2k": replace(make_instance(16, seed=1), k=8),
+    "k_lightest": k_lightest_instance("partial_tie"),
+    "k_lightest_2k": k_lightest_instance("half_tie"),
+}
+
+
+class TestFaceTest:
+    @pytest.mark.parametrize("name", list(FACE_DRAWS))
+    def test_no_excluded_face_holds_a_selection_above_the_value(self, name):
+        inst = FACE_DRAWS[name]
+        best = face_optima(inst)
+        opt = enumerate_exact(inst)
+        assert best.max() == opt.value
+        _, _, _, _, excluded = bnb.node_bound(inst, float("-inf"), bnb.NODE_EVALS)
+        for value in (opt.value - 1, int(0.98 * opt.value)):
+            out = excluded(value)
+            assert not (out & (best > value)).any()
+        out = excluded(opt.value - 1)
+        assert out.any()  # the test is not vacuous
+        # the optimum's own faces hold a selection above opt - 1
+        assert not out[np.arange(inst.n), opt.argmax].any()
+
+    def test_dimension_zero_excludes_nothing(self):
+        inst = k_lightest_instance("all_tied_unique")
+        assert relaxation.build(inst).dim == 0
+        assert not bnb.node_bound(inst, float("-inf"), bnb.NODE_EVALS)[4](-1e9).any()
+
+    def test_node_with_every_item_fixed_takes_the_selection_left(self, monkeypatch):
+        # the heuristics find only the k lightest items, and the face test
+        # excludes every face but the optimum's, so the root fixes all items
+        inst = make_instance(10, seed=2)
+        opt = enumerate_exact(inst)
+        x = np.zeros(inst.n, dtype=np.int64)
+        x[np.argsort(inst.a, kind="stable")[:inst.k]] = 1
+        weak = Incumbent(x, inst.objective(x), "primal")
+        assert inst.is_feasible(x) and weak.value < opt.value
+        faces = np.zeros((inst.n, 2), dtype=bool)
+        faces[np.arange(inst.n), 1 - opt.argmax] = True
+        real = bnb.node_bound
+        monkeypatch.setattr(bnb, "node_bound", lambda *args: (*real(*args)[:4], lambda v: faces))
+        monkeypatch.setattr(bnb, "primal_heuristic", lambda *args: weak)
+        monkeypatch.setattr(bnb, "varfix_heuristic", lambda *args: weak)
+        rep = solve(inst, SDP_CFG)
+        np.testing.assert_array_equal(rep.best.x, opt.argmax)
+        assert rep.best.value == opt.value and rep.nodes == 1
+        # the fixed root, with k = 0, is a branch-and-prune leaf
+        assert rep.node_trace[0][3] == f"bnp_leaf fix {inst.n}"
+
+    def test_fixed_nodes_stay_exact(self):
+        # trees whose nodes fix items, traced as "branch x7 fix 12", or as
+        # "bnp_leaf fix 12" where the fixes leave k <= bnp_node_k (n = 16
+        # s5 and s6, n = 18 s6 under the default node threshold)
+        kinds = set()
+        for inst, cfg in [*((make_instance(14, seed=seed), SDP_CFG) for seed in range(6)),
+                          *((make_instance(n, seed=seed), SolverConfig(bnp_root_k=0))
+                            for n, seed in ((16, 5), (16, 6), (18, 6)))]:
+            rep = solve(inst, cfg)
+            assert rep.best.value == enumerate_exact(inst).value
+            assert inst.is_feasible(rep.best.x)
+            for _, _, _, action in rep.node_trace:
+                if "fix" in action:
+                    assert re.fullmatch(r"(branch x\d+|bnp_leaf) fix \d+", action)
+                    kinds.add(action.split()[0])
+        assert kinds == {"branch", "bnp_leaf"}
 
 
 def _rank_one(x: np.ndarray) -> np.ndarray:
@@ -364,7 +437,7 @@ WARM_DRAWS = {
     "n_2k": replace(make_instance(16, seed=1), k=8),
     "b_prime_ties": _at_capacity(GenSpec(14, 50, 20, weight_range=(1, 2)), 0),
     "b_prime_n_2k": _at_capacity(GenSpec(18, 50, 67, weight_range=(1, 2)), 0),
-    "b_prime_1_s7": _at_capacity(GenSpec(12, 50, 7), 1),
+    "b_prime_1_s12": _at_capacity(GenSpec(12, 50, 12), 1),
     "b_prime_1_w3": _at_capacity(GenSpec(14, 50, 3, weight_range=(1, 3)), 1),
     "b_prime_1_w3_s28": _at_capacity(GenSpec(14, 50, 28, weight_range=(1, 3)), 1),
 }

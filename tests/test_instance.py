@@ -10,6 +10,7 @@ from kqkp.instance import (
     NegativeData,
     NonSymmetric,
     ParseError,
+    Preprocessed,
     fix_variable,
     parse_text,
     preprocess,
@@ -57,6 +58,13 @@ class TestPreprocess:
     def test_infeasible_when_k_exceeds_k_max(self):
         inst = Instance(3, np.array([2, 3, 4, 5]), 8, np.zeros((4, 4), dtype=np.int64))
         assert inst.k > preprocess(inst).k_max
+
+    def test_no_items_left(self):
+        # fixing every item of a node leaves n = 0: b' = 0, and only k = 0 fits
+        empty = np.zeros((0, 0), dtype=np.int64)
+        for k in (0, 1, 3):
+            inst = Instance(k, np.zeros(0, dtype=np.int64), 5, empty, offset=7)
+            assert preprocess(inst) == Preprocessed(k_max=0, b_prime=0)
 
     def test_idempotent(self):
         inst = make_instance(10, seed=3)

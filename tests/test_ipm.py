@@ -1,3 +1,4 @@
+from dataclasses import replace
 from importlib.machinery import PathFinder
 
 import numpy as np
@@ -8,9 +9,10 @@ from kqkp import bnb, bundle, cuts, ipm, relaxation
 from kqkp.instance import Instance, preprocess
 from kqkp.ipm import _inv_factor, _max_step, assemble_schur, certify_dual, solve
 from kqkp.oracle import enumerate_exact
-from _reference import (dense_adjoint_op, dense_constraint_op, naive_max_step,
+from _reference import (dense_adjoint_op, dense_constraint_op, face_optima, naive_max_step,
                         naive_schur, random_spd, reference_direction, top_down_ladder)
-from conftest import K_LIGHTEST_CASES, k_lightest_face, k_lightest_instance, make_instance
+from conftest import (K_LIGHTEST_CASES, all_cuts, k_lightest_face, k_lightest_instance,
+                      make_instance)
 
 TIGHT_TOL = 1e-7  # tighter than the pipeline's bundle.IPM_TOL, for the IPM-quality checks
 
@@ -25,7 +27,7 @@ def _bound(inst):
     relaxation has dimension 0."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundle, "IPM_TOL", TIGHT_TOL)
-        bound, _, _, _ = bnb.node_bound(inst, float("-inf"), max_evals=1)
+        bound, _, _, _, _ = bnb.node_bound(inst, float("-inf"), max_evals=1)
     return bound
 
 
@@ -655,3 +657,53 @@ def test_certify_dual_repairs_infeasible_point(rng):
     assert lam < 0
     y2[:n] += delta - lam
     assert abs(val - float(rhs @ y2)) < 1e-8 * (1 + abs(val))
+
+
+# relaxations with n <= 12: plain draws, one with n == 2k (a dummy
+# coordinate) and two with b == b' (items fixed by the reduction)
+FACE_CASES = {
+    **{f"n{n}_s{seed}": make_instance(n, seed=seed) for n, seed in
+       ((8, 1), (10, 2), (11, 5), (12, 1), (12, 6))},
+    "n_2k": replace(make_instance(12, seed=3), k=6),
+    "k_lightest": k_lightest_instance("partial_tie"),
+    "k_lightest_2k": k_lightest_instance("half_tie"),
+}
+
+
+class TestFaceBounds:
+    @pytest.mark.parametrize("name", list(FACE_CASES))
+    def test_every_certified_bound_covers_its_face(self, name, rng, monkeypatch):
+        inst = FACE_CASES[name]
+        data = relaxation.build(inst)
+        assert data.dim >= 3
+        best = face_optima(inst)
+        items = np.flatnonzero(data.coord_of_item >= 0)
+        coords = data.coord_of_item[items]
+        certified = []
+        real = ipm.certify_dual
+        monkeypatch.setattr(ipm, "certify_dual", lambda *a: certified.append(1) or real(*a))
+        # each certificate passes its Cholesky test: no eigenvalue repair
+        repairs = []
+        lambda_min = ipm._lambda_min
+        monkeypatch.setattr(ipm, "_lambda_min", lambda S: repairs.append(1) or lambda_min(S))
+        catalogue = all_cuts(data.dim)
+        for size, scale in ((0, 0.0), (data.dim, 1.0), (3 * data.dim, 20.0)):
+            pool = catalogue[rng.choice(len(catalogue), size, replace=False)]
+            out = bundle.oracle_eval(pool, rng.uniform(0, scale, size), data)
+            y, cost, offset = out.dual
+            certified.clear()
+            repairs.clear()
+            # an infinite level certifies every face, whatever the incumbent
+            bounds = ipm.face_bounds(data, y, cost, np.inf) + offset
+            assert len(certified) == 2 * len(coords) and not repairs
+            assert np.isfinite(bounds[coords]).all()
+            assert (bounds[coords] >= best[items] - 1e-6 * (1 + np.abs(bounds[coords]))).all()
+            # rows without an item (the dummy) are never certified
+            assert np.isinf(np.delete(bounds, coords, axis=0)).all()
+            # a finite level certifies those faces whose estimate falls
+            # below it, each with the same bound, by one certificate each
+            for level in np.quantile(bounds[coords], [0.1, 0.5]) - offset:
+                certified.clear()
+                part = ipm.face_bounds(data, y, cost, level) + offset
+                assert ((part == bounds) | np.isinf(part)).all()
+                assert len(certified) == np.isfinite(part).sum()

@@ -17,12 +17,13 @@ lengths that fell below the last rung of ``ipm.LADDER`` (in a checkout whose
 corrector takes exact steps, its two per iteration count too), and its
 Cholesky tests by wrapping ``ipm._is_pd``: the ladder's rungs and midpoints,
 the restart's test of its shifted Z and, where ``certify_dual`` makes one,
-the certificate's test.
+the certificate's test, the face test's certificates among them.
 
 Per draw the script prints its status, value (or root bound), nodes, evals,
-IPM iterations, exact step lengths (``fallbacks``), Cholesky tests
-(``chol``), the IPM statuses other than ``optimal`` and the bundle's stop
-reasons (``stop_<reason>``); per set
+the items that the face test of ``bnb.solve`` fixed (``fixes``, the N of
+each "fix N" in the node trace's actions), IPM iterations, exact step
+lengths (``fallbacks``), Cholesky tests (``chol``), the IPM statuses other
+than ``optimal`` and the bundle's stop reasons (``stop_<reason>``); per set
 the totals and a digest of the answers (status and value of every draw, or
 every root bound to 1e-2), so two checkouts compare line by line.  It
 prints no times: run both sides of a comparison on one machine, one after
@@ -96,10 +97,15 @@ def count_calls(ipm, bundle):
         ipm._max_step, ipm._is_pd = real_max_step, real_is_pd
 
 
-def row(label: str, answer: str, nodes: int, evals: int, counts: Counter) -> str:
+def fixes(trace: list) -> int:
+    """The items fixed by the face test: the N of every "fix N" action."""
+    return sum(int(action.rsplit("fix ", 1)[1]) for *_, action in trace if "fix " in action)
+
+
+def row(label: str, answer: str, nodes: int, evals: int, fixed: int, counts: Counter) -> str:
     other = " ".join(f"{k}={v}" for k, v in sorted(counts.items())
                      if k not in ("iters", "optimal", "fallbacks", "chol"))
-    return (f"{label:<16} {answer:<26} nodes {nodes:>5} evals {evals:>5} "
+    return (f"{label:<16} {answer:<26} nodes {nodes:>5} evals {evals:>5} fixes {fixed:>5} "
             f"ipm_iters {counts['iters']:>6} fallbacks {counts['fallbacks']:>5} "
             f"chol {counts['chol']:>7} {other}").rstrip()
 
@@ -110,7 +116,7 @@ def run_set(name: str, bnb, bundle, generator, ipm) -> None:
     else:
         draws = [(n, DENSITIES[s % 4], s) for n, seeds in TREE_SETS[name] for s in seeds]
     total, answers = Counter(), []
-    nodes = evals = 0
+    nodes = evals = fixed = 0
     print(f"== {name}")
     for n, d, s in draws:
         inst = generator.generate(generator.GenSpec(n, d, s))
@@ -118,21 +124,23 @@ def run_set(name: str, bnb, bundle, generator, ipm) -> None:
             continue
         with count_calls(ipm, bundle) as counts:
             if name == "roots":
-                bound, _, used, _ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
-                answer, drawn = f"bound {bound:.2f}", 0
+                bound, _, used, _, _ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
+                answer, drawn, fixed_here = f"bound {bound:.2f}", 0, 0
             else:
                 cfg = bnb.SolverConfig(time_limit_s=TIME_LIMIT.get(name, 10800.0))
                 rep = bnb.solve(inst, cfg)
                 value = rep.best.value if rep.best is not None else None
                 answer, drawn, used = f"{rep.status} {value}", rep.nodes, rep.evals
+                fixed_here = fixes(rep.node_trace)
         label = f"n{n}_d{d}_s{s}"
-        print(row(label, answer, drawn, used, counts), flush=True)
+        print(row(label, answer, drawn, used, fixed_here, counts), flush=True)
         answers.append(f"{label} {answer}")
         total += counts
         nodes += drawn
         evals += used
+        fixed += fixed_here
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16]
-    print(row(f"total {len(answers)}", f"digest {digest}", nodes, evals, total))
+    print(row(f"total {len(answers)}", f"digest {digest}", nodes, evals, fixed, total))
 
 
 def main(argv=None) -> int:
