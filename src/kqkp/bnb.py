@@ -1,8 +1,9 @@
 """Best-first branch-and-bound driver with a branch-and-prune fast path.
 
-Nodes carry a reduced instance (variables fixed by the branching history
-folded into it) plus the inherited upper bound.  The queue is keyed by
-bound (largest first; we maximize), ties broken by depth (deeper first).
+A node carries its reduced instance (its fixed items folded into the
+data), its assignment vector (per root item: -1 while free, else the value
+fixed) and the inherited upper bound.  The queue is keyed by bound
+(largest first; we maximize), ties broken by depth (deeper first).
 Pruning uses incumbent + 1 (``bundle.prunable``, the test the bundle stops
 on): all data are integers, so the optimum is integral.
 
@@ -84,8 +85,9 @@ class SolverConfig:
 @dataclass
 class Node:
     reduced: Instance
-    free: tuple  # original indices of the surviving variables
-    fixed_ones: tuple  # original indices fixed to 1
+    # per root item: -1 while free, else the value fixed; the free items,
+    # in increasing order, are the items of ``reduced``
+    values: np.ndarray
     depth: int
     bound: float
     # the parent's final (cuts, gamma) in this node's item indices, shared
@@ -226,11 +228,11 @@ def branch_and_prune(inst: Instance, floor: float = float("-inf"),
     return best()
 
 
-def _lift_incumbent(root: Instance, node: Node, sub: Incumbent) -> Incumbent:
-    """A selection of the node's reduced instance as one of the root."""
-    x = np.zeros(root.n, dtype=np.int64)
-    x[list(node.fixed_ones)] = 1
-    x[list(node.free)] = sub.x
+def _lift_incumbent(root: Instance, values: np.ndarray, sub: Incumbent) -> Incumbent:
+    """A selection of the instance left free by the assignment ``values``
+    as one of the root."""
+    x = np.maximum(values, 0)
+    x[values < 0] = sub.x
     return Incumbent(x, root.objective(x), sub.source)
 
 
@@ -242,18 +244,6 @@ def _remap(pool: tuple, index: np.ndarray) -> tuple:
     ijk = index[cuts[:, :3]]
     keep = (ijk >= 0).all(axis=1)
     return np.column_stack([ijk[keep], cuts[keep, 3]]), gamma[keep]
-
-
-def _fix(inst: Instance, items: np.ndarray, ones: np.ndarray) -> Instance | None:
-    """``inst`` with x_j fixed to 1 where ``ones`` holds, else 0, for j in
-    ``items`` (increasing); None if a fix, or the cardinality left, is
-    infeasible."""
-    try:
-        for j, one in zip(items[::-1], ones[::-1]):  # descending keeps lower indices valid
-            inst = fix_variable(inst, int(j), int(one))
-    except InfeasibleFix:
-        return None
-    return inst if inst.k <= preprocess(inst).k_max else None
 
 
 def node_bound(inst: Instance, lower_bound: float, max_evals: int,
@@ -325,21 +315,22 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     if root.k > prep.k_max:
         return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0, float("nan"))
 
-    def bnp_leaf(node: Node, leaf: Node, action: str) -> SolveReport | None:
-        """Finish ``node`` by branch-and-prune on the instance of ``leaf``:
-        the node itself, or the node after its face test's fixes.  Returns
+    def bnp_leaf(node: Node, red: Instance, values: np.ndarray,
+                 action: str) -> SolveReport | None:
+        """Finish ``node`` by branch-and-prune on ``red`` with the assignment
+        ``values``: the node's own, or after its face test's fixes.  Returns
         the time-limit report if the deadline stopped the search."""
         nonlocal best
         stopped = False
         try:
             # a reduced objective, offset included, is the root objective
             # of the lifted selection, so the incumbent is the floor as is
-            sub = branch_and_prune(leaf.reduced, best.value, deadline)
+            sub = branch_and_prune(red, best.value, deadline)
         except TimeLimitReached as stop:
             sub, stopped = stop.best, True
         if sub is not None:
-            best = _lift_incumbent(root, leaf, sub)
-        if not stopped and leaf is node:
+            best = _lift_incumbent(root, values, sub)
+        if not stopped and red is node.reduced:
             # nothing left in this subtree beats best; a fixed node keeps the
             # bound its bundle proved, so a root's stays its SDP bound
             node.bound = best.value
@@ -349,7 +340,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
 
     best = primal_heuristic(root, prep)
     evals = nodes = seq = 0
-    root_node = Node(root, tuple(range(root.n)), (), 0, float("inf"))
+    root_node = Node(root, np.full(root.n, -1), 0, float("inf"))
     heap = [(-root_node.bound, 0, seq, root_node)]
 
     while heap:
@@ -367,7 +358,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             _trace(trace, node, "infeasible")
             continue
         if red.k <= bnp_k:
-            if (stop := bnp_leaf(node, node, "bnp_leaf")) is not None:
+            if (stop := bnp_leaf(node, red, node.values, "bnp_leaf")) is not None:
                 return stop
             continue
         nb, x_frac, used, pool, excluded = node_bound(red, best.value, max_evals,
@@ -377,7 +368,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         if bundle_mod.prunable(node.bound, best.value):
             _trace(trace, node, "prune")
             continue
-        cand = _lift_incumbent(root, node, varfix_heuristic(red, red_prep, x_frac))
+        cand = _lift_incumbent(root, node.values, varfix_heuristic(red, red_prep, x_frac))
         if cand.value > best.value:
             best = cand
         if bundle_mod.prunable(node.bound, best.value):
@@ -387,41 +378,39 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         # the face test: fix every item one of whose faces is excluded
         faces = excluded(best.value)
         fix = np.flatnonzero(faces.any(axis=1))
-        red = None if faces.all(axis=1).any() else _fix(red, fix, faces[fix, 0])
-        if red is None:
+        try:
+            red = fix_variable(red, fix, faces[fix, 0])
+        except InfeasibleFix:
+            red = None
+        if faces.all(axis=1).any() or red is None or red.k > preprocess(red).k_max:
             _trace(trace, node, "prune")
             continue
+        free = np.flatnonzero(node.values < 0)  # the root items of the node's items
+        values = node.values.copy()
+        values[free[fix]] = faces[fix, 0]
         keep = np.flatnonzero(~faces.any(axis=1))
-        fixed_ones = node.fixed_ones + tuple(node.free[j] for j in fix if faces[j, 0])
         note = f" fix {len(fix)}" if len(fix) else ""
         if red.k <= bnp_k or len(keep) == 0:
-            leaf = Node(red, tuple(node.free[j] for j in keep), fixed_ones, node.depth, node.bound)
-            if (stop := bnp_leaf(node, leaf, "bnp_leaf" + note)) is not None:
+            if (stop := bnp_leaf(node, red, values, "bnp_leaf" + note)) is not None:
                 return stop
             continue
 
         # branch on the most fractional coordinate of the items left
         v = int(np.argmin(np.abs(0.5 - np.asarray(x_frac)[keep])))
-        orig_v = node.free[keep[v]]
+        orig_v = int(free[keep[v]])
         _trace(trace, node, f"branch x{orig_v}{note}")
         rest = np.delete(keep, v)
-        index = np.full(len(node.free), -1)
+        index = np.full(len(free), -1)
         index[rest] = np.arange(len(rest))  # the fixed items and v leave
-        child_free = tuple(node.free[j] for j in rest)
         child_pool = _remap(pool, index)
         for val in (1, 0):
             try:
                 child_red = fix_variable(red, v, val)
             except InfeasibleFix:
                 continue
-            child = Node(
-                child_red,
-                child_free,
-                fixed_ones + (orig_v,) if val == 1 else fixed_ones,
-                node.depth + 1,
-                node.bound,
-                child_pool,
-            )
+            child_values = values.copy()
+            child_values[orig_v] = val
+            child = Node(child_red, child_values, node.depth + 1, node.bound, child_pool)
             seq += 1
             heapq.heappush(heap, (-child.bound, -child.depth, seq, child))
 
@@ -429,4 +418,5 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
 
 
 def _trace(trace: list, node: Node, action: str) -> None:
-    trace.append((node.depth, len(node.fixed_ones), round(node.bound, 3), action))
+    ones = int(np.count_nonzero(node.values == 1))
+    trace.append((node.depth, ones, round(node.bound, 3), action))

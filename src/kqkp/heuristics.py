@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, Preprocessed, preprocess
+from .instance import Instance, Preprocessed, fix_variable, preprocess
 
 PRIMAL = "primal"
 VARFIX = "varfix"
@@ -125,14 +125,14 @@ def varfix_heuristic(inst: Instance, prep: Preprocessed, x_frac: np.ndarray,
     x_frac = np.asarray(x_frac, dtype=float)
     last = -1
     for eps in EPSILON_SCHEDULE:
-        free = np.nonzero(x_frac >= eps)[0]
+        kept = x_frac >= eps
+        free = np.flatnonzero(kept)
         if len(free) < inst.k:
             break  # reduced problem can no longer host k items
         if len(free) == last:
             continue  # the sets shrink as eps rises: the last one again
         last = len(free)
-        sub = Instance(inst.k, inst.a[free], inst.b,
-                       inst.C[np.ix_(free, free)], inst.offset)
+        sub = fix_variable(inst, np.flatnonzero(~kept), 0)
         sub_prep = preprocess(sub)
         if inst.k > sub_prep.k_max:
             continue

@@ -5,6 +5,8 @@ e'x == k.  All root data are nonnegative integers with C symmetric.
 Variable fixing folds the linear terms created by x_j = 1 into the diagonal
 of the reduced C (valid on binaries since x_i^2 == x_i) and accumulates the
 constant part in ``offset``, so subproblems never need a linear cost vector.
+``fix_variable`` fixes any set of items in one reduction, and every
+subproblem of the search, the relaxation and the heuristics is made by it.
 """
 
 from __future__ import annotations
@@ -125,27 +127,36 @@ def preprocess(inst: Instance) -> Preprocessed:
     return Preprocessed(k_max, int(csum[m - 1]) if m > 0 else 0)
 
 
-def fix_variable(inst: Instance, j: int, value: int) -> Instance:
-    """Reduced subproblem after forcing x_j to 0 or 1."""
-    if not 0 <= j < inst.n:
-        raise IndexError(f"item index {j} out of range")
-    if value not in (0, 1):
-        raise ValueError("value must be 0 or 1")
-    if value == 1 and (inst.k == 0 or int(inst.a[j]) > inst.b):
-        raise InfeasibleFix(f"cannot set x_{j}=1 (k={inst.k}, a_j={int(inst.a[j])}, b={inst.b})")
-    keep = np.arange(inst.n) != j
-    a2 = inst.a[keep]
-    C2 = inst.C[np.ix_(keep, keep)].copy()
-    if value == 0:
+def fix_variable(inst: Instance, j, value) -> Instance:
+    """Reduced subproblem after forcing x_j = ``value`` for every item j given.
+
+    ``j`` is one item or an array of distinct items, ``value`` one 0/1 value
+    or one per item.  One reduction, equal to fixing them one at a time: k
+    and b fall by the count and weight of the ones, each item left gains
+    twice its coupling to the ones on its diagonal, and the offset gains
+    ones'C ones.  Raises IndexError, ValueError (a repeated item, a value
+    not 0 or 1, or one value per item of another count) or InfeasibleFix
+    (the ones outnumber k or outweigh b).
+    """
+    items = np.array(j, dtype=np.intp, ndmin=1)
+    values = np.ravel(value).tolist()  # plain Python checks are cheapest here
+    if min(items.tolist(), default=0) < 0:
+        raise IndexError(f"negative item index in {items}")
+    keep = np.ones(inst.n, dtype=bool)
+    keep[items] = False  # raises IndexError for an index of n or more
+    if inst.n - np.count_nonzero(keep) != items.size or not {*values} <= {0, 1}:
+        raise ValueError(f"need distinct items and values 0 or 1, got {items} and {value}")
+    one = np.zeros(inst.n, dtype=bool)
+    one[items] = value  # raises ValueError for values of another length
+    a2, C2 = inst.a[keep], inst.C[keep][:, keep]
+    if not any(values):
         return Instance(inst.k, a2, inst.b, C2, inst.offset)
-    C2[np.diag_indices_from(C2)] += 2 * inst.C[j, keep]
-    return Instance(
-        inst.k - 1,
-        a2,
-        inst.b - int(inst.a[j]),
-        C2,
-        inst.offset + int(inst.C[j, j]),
-    )
+    m, weight = np.count_nonzero(one), int(inst.a[one].sum())
+    if m > inst.k or weight > inst.b:
+        raise InfeasibleFix(f"{m} ones of weight {weight} exceed k={inst.k} or b={inst.b}")
+    rows = inst.C[one]
+    C2.flat[:: len(a2) + 1] += 2 * rows[:, keep].sum(axis=0)
+    return Instance(inst.k - m, a2, inst.b - weight, C2, inst.offset + int(rows[:, one].sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -89,11 +89,8 @@ def _face(inst: Instance):
     w_k, x_fixed with lighter items at 1 and heavier at 0, the tie class)."""
     a = inst.a
     wk = int(np.sort(a)[inst.k - 1])
-    sub = inst
-    for j in range(inst.n - 1, -1, -1):  # descending keeps lower indices valid
-        if a[j] != wk:
-            sub = fix_variable(sub, j, int(a[j] < wk))
-    return sub, (a < wk).astype(float), np.flatnonzero(a == wk)
+    off = np.flatnonzero(a != wk)
+    return fix_variable(inst, off, a[off] < wk), (a < wk).astype(float), np.flatnonzero(a == wk)
 
 
 def _exact(inst: Instance, sub: Instance, x_fixed: np.ndarray,

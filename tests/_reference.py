@@ -133,7 +133,7 @@ def reference_direction(Zi, X, s, t, a_bar, rp, Rd, Corr, mu, scorr) -> tuple:
 def dense_line_max(z: np.ndarray, b: np.ndarray, cd: float, u: float) -> float:
     """The t in [0, 1] where cd + u * sum(b * max(0, z - t b)) crosses zero,
     the slope evaluated at 0, 1 and every kink z/b in between."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kinks = z / b
     ts = np.concatenate(([0.0], np.sort(kinks[(kinks > 0) & (kinks < 1)]), [1.0]))
     slope = cd + u * (b[:, None] * np.maximum(0.0, z[:, None] - np.outer(b, ts))).sum(0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kqkp import oracle
 from kqkp.instance import (
     CapacityOutOfRange,
+    InfeasibleFix,
     Instance,
     NegativeData,
     NonSymmetric,
@@ -110,6 +111,9 @@ class TestFixVariable:
         for j in reversed(range(inst.n)):
             cur = fix_variable(cur, j, int(opt.argmax[j]))
         assert cur.offset == opt.value
+        # every item at once
+        red = fix_variable(inst, np.arange(inst.n), opt.argmax)
+        assert red.n == 0 and red.k == 0 and red.offset == opt.value
 
     def test_reduction_identity_by_enumeration(self):
         inst = make_instance(7, seed=5)
@@ -121,6 +125,67 @@ class TestFixVariable:
                                  dtype=np.int64)
                 x_full = np.insert(x_red, j, val)
                 assert red.objective(x_red) == inst.objective(x_full)
+
+    @staticmethod
+    def _chain(inst, items, values):
+        """One-item fixes in descending index order, which keeps the lower
+        indices valid."""
+        for j, v in sorted(zip(np.ravel(items).tolist(), np.ravel(values).tolist()),
+                           reverse=True):
+            inst = fix_variable(inst, j, v)
+        return inst
+
+    def test_set_form_equals_the_chain_of_one_item_fixes(self):
+        rng = np.random.default_rng(0)
+        checked = infeasible = 0
+        for seed in range(40):
+            inst = make_instance(int(rng.integers(4, 13)), density=(25, 50, 75, 100)[seed % 4],
+                                 seed=seed)
+            n = inst.n
+            sizes = (0, 1, n, *rng.integers(2, n, size=3))
+            for size in sizes:
+                items = rng.choice(n, size=size, replace=False)
+                # one value per item, or one value for them all
+                values = ((rng.random(size) < rng.choice([0.2, 0.5])).astype(int)
+                          if rng.random() < 0.7 else int(rng.random() < 0.3))
+                try:
+                    want = self._chain(inst, items, np.broadcast_to(values, size))
+                except InfeasibleFix:
+                    infeasible += 1
+                    with pytest.raises(InfeasibleFix):
+                        fix_variable(inst, items, values)
+                    continue
+                got = fix_variable(inst, items, values)
+                assert (got.k, got.b, got.offset) == (want.k, want.b, want.offset)
+                assert np.array_equal(got.a, want.a) and got.a.dtype == want.a.dtype
+                assert np.array_equal(got.C, want.C) and got.C.dtype == want.C.dtype
+                checked += 1
+        assert checked > 150 and infeasible > 5
+
+    def test_repeated_item_or_bad_value_rejected(self):
+        inst = make_instance(6, seed=1)
+        for items, values in (([1, 1], 0), ([2, 4, 2], [0, 1, 0]), (3, 2), (3, -1),
+                              (3, 0.5), ([1, 2], [0, 2]), ([1, 2, 3], [0, 0])):
+            with pytest.raises(ValueError):
+                fix_variable(inst, items, values)
+
+    def test_index_out_of_range_rejected(self):
+        inst = make_instance(6, seed=1)
+        for items in (6, -1, [0, 6], [2, -3], 100):
+            with pytest.raises(IndexError):
+                fix_variable(inst, items, 0)
+
+    def test_ones_beyond_k_or_b_are_infeasible(self):
+        inst = Instance(2, np.array([3, 4, 5, 6]), 9, np.ones((4, 4), dtype=np.int64))
+        with pytest.raises(InfeasibleFix):
+            fix_variable(inst, [0, 1, 2], 1)  # three ones, k = 2
+        with pytest.raises(InfeasibleFix):
+            fix_variable(inst, [2, 3], [1, 1])  # weight 11 > b = 9
+        with pytest.raises(InfeasibleFix):
+            fix_variable(Instance(0, inst.a, 9, inst.C), 0, 1)
+        red = fix_variable(inst, [0, 3, 1], [1, 1, 0])  # weight 9 == b
+        assert (red.n, red.k, red.b, red.offset) == (1, 0, 0, 4)
+        assert red.C[0, 0] == 1 + 2 * 2
 
 
 class TestTextFormat:
