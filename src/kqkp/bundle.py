@@ -19,16 +19,16 @@ cut with.
 
 Each candidate minimizes the cutting-plane model plus a proximal term.  That
 subproblem is solved exactly through its dual over the unit simplex of
-piece weights (Kiwiel, SIAM J. Sci. Stat. Comput. 1989): an outer fixed
-point on the coordinates the candidate leaves positive, each pass a small
-active-set quadratic program in one weight per piece, with a hard cap of
-MODEL_PASSES passes.  The model gains one piece per evaluation and restarts
-at each pool update, so the evaluation budget bounds its size and no piece
-is ever dropped.  The subproblem's accuracy only steers the trajectory;
-every reported bound is an oracle's certified dual value.  So every
-evaluation, root and nodes alike, solves to one loose relative gap
-``IPM_TOL``: the certified dual is valid however loosely the solve
-converged, so the tolerance only steers the bundle.
+piece weights (Kiwiel, SIAM J. Sci. Stat. Comput. 1989) by one primal-dual
+active-set loop on the weights and the coordinates the candidate leaves
+positive, each step one small KKT solve, up to MODEL_STEPS steps.  The
+model gains one piece per evaluation and restarts at each pool update, so
+the evaluation budget bounds its size and no piece is ever dropped.  The
+subproblem's accuracy only steers the trajectory; every reported bound is
+an oracle's certified dual value.  So every evaluation, root and nodes
+alike, solves to one loose relative gap ``IPM_TOL``: the certified dual is
+valid however loosely the solve converged, so the tolerance only steers
+the bundle.
 
 Successive evaluations differ only in their cost matrix, so each interior-
 point solve after the first of a ``minimize`` call restarts from the
@@ -62,10 +62,9 @@ GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
 UPDATE_PERIOD = 5  # descent steps between cut pool updates
 POOL_CAPACITY = 10  # cuts the pool may hold per item of the relaxation
 IPM_TOL = 1e-4  # relative gap of every evaluation's interior-point solve
-# cap on the passes of _model_weights, and (times the number of pieces, at
-# most the evaluation budget) on the steps of _simplex_qp; the bb_n40
-# subproblems, each started from the last one's weights, need at most 7 passes
-MODEL_PASSES = 50
+# cap on the steps of _model_weights; the subproblems of bb_n40 and
+# root_n100, each started from the last one's weights, need at most 14 and 10
+MODEL_STEPS = 50
 
 
 @dataclass
@@ -112,58 +111,6 @@ def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
     )
 
 
-def _simplex_qp(Q: np.ndarray, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Minimize 1/2 lam'Q lam - q'lam over the unit simplex, from a feasible lam.
-
-    Primal active-set method: the free set S holds the weights allowed to be
-    positive.  Each step solves the equality-constrained problem on S by an
-    eigendecomposition of Q_SS restricted to {d : sum(d) = 0}.  Where that
-    restriction is singular (duplicate linearizations, fewer pool
-    coordinates than pieces) and the gradient has a component in its null
-    space, the step walks along that component to the nearest bound, so a
-    singular Q needs no special case.  A step cut short by a bound drops
-    that weight from S; a full step adds the weight of most negative
-    multiplier, or ends the loop when none is negative.
-    """
-    lam = lam.copy()
-    free = lam > 0
-    tol = 1e-13 * (np.abs(q).max() + np.abs(Q).max())
-    for _ in range(MODEL_PASSES * len(q)):
-        S = np.flatnonzero(free)
-        m = len(S)
-        QS = Q[S][:, S]
-        grad = Q[S] @ lam - q[S]
-        row = QS.sum(0) / m  # Q_SS is symmetric: row and column means agree
-        e, V = np.linalg.eigh(QS - row - row[:, None] + row.sum() / m)
-        r = V.T @ (grad - grad.sum() / m)
-        pos = e > 1e-12 * max(e[-1], 0.0)
-        r_null = np.where(pos, 0.0, r)
-        if np.abs(r_null).max() > tol:
-            d, alpha = -(V @ r_null), np.inf
-        else:
-            d, alpha = -(V[:, pos] @ (r[pos] / e[pos])), 1.0
-        d -= d.sum() / m
-        neg = d < 0
-        ratios = np.where(neg, lam[S] / np.where(neg, -d, 1.0), np.inf)
-        k = int(np.argmin(ratios))
-        blocked = ratios[k] < alpha
-        lam[S] = np.maximum(lam[S] + min(alpha, ratios[k]) * d, 0.0)
-        if blocked:
-            lam[S[k]] = 0.0
-            free[S[k]] = False
-        lam /= lam.sum()
-        if blocked:
-            continue
-        eta = Q @ lam - q
-        eta -= eta[S].sum() / m
-        eta[free] = np.inf
-        j = int(np.argmin(eta))
-        if eta[j] >= -tol:
-            break
-        free[j] = True
-    return lam
-
-
 def _line_max(z: np.ndarray, b: np.ndarray, cd: float, u: float) -> float:
     """The t in [0, 1] maximizing theta(lam + t d), where z = center - G lam / u,
     b = G d / u and cd = c'd.  The slope cd + u * sum(b * max(0, z - t b)) is
@@ -199,39 +146,92 @@ def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
         theta(lam) = lam'c + (u/2)||center||^2 - (u/2)||max(0, z)||^2,
         z = center - G lam / u,
 
-    concave and continuously differentiable.  On the set F = {z > 0} it is
-    the quadratic of ``_simplex_qp`` with Q = G_F'G_F / u and
-    q = c + G_F'center_F.  Each pass solves that quadratic for the F of the
-    current lam; when the solution keeps the same F it is the maximizer of
-    theta (the KKT conditions of both problems coincide) and is returned.
-    Otherwise lam moves to the maximum of theta on the segment towards it,
-    so theta never falls and the last lam is the best seen.  The loop ends
-    after MODEL_PASSES passes, or when the segment gives no rise, since the
-    next pass would repeat this one.  The start is ``lam``, any point of the
-    simplex, or else the best vertex.  The subproblem is strongly convex, so
-    its candidate max(0, center - G lam / u) is the same from every start up
-    to rounding; a start near the maximizer saves passes.
+    concave and continuously differentiable, with gradient v = c + G'max(0,
+    z): each piece's value at the candidate max(0, z).  One primal-dual
+    active-set loop (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2003)
+    keeps the support S, which holds every positive weight, and F = {z > 0}.
+    On F theta is a quadratic, and a step is its Newton step on the face
+    sum(lam_S) = 1: the KKT system [G_FS'G_FS / u, e; e', 0], solved by one
+    eigendecomposition on {d : sum(d) = 0}.  Where that is singular
+    (duplicate pieces, |F| < |S|) and v has a component in its null space,
+    theta rises linearly along it, and the step walks to the nearest bound.
+    A step cut short by a bound drops that piece from S.  F is reset from
+    each new z; where it changed and theta does not rise, the step goes to
+    the maximum of theta on its segment (``_line_max``), so theta never
+    falls and full steps cannot cycle.  A step that ends at no bound with F
+    unchanged maximizes theta on the face: then the piece most above max
+    v_S joins S or, with none, lam is the KKT point and is returned.  The
+    start is ``lam``, any point of the simplex, or else the best vertex;
+    its most violated piece joins at once (a warm start's new piece).  The
+    loop ends after MODEL_STEPS steps, or when a segment gives no rise.
+    The subproblem is strongly convex, so its candidate is the same from
+    every start up to rounding; a start near the maximizer saves steps.
     """
+    if len(lin_c) == 1:
+        return np.ones(1)
     if lam is None:
         # theta at each vertex e_i: the Lagrangian at its minimizer Z[:, i]
         Z = np.maximum(0.0, center[:, None] - G / u)
         vertex_theta = lin_c + (G * Z).sum(0) + 0.5 * u * ((Z - center[:, None]) ** 2).sum(0)
-        lam = np.zeros(len(lin_c))
-        lam[int(np.argmax(vertex_theta))] = 1.0
-    z = center - G @ lam / u
-    for _ in range(MODEL_PASSES):
-        F = z > 0
-        GF = G[F]
-        new = _simplex_qp(GF.T @ GF / u, lin_c + GF.T @ center[F], lam)
-        if np.array_equal(center - G @ new / u > 0, F):
-            return new
-        d = new - lam
-        t = _line_max(z, G @ d / u, float(lin_c @ d), u)
-        lam = lam + t * d
-        z = center - G @ lam / u
-        if t == 0.0:
-            break
-    return lam
+        lam = np.eye(len(lin_c))[int(np.argmax(vertex_theta))]
+    lam = np.array(lam, dtype=float)
+    free = lam > 0
+    S = np.flatnonzero(free)
+    GS = G[:, S]
+    z = center - GS @ lam[S] / u
+    F = z > 0
+    stationary, price = len(S) == 1, True
+    for _ in range(MODEL_STEPS):
+        zp = np.maximum(z, 0.0)
+        v = lin_c + G.T @ zp
+        if price:
+            out = np.where(free, -np.inf, v)
+            j = int(np.argmax(out))
+            if out[j] - v[S].max() > 1e-13 * np.abs(v).max():
+                free[j] = True
+                S = np.flatnonzero(free)
+                GS = G[:, S]
+            elif stationary:
+                break
+        m = len(S)
+        Q = GS.T @ (GS * F[:, None])
+        row = Q.sum(0) / m
+        w, V, info = ipm.lapack.dsyevd(Q - row - row[:, None] + row.sum() / m)
+        if info != 0:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        g = v[S]
+        c = V.T @ (g - g.sum() / m)
+        # w[i:] > 0; one w ~ 0 belongs to the ones vector, orthogonal to every step
+        i = int(np.searchsorted(w, 1e-12 * w[-1], side="right"))
+        if i > 1 and np.abs(c[:i]).max() > 1e-13 * (np.abs(g).max() + w[-1] / u):
+            d, alpha = V[:, :i] @ c[:i], np.inf
+        else:
+            d, alpha = u * (V[:, i:] @ (c[i:] / w[i:])), 1.0
+        lam_S, t = lam[S], 1.0
+        blocked = alpha > 1.0 or (lam_S + d).min() < 0.0
+        if blocked:  # the step ends where the first weight reaches 0
+            ratios = np.where(d < 0, lam_S, np.inf) / np.abs(d)
+            k = int(np.argmin(ratios))
+            t = ratios[k]
+        b = GS @ d / u
+        z_new = z - t * b
+        F_new = z_new > 0
+        if not np.array_equal(F_new, F):
+            zn, cd = np.maximum(z_new, 0.0), float(lin_c[S] @ d)
+            if not t * cd > 0.5 * u * (zn @ zn - zp @ zp):  # theta does not rise
+                t *= _line_max(z, t * b, t * cd, u)
+                z_new = z - t * b
+                F_new = z_new > 0
+                blocked = blocked and t == ratios[k]
+        lam[S] = np.maximum(lam_S + t * d, 0.0)
+        price = stationary = not blocked and (t == 0.0 or np.array_equal(F_new, F))
+        if blocked:
+            lam[S[k]] = 0.0
+            free[S[k]] = False
+            S = np.flatnonzero(free)
+            GS = G[:, S]
+        z, F = z_new, F_new
+    return lam / lam.sum()
 
 
 def _solve_model(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray, u: float,

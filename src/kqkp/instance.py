@@ -202,11 +202,14 @@ def parse_text(text: str) -> Instance:
         # cite the last line of a short file, the first extra line of a long one
         ln = rows[min(len(rows), n + 3) - 1][0]
         raise ParseError(ln, f"expected {n + 2} data lines, found {len(rows)}")
-    a = ints(rows[1], expect=n)
-    C = [ints(rows[2 + i], expect=n) for i in range(n)]
-    values = [[n, k, b], a, *C]
-    data = np.array(values[1:])  # int64 exactly when every entry fits in it
-    if data.dtype != np.int64 or not (_fits(k) and _fits(b)):
+    try:  # every data token in one conversion, which calls int() on each
+        data = np.array([toks for _, toks in rows[1:]], dtype=np.int64)
+    except (ValueError, OverflowError):  # a bad token, a ragged row or one out of range
+        data = None
+    if data is None or data.shape != (n + 1, n) or not (_fits(k) and _fits(b)):
+        # word the error: the first row of the wrong length or with a bad
+        # token, else the first integer outside int64
+        values = [[n, k, b], *(ints(row, expect=n) for row in rows[1:])]
         ln, tok = next((ln, t) for (ln, toks), vals in zip(rows, values)
                        for t, v in zip(toks, vals) if not _fits(v))
         raise ParseError(ln, f"integer out of the 64-bit range: {tok}")

@@ -276,7 +276,8 @@ def _direction(Zi: np.ndarray, LM: np.ndarray, X: np.ndarray, s: float, t: float
     return dX, rs - (s / t) * dt, dy, dZ, dt
 
 
-def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -> float:
+def certify_dual(y: np.ndarray, C: np.ndarray | None, B: np.ndarray | None,
+                 rhs: np.ndarray, Zc: np.ndarray | None = None) -> float:
     """Repair y to exact dual feasibility and return the (valid) dual value.
 
     With y[n+1] clamped at 0, a Cholesky factorization of A = fl(Zc - delta
@@ -287,11 +288,14 @@ def certify_dual(y: np.ndarray, C: np.ndarray, B: np.ndarray, rhs: np.ndarray) -
     (1 - g_{n+1}) trace(A); the subtraction moves A_ii by <= u |Zc_ii -
     delta|.  So lambda_min(Zc) >= delta - (n+2) u T / (1 - 2 (n+2) u), T =
     sum |Zc_ii|, and delta = 2 (n+2) u T + 2^-1000 covers that, its own
-    rounding and underflow.  Else y[:n] moves by delta - lambda_min(Zc)."""
-    n = C.shape[0]
+    rounding and underflow.  Else y[:n] moves by delta - lambda_min(Zc).
+    A caller that has formed Zc for the clamped y passes it (it is
+    overwritten), and C and B are not read."""
+    n = len(y) - 2
     y = y.copy()
     y[n + 1] = max(y[n + 1], 0.0)
-    Zc = _adjoint_op(y, B) - C
+    if Zc is None:
+        Zc = _adjoint_op(y, B) - C
     Zc.flat[::n + 1] -= (n + 2) * 2.0 ** -52 * float(np.abs(Zc.diagonal()).sum()) + 2.0 ** -1000
     if not _is_pd(Zc):
         y[:n] -= _lambda_min(0.5 * (Zc + Zc.T))
@@ -323,7 +327,8 @@ def face_bounds(data: RelaxationData, y: np.ndarray, C: np.ndarray,
     near the minimizers of n = 40 to 50 trees, and stays above 1e-6 times
     it, where the leading terms of uu vv and uv^2 cancel.  Each face to
     certify gets one ``certify_dual`` of (y + (tau + delta) on the diagonal,
-    C - mu F_c); delta = 1e-9 max |w| keeps that Cholesky test off the
+    C - mu F_c), whose slack is Zc moved by that diagonal shift and the
+    rank-2 mu F_c; delta = 1e-9 max |w| keeps that Cholesky test off the
     singular boundary of the mu chosen.
     """
     n = data.dim
@@ -331,7 +336,8 @@ def face_bounds(data: RelaxationData, y: np.ndarray, C: np.ndarray,
     rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
     y = y.copy()
     y[n + 1] = max(y[n + 1], 0.0)
-    w, Q = np.linalg.eigh(_adjoint_op(y, B) - C)
+    Zc = _adjoint_op(y, B) - C
+    w, Q = np.linalg.eigh(Zc)
     q = Q.sum(axis=0)  # Q'e
     coord = np.repeat(np.flatnonzero(data.item_of_coord >= 0), 2)  # faces (c, 0), (c, 1)
     sign = np.tile([-1.0, 1.0], len(coord) // 2) * math.copysign(1.0, data.proj_scale)
@@ -371,13 +377,14 @@ def face_bounds(data: RelaxationData, y: np.ndarray, C: np.ndarray,
     out = np.full((n, 2), np.inf)
     delta = 1e-9 * float(np.abs(w).max())
     for f in np.flatnonzero(est < level):
-        c, mu = coord[f], -2.0 * sign[f] / best_G[f]
+        c, mu, shift = coord[f], -2.0 * sign[f] / best_G[f], best_t[f] - w[0] + delta
         yf = y.copy()
-        yf[:n] += best_t[f] - w[0] + delta
-        Cf = C.copy()
-        Cf[c] -= 0.5 * mu
-        Cf[:, c] -= 0.5 * mu
-        out[c, f % 2] = certify_dual(yf, Cf, B, rhs) + mu * sign[f] * r
+        yf[:n] += shift
+        Zf = Zc.copy()
+        Zf.flat[::n + 1] += shift
+        Zf[c] += 0.5 * mu
+        Zf[:, c] += 0.5 * mu
+        out[c, f % 2] = certify_dual(yf, None, None, rhs, Zf) + mu * sign[f] * r
     return out
 
 

@@ -309,12 +309,12 @@ def _prox(lin_c, G, center, u, cand):
     return float(np.max(lin_c + G.T @ cand)) + 0.5 * u * float(np.sum((cand - center) ** 2))
 
 
-def _check_exact(lin_c, G, center, u, against_reference=True):
-    """Assert that _solve_model is optimal to rounding and, unless told
-    otherwise, no worse than the SLSQP reference (which can take seconds on
-    one subproblem)."""
-    lam = bundle._model_weights(lin_c, G, center, u)
-    cand, model, _ = bundle._solve_model(lin_c, G, center, u)
+def _check_exact(lin_c, G, center, u, against_reference=True, start=None):
+    """Assert that _solve_model, started at ``start`` (default: cold), is
+    optimal to rounding and, unless told otherwise, no worse than the SLSQP
+    reference (which can take seconds on one subproblem)."""
+    lam = bundle._model_weights(lin_c, G, center, u, start)
+    cand, model, _ = bundle._solve_model(lin_c, G, center, u, start)
     assert lam.min() >= 0 and abs(lam.sum() - 1.0) < 1e-12
     assert (cand >= 0).all()
     np.testing.assert_array_equal(cand, np.maximum(0.0, center - G @ lam / u))
@@ -455,7 +455,39 @@ class TestSolveModel:
         # full steps alternate between lam = (1/2, 1/2), F = {1}, and
         # lam = (1/4, 3/4), F = {0}; the optimum is (0.3, 0.7)
         ([[4, 2], [0, 4]], [1, 1], [3, 3], 1.0),
-    ], ids=["one_coordinate", "full_steps_cycle"])
+        # full steps cycle between the vertices (1, 0, 0) and (0, 0, 1); the
+        # data are integers, so z is exact there and no rounding breaks it
+        ([[-3, -1, 2], [3, 3, -2]], [3, 2, 3], [2, 3], 1.0),
+    ], ids=["one_coordinate", "full_steps_cycle", "vertex_cycle"])
     def test_small_cases(self, G, lin_c, center, u):
         _check_exact(np.array(lin_c, float), np.array(G, float), np.array(center, float), u)
 
+    @pytest.mark.parametrize("case", ["duplicates", "few_coordinates"])
+    def test_singular_warm_starts(self, case, rng):
+        # warm starts whose support holds duplicate pieces, or more pieces
+        # than the pool has coordinates, make the first KKT system singular
+        p, m = (8, 40) if case == "duplicates" else (8, 3)
+        for _ in range(20):
+            G = rng.uniform(-2.0, 4.0, size=(m, p))
+            lin_c = rng.uniform(1e3, 1e4, size=p)
+            center = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 5.0, size=m))
+            support = np.arange(p)
+            if case == "duplicates":  # copies of one piece, some with a lower constant
+                support = rng.choice(p, size=4, replace=False)
+                G[:, support[1:]] = G[:, [support[0]]]
+                lin_c[support[1:]] = lin_c[support[0]] - rng.choice([0.0, 10.0], size=3)
+            start = np.zeros(p)
+            start[support] = rng.dirichlet(np.ones(len(support)))
+            u = 10.0 ** rng.uniform(-1, 1)
+            _check_exact(lin_c, G, center, u, start=start)
+            cold = bundle._solve_model(lin_c, G, center, u)[0]
+            warm = bundle._solve_model(lin_c, G, center, u, start)[0]
+            assert np.abs(warm - cold).max() <= 1e-9 * (1.0 + np.abs(cold).max())
+
+    @pytest.mark.parametrize("start", [[0.5, 0.5], [0.25, 0.75]])
+    def test_full_steps_cycle_started_on_the_cycle(self, start):
+        # the two ends of the cycle of full steps in test_small_cases
+        G, lin_c, center = np.array([[4.0, 2.0], [0.0, 4.0]]), np.ones(2), np.array([3.0, 3.0])
+        _check_exact(lin_c, G, center, 1.0, start=np.array(start))
+        lam = bundle._model_weights(lin_c, G, center, 1.0, np.array(start))
+        np.testing.assert_allclose(lam, [0.3, 0.7], rtol=0, atol=1e-12)
