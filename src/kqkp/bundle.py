@@ -62,8 +62,8 @@ GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
 UPDATE_PERIOD = 5  # descent steps between cut pool updates
 POOL_CAPACITY = 10  # cuts the pool may hold per item of the relaxation
 IPM_TOL = 1e-4  # relative gap of every evaluation's interior-point solve
-# cap on the steps of _model_weights; the subproblems of bb_n40 and
-# root_n100, each started from the last one's weights, need at most 14 and 10
+# cap on the steps of _model_weights, which take at most 14 and 10 on bb_n40's and
+# root_n100's subproblems (warm) and 23 on generated ones of up to 30 pieces (cold)
 MODEL_STEPS = 50
 
 
