@@ -21,7 +21,7 @@ Each candidate minimizes the cutting-plane model plus a proximal term.  That
 subproblem is solved exactly through its dual over the unit simplex of
 piece weights (Kiwiel, SIAM J. Sci. Stat. Comput. 1989) by one primal-dual
 active-set loop on the weights and the coordinates the candidate leaves
-positive, each step one small KKT solve, up to MODEL_STEPS steps.  The
+positive, each step one small KKT solve, up to MODEL_STEPS per piece.  The
 model gains one piece per evaluation and restarts at each pool update, so
 the evaluation budget bounds its size and no piece is ever dropped.  The
 subproblem's accuracy only steers the trajectory; every reported bound is
@@ -62,9 +62,9 @@ GAMMA_DROP = 1e-5  # cuts whose multiplier falls below this leave the pool
 UPDATE_PERIOD = 5  # descent steps between cut pool updates
 POOL_CAPACITY = 10  # cuts the pool may hold per item of the relaxation
 IPM_TOL = 1e-4  # relative gap of every evaluation's interior-point solve
-# cap on the steps of _model_weights, which take at most 14 and 10 on bb_n40's and
-# root_n100's subproblems (warm) and 23 on generated ones of up to 30 pieces (cold)
-MODEL_STEPS = 50
+# cap on the steps of _model_weights per piece of its model: at most 3.7 and 2.5 on
+# the bb_n40 and root_n100 subproblems (warm), 5.8 on generated ones of up to 30 pieces
+MODEL_STEPS = 10
 
 
 @dataclass
@@ -163,9 +163,9 @@ def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
     v_S joins S or, with none, lam is the KKT point and is returned.  The
     start is ``lam``, any point of the simplex, or else the best vertex;
     its most violated piece joins at once (a warm start's new piece).  The
-    loop ends after MODEL_STEPS steps, or when a segment gives no rise.
-    The subproblem is strongly convex, so its candidate is the same from
-    every start up to rounding; a start near the maximizer saves steps.
+    loop ends after MODEL_STEPS steps per piece, or when a segment gives no
+    rise.  The subproblem is strongly convex, so its candidate is the same
+    from every start up to rounding; a start near the maximizer saves steps.
     """
     if len(lin_c) == 1:
         return np.ones(1)
@@ -181,7 +181,7 @@ def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
     z = center - GS @ lam[S] / u
     F = z > 0
     stationary, price = len(S) == 1, True
-    for _ in range(MODEL_STEPS):
+    for _ in range(MODEL_STEPS * len(lin_c)):
         zp = np.maximum(z, 0.0)
         v = lin_c + G.T @ zp
         if price:
@@ -199,14 +199,14 @@ def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
         w, V, info = ipm.lapack.dsyevd(Q - row - row[:, None] + row.sum() / m)
         if info != 0:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
-        g = v[S]
-        c = V.T @ (g - g.sum() / m)
+        c = V.T @ (v[S] - v[S].sum() / m)
         # w[i:] > 0; one w ~ 0 belongs to the ones vector, orthogonal to every step
         i = int(np.searchsorted(w, 1e-12 * w[-1], side="right"))
-        if i > 1 and np.abs(c[:i]).max() > 1e-13 * (np.abs(g).max() + w[-1] / u):
+        if i > 1 and np.abs(c[:i]).max() > 1e-13 * (np.abs(v).max() + w[-1] / u):
             d, alpha = V[:, :i] @ c[:i], np.inf
         else:
             d, alpha = u * (V[:, i:] @ (c[i:] / w[i:])), 1.0
+        d -= d.sum() / m  # rounding mixes the ones vector into nearly null ones
         lam_S, t = lam[S], 1.0
         blocked = alpha > 1.0 or (lam_S + d).min() < 0.0
         if blocked:  # the step ends where the first weight reaches 0

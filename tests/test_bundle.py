@@ -335,7 +335,8 @@ def subproblems(draw):
     """Subproblems with the shapes the bundle produces: up to bnb.ROOT_EVALS
     pieces (the model gains one per evaluation), up to 300 pool cuts, slack
     subgradients in [-2, 4], multipliers with many zeros, and optionally
-    integral entries or repeated pieces."""
+    integral entries, repeated pieces or small integral constants and
+    centers, which make ties and exact zeros of z common."""
     p = draw(st.integers(1, bnb.ROOT_EVALS))
     m = draw(st.integers(1, 300))
     u = 10.0 ** draw(st.floats(-3, 4))
@@ -351,6 +352,8 @@ def subproblems(draw):
             lin_c[copies] = lin_c[0]
     zero_share = draw(st.floats(0, 1))
     center = np.where(rng.random(m) < zero_share, 0.0, rng.uniform(0.0, 30.0, size=m))
+    if draw(st.booleans()):
+        lin_c, center = np.round(lin_c / 1e3), np.round(center)
     return lin_c, G, center, u
 
 
@@ -405,6 +408,20 @@ class TestSolveModel:
             lam = np.append(bundle._model_weights(lin_c[:-1], G[:, :-1], center, u), 0.0)
         cold = bundle._solve_model(lin_c, G, center, u)[0]
         warm = bundle._solve_model(lin_c, G, center, u, lam)[0]
+        assert np.abs(warm - cold).max() <= 1e-9 * (1.0 + np.abs(cold).max())
+
+    @given(subproblems(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_start_gives_the_cold_candidate(self, sub, seed):
+        # a start anywhere on the simplex, with any support
+        lin_c, G, center, u = sub
+        rng = np.random.default_rng(seed)
+        support = rng.choice(len(lin_c), size=rng.integers(1, len(lin_c) + 1), replace=False)
+        start = np.zeros(len(lin_c))
+        start[support] = rng.dirichlet(np.ones(len(support)))
+        _check_exact(lin_c, G, center, u, against_reference=False, start=start)
+        cold = bundle._solve_model(lin_c, G, center, u)[0]
+        warm = bundle._solve_model(lin_c, G, center, u, start)[0]
         assert np.abs(warm - cold).max() <= 1e-9 * (1.0 + np.abs(cold).max())
 
     def test_exact_on_captured_subproblems(self, monkeypatch):
