@@ -206,7 +206,7 @@ def _model_weights(lin_c: np.ndarray, G: np.ndarray, center: np.ndarray,
             d, alpha = V[:, :i] @ c[:i], np.inf
         else:
             d, alpha = u * (V[:, i:] @ (c[i:] / w[i:])), 1.0
-        d -= d.sum() / m  # rounding mixes the ones vector into nearly null ones
+        d -= d.sum() / m  # rounding mixes the ones vector into nearly null eigenvectors
         lam_S, t = lam[S], 1.0
         blocked = alpha > 1.0 or (lam_S + d).min() < 0.0
         if blocked:  # the step ends where the first weight reaches 0
