@@ -108,6 +108,9 @@ class SolveReport:
     # the largest of it and the bounds of the nodes left open
     open_bound: float
     node_trace: list = field(default_factory=list)
+    # the counters of ``ipm.COUNTS`` that moved during the solve: the IPM's,
+    # the bundle's stop reasons and the face test's fixes
+    stats: dict = field(default_factory=dict)
 
 
 class TimeLimitReached(Exception):
@@ -296,6 +299,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     deadline = t0 + cfg.time_limit_s
     root = inst
     trace: list = []
+    before = ipm.COUNTS.copy()
     prep = preprocess(root)
 
     def report(status, best, root_bound, nodes, evals, open_bound):
@@ -304,7 +308,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             gap = 100.0 * (root_bound - best.value) / best.value
         return SolveReport(status, best, float(root_bound), gap, nodes,
                            int(1000 * (time.perf_counter() - t0)), evals,
-                           float(open_bound), trace)
+                           float(open_bound), trace, ipm.counts_since(before))
 
     def time_limit_report(processing=-np.inf):
         # the bounds left open: the node being processed and the heap top,
@@ -390,6 +394,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         values[free[fix]] = faces[fix, 0]
         keep = np.flatnonzero(~faces.any(axis=1))
         note = f" fix {len(fix)}" if len(fix) else ""
+        ipm.COUNTS["fixes"] += len(fix)
         if red.k <= bnp_k or len(keep) == 0:
             if (stop := bnp_leaf(node, red, values, "bnp_leaf" + note)) is not None:
                 return stop

@@ -374,4 +374,5 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
             reason = "stalled"
             break
 
+    ipm.COUNTS[f"stop_{reason}"] += 1
     return BundleResult(best_bound, X_center, cuts, center, evals, reason, dual)

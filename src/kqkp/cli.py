@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bnb, generator, oracle
+from . import __version__, bnb, generator, ipm, oracle
 from .instance import Instance, InstanceError, load, preprocess, validate
 
 EXIT_OK = 0
@@ -113,6 +113,7 @@ def _solve_payload(path: Path, cfg: bnb.SolverConfig) -> tuple[dict, bnb.SolveRe
         "open_bound": _finite_or_none(report.open_bound),
         "nodes": report.nodes,
         "evals": report.evals,
+        "stats": report.stats,
         "time_ms": report.time_ms,
         "config": dataclasses.asdict(cfg),
         "version": __version__,
@@ -142,6 +143,7 @@ def cmd_bound(args) -> int:
     inst = _load_validated(args.path)
     prep = preprocess(inst)
     t0 = time.perf_counter()
+    before = ipm.COUNTS.copy()
     evals = 0
     if inst.k > prep.k_max:
         bound = float("-inf")
@@ -154,6 +156,7 @@ def cmd_bound(args) -> int:
         "mode": args.mode,
         "bound": _finite_or_none(bound),
         "evals": evals,
+        "stats": ipm.counts_since(before),
         "time_ms": int(1000 * (time.perf_counter() - t0)),
         "version": __version__,
     }

@@ -172,47 +172,37 @@ def to_text(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fits(v: int) -> bool:
-    return -2**63 <= v < 2**63
-
-
 def parse_text(text: str) -> Instance:
     rows = []  # (line_no, tokens)
     for ln, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((ln, stripped.split()))
+        if stripped and not stripped.startswith("#"):
+            rows.append((ln, stripped.split()))
 
-    def ints(entry, expect=None):
+    def ints(entry, expect):
+        """The row's ``expect`` tokens as int64, each converted by int(), or
+        the ParseError of its line."""
         ln, toks = entry
-        if expect is not None and len(toks) != expect:
+        if len(toks) != expect:
             raise ParseError(ln, f"expected {expect} integers, got {len(toks)}")
         try:
-            return [int(t) for t in toks]
+            return np.array(toks, dtype=np.int64)
         except ValueError as exc:
             raise ParseError(ln, f"invalid integer: {exc}") from None
+        except OverflowError:  # the tokens before the first out of range are integers
+            tok = next(t for t in toks if not -2**63 <= int(t) < 2**63)
+            raise ParseError(ln, f"integer out of the 64-bit range: {tok}") from None
 
     if not rows:
         raise ParseError(1, "empty instance file")
-    n, k, b = ints(rows[0], expect=3)
+    n, k, b = ints(rows[0], 3).tolist()
     if n <= 0:
         raise ParseError(rows[0][0], f"item count must be positive, got {n}")
     if len(rows) != n + 2:
         # cite the last line of a short file, the first extra line of a long one
         ln = rows[min(len(rows), n + 3) - 1][0]
         raise ParseError(ln, f"expected {n + 2} data lines, found {len(rows)}")
-    try:  # every data token in one conversion, which calls int() on each
-        data = np.array([toks for _, toks in rows[1:]], dtype=np.int64)
-    except (ValueError, OverflowError):  # a bad token, a ragged row or one out of range
-        data = None
-    if data is None or data.shape != (n + 1, n) or not (_fits(k) and _fits(b)):
-        # word the error: the first row of the wrong length or with a bad
-        # token, else the first integer outside int64
-        values = [[n, k, b], *(ints(row, expect=n) for row in rows[1:])]
-        ln, tok = next((ln, t) for (ln, toks), vals in zip(rows, values)
-                       for t, v in zip(toks, vals) if not _fits(v))
-        raise ParseError(ln, f"integer out of the 64-bit range: {tok}")
+    data = np.array([ints(row, n) for row in rows[1:]])
     return Instance(k, data[0], b, data[1:])
 
 

@@ -71,6 +71,15 @@ iterate is repaired to exact feasibility (clamping the inequality
 multiplier; a Cholesky test that covers its rounding proves the dual slack
 matrix psd, or else the diagonal duals move by its smallest eigenvalue),
 which makes the reported upper bound valid however loosely it converged.
+
+The module counts its own work in COUNTS, one Counter per process:
+Cholesky tests (``chol``), exact step lengths below the last rung
+(``fallbacks``) and, once per ``solve`` call, the iterations of both
+attempts (``iters``), the final status, and whether the call restarted
+(``restarted``) and solved again cold (``cold_reruns``).
+``bundle.minimize`` adds its stop reason (``stop_<reason>``) and
+``bnb.solve`` its face test's fixes (``fixes``); a solve report's
+``stats`` is the difference over the solve (``counts_since``).
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ import importlib.util
 import math
 import os
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 
@@ -121,6 +130,12 @@ RESTART_GAP = 0.3  # relative gap at which an iterate is kept as a restart
 WARM_MAX_ITER = 20  # iterations a restarted solve gets before it starts cold
 FACE_STEPS = 6  # Newton steps of ``face_bounds``'s search
 FACE_T0 = 0.003  # its start, in units of the median eigenvalue gap of Zc
+COUNTS = Counter()  # the work done in this process, by name (module docstring)
+
+
+def counts_since(before: Counter) -> dict:
+    """The counters that moved since ``before``, a copy of COUNTS, by name."""
+    return dict(sorted((COUNTS - before).items()))
 
 
 @dataclass
@@ -204,6 +219,7 @@ def _max_step(Li: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> floa
 
     ``Li`` is the inverse Cholesky factor of P (``_inv_factor(P)``).
     """
+    COUNTS["fallbacks"] += 1
     W = Li @ dP @ Li.T
     lam = _lambda_min(0.5 * (W + W.T))
     alpha = np.inf if lam >= -1e-14 else -1.0 / lam
@@ -214,6 +230,7 @@ def _max_step(Li: np.ndarray, dP: np.ndarray, scal: float, dscal: float) -> floa
 
 def _is_pd(P: np.ndarray) -> bool:
     """Whether P passes a Cholesky test."""
+    COUNTS["chol"] += 1
     try:
         _cholesky(P)
     except np.linalg.LinAlgError:
@@ -404,12 +421,17 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float,
     if C.shape != (n, n):
         raise ValueError(f"cost matrix must be {n}x{n}")
     if start is None:
-        return _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
-    warm = _iterate(data, C, tol, _warm_point(start, C), WARM_MAX_ITER)
-    if warm.status == OPTIMAL:
-        return warm
-    sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
-    sol.iterations += warm.iterations
+        sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
+    else:
+        COUNTS["restarted"] += 1
+        sol = _iterate(data, C, tol, _warm_point(start, C), WARM_MAX_ITER)
+        if sol.status != OPTIMAL:
+            COUNTS["cold_reruns"] += 1
+            warm = sol.iterations
+            sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
+            sol.iterations += warm
+    COUNTS["iters"] += sol.iterations
+    COUNTS[sol.status] += 1
     return sol
 
 

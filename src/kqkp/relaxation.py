@@ -26,8 +26,11 @@ the relaxation, of dimension 0, in ``x_fixed`` and ``const_term``.  Any
 other relaxation has dimension at least 3, so a triangle cut exists.
 
 When n == 2k the projection scale 1/(2k-n) is undefined.  ``build`` then
-appends a zero-profit item of weight b+1, which no feasible selection can
-take, so the optimum is unchanged and 2k != n holds again.
+appends a zero-profit item, so 2k != n holds again.  It weighs b+1, which
+no feasible selection can take, or on the b == b' face w_k, which one can.
+The optimum is unchanged either way: profits are nonnegative, so a
+selection holding the face's dummy does no better than the one that swaps
+in an unselected tie item of the same weight.
 
 ``build`` records two index maps, each increasing where >= 0: item of its
 instance -> SDP coordinate (-1 where the b == b' reduction fixed the item)

@@ -96,6 +96,25 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_stats_count_the_search_work(self, tmp_path, capsys):
+        # an SDP root: one bundle, whose IPM calls end with a status each
+        path = _write(tmp_path, make_instance(12, seed=0))
+        _, out = _run(capsys, ["solve", str(path), "--bnp-root-k", "0"])
+        payload = json.loads(out)
+        stats = payload["stats"]
+        assert stats["iters"] > 0 and stats["chol"] > 0
+        assert sum(v for k, v in stats.items() if k.startswith("stop_")) >= 1
+        assert stats["optimal"] + stats.get("slow_progress", 0) \
+            + stats.get("iter_limit", 0) == payload["evals"]
+        assert all(v > 0 for v in stats.values())
+
+    def test_root_branch_and_prune_runs_no_ipm(self, tmp_path, capsys):
+        inst = make_instance(12, seed=0)
+        assert inst.k <= SolverConfig().bnp_root_k
+        _, out = _run(capsys, ["solve", str(_write(tmp_path, inst))])
+        payload = json.loads(out)
+        assert (payload["nodes"], payload["evals"], payload["stats"]) == (1, 0, {})
+
     def test_missing_file(self, capsys):
         assert cli.main(["solve", "/nonexistent/file.txt"]) == 1
 
@@ -151,6 +170,14 @@ class TestBound:
         ref = ipm.solve(data, data.C_bar, bundle.IPM_TOL).certified_dual + data.const_term
         assert payload["evals"] == 1
         assert abs(payload["bound"] - ref) <= 1e-9 * abs(ref)
+
+    def test_stats_of_one_evaluation(self, tmp_path, capsys):
+        path = _write(tmp_path, make_instance(14, seed=4))
+        _, out = _run(capsys, ["bound", str(path), "--mode", "sdp"])
+        stats = json.loads(out)["stats"]
+        # one cold IPM call, whose bundle stops at its budget of one
+        assert (stats["optimal"], stats["stop_budget"]) == (1, 1) and stats["iters"] > 0
+        assert "restarted" not in stats
 
     @pytest.mark.parametrize("mode", ["sdp", "sdpmet"])
     def test_every_ipm_solve_uses_ipm_tol(self, tmp_path, capsys, monkeypatch, mode):

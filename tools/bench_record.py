@@ -8,8 +8,8 @@ script) on every workload of its BENCHMARK.json at ``--seed 0``, with
 contributes its result line (the last line of stdout), all metrics, the
 environment record (core count, Python, numpy, BLAS threads) and, per
 instance of its first pass, the wall and scaled seconds, status, value,
-nodes and evals.  The file is ``BENCH_<tag>.json`` at the root of the
-checkout holding this script.
+nodes, evals and ``stats`` (the solver's work counters).  The file is
+``BENCH_<tag>.json`` at the root of the checkout holding this script.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPORT_KEYS = ("status", "value", "bound", "nodes", "evals")
+REPORT_KEYS = ("status", "value", "bound", "nodes", "evals", "stats")
 
 
 def instance_rows(passes: list) -> list[dict]:

@@ -8,28 +8,25 @@ The three tree sets run ``bnb.solve`` with ``SolverConfig()`` (set D with
 (25, 50, 75, 100)[seed mod 4]; draws with k <= 10 are skipped, since they
 go to branch-and-prune and run no IPM.  ``roots`` bounds six larger draws
 with ``bnb.node_bound`` and ``bnb.ROOT_EVALS`` evaluations, as ``kqkp bound
---mode sdpmet`` does.  IPM iterations and statuses are counted by wrapping
-``ipm.solve``, so a restarted solve that falls back to the cold start counts
-once, with both attempts' iterations; the bundle's stop reasons are counted
-by wrapping ``bundle.minimize``, the IPM's exact eigenvalue step lengths
-by wrapping ``ipm._max_step``: each is one of an iteration's four step
-lengths that fell below the last rung of ``ipm.LADDER`` (in a checkout whose
-corrector takes exact steps, its two per iteration count too), and its
-Cholesky tests by wrapping ``ipm._is_pd``: the ladder's rungs and midpoints,
-the restart's test of its shifted Z and, where ``certify_dual`` makes one,
-the certificate's test, the face test's certificates among them.
+--mode sdpmet`` does.  The counts are the solver's own (``ipm.COUNTS``):
+a tree's are its report's ``stats``, a root's the counters' difference
+over ``bnb.node_bound``.  IPM iterations and statuses are counted once per
+``ipm.solve`` call, so a restarted solve that falls back to the cold start
+counts once, with both attempts' iterations.
 
 Per draw the script prints its status, value (or root bound), nodes, evals,
-the items that the face test of ``bnb.solve`` fixed (``fixes``, the N of
-each "fix N" in the node trace's actions), IPM iterations, exact step
-lengths (``fallbacks``), Cholesky tests (``chol``), the IPM statuses other
-than ``optimal`` and the bundle's stop reasons (``stop_<reason>``); per set
-the totals and a digest of the answers (status and value of every draw, or
-every root bound to 1e-2), so two checkouts compare line by line.  It
-prints no times: run both sides of a comparison on one machine, one after
-the other.  BLAS runs on one thread.  ``--checkout`` imports ``kqkp`` from
-DIR/src instead of the checkout holding this script; that checkout must
-take the calls above with the same signatures, so compare across a
+the items that the face test of ``bnb.solve`` fixed (``fixes``), IPM
+iterations, exact step lengths below the last rung of ``ipm.LADDER``
+(``fallbacks``), Cholesky tests (``chol``: the ladder's rungs and
+midpoints, the restart's test of its shifted Z and the certificates, the
+face test's among them), the IPM statuses other than ``optimal`` and the
+bundle's stop reasons (``stop_<reason>``); per set the totals and a digest
+of the answers (status and value of every draw, or every root bound to
+1e-2), so two checkouts compare line by line.  It prints no times: run
+both sides of a comparison on one machine, one after the other.  BLAS runs
+on one thread.  ``--checkout`` imports ``kqkp`` from DIR/src instead of
+the checkout holding this script; that checkout must have ``ipm.COUNTS``
+and take the calls above with the same signatures, so compare across a
 signature change by running each side's own copy of this script.
 """
 
@@ -40,7 +37,6 @@ import hashlib
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,88 +55,48 @@ ROOTS = [(100, 50, 1), (100, 50, 3), (100, 25, 2), (80, 50, 5), (60, 25, 3), (60
 DENSITIES = (25, 50, 75, 100)
 
 
-@contextmanager
-def count_calls(ipm, bundle):
-    """Wrap ``ipm.solve``, ``ipm._max_step``, ``ipm._is_pd`` and
-    ``bundle.minimize`` for the block; yields a Counter of the IPM's
-    iterations (``iters``), of each status it returned, of its exact step
-    lengths (``fallbacks``), of its Cholesky tests (``chol``) and of each
-    stop reason of the bundle (``stop_<reason>``)."""
-    counts = Counter()
-    real_solve, real_minimize = ipm.solve, bundle.minimize
-    real_max_step, real_is_pd = ipm._max_step, ipm._is_pd
-
-    def solve(*args):
-        sol = real_solve(*args)
-        counts["iters"] += sol.iterations
-        counts[sol.status] += 1
-        return sol
-
-    def minimize(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        counts[f"stop_{res.reason}"] += 1
-        return res
-
-    def max_step(*args):
-        counts["fallbacks"] += 1
-        return real_max_step(*args)
-
-    def is_pd(*args):
-        counts["chol"] += 1
-        return real_is_pd(*args)
-
-    ipm.solve, bundle.minimize, ipm._max_step, ipm._is_pd = solve, minimize, max_step, is_pd
-    try:
-        yield counts
-    finally:
-        ipm.solve, bundle.minimize = real_solve, real_minimize
-        ipm._max_step, ipm._is_pd = real_max_step, real_is_pd
+# the counters that ``row`` prints in columns of their own, or not at all
+COLUMNS = ("fixes", "iters", "optimal", "fallbacks", "chol", "restarted", "cold_reruns")
 
 
-def fixes(trace: list) -> int:
-    """The items fixed by the face test: the N of every "fix N" action."""
-    return sum(int(action.rsplit("fix ", 1)[1]) for *_, action in trace if "fix " in action)
-
-
-def row(label: str, answer: str, nodes: int, evals: int, fixed: int, counts: Counter) -> str:
-    other = " ".join(f"{k}={v}" for k, v in sorted(counts.items())
-                     if k not in ("iters", "optimal", "fallbacks", "chol"))
-    return (f"{label:<16} {answer:<26} nodes {nodes:>5} evals {evals:>5} fixes {fixed:>5} "
+def row(label: str, answer: str, nodes: int, evals: int, counts: Counter) -> str:
+    other = " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if k not in COLUMNS)
+    return (f"{label:<16} {answer:<26} nodes {nodes:>5} evals {evals:>5} "
+            f"fixes {counts['fixes']:>5} "
             f"ipm_iters {counts['iters']:>6} fallbacks {counts['fallbacks']:>5} "
             f"chol {counts['chol']:>7} {other}").rstrip()
 
 
-def run_set(name: str, bnb, bundle, generator, ipm) -> None:
+def run_set(name: str, bnb, generator, ipm) -> None:
     if name == "roots":
         draws = ROOTS
     else:
         draws = [(n, DENSITIES[s % 4], s) for n, seeds in TREE_SETS[name] for s in seeds]
     total, answers = Counter(), []
-    nodes = evals = fixed = 0
+    nodes = evals = 0
     print(f"== {name}")
     for n, d, s in draws:
         inst = generator.generate(generator.GenSpec(n, d, s))
         if name != "roots" and inst.k <= 10:
             continue
-        with count_calls(ipm, bundle) as counts:
-            if name == "roots":
-                bound, _, used, _, _ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
-                answer, drawn, fixed_here = f"bound {bound:.2f}", 0, 0
-            else:
-                cfg = bnb.SolverConfig(time_limit_s=TIME_LIMIT.get(name, 10800.0))
-                rep = bnb.solve(inst, cfg)
-                value = rep.best.value if rep.best is not None else None
-                answer, drawn, used = f"{rep.status} {value}", rep.nodes, rep.evals
-                fixed_here = fixes(rep.node_trace)
+        if name == "roots":
+            before = ipm.COUNTS.copy()
+            bound, _, used, _, _ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
+            answer, drawn, counts = f"bound {bound:.2f}", 0, ipm.COUNTS - before
+        else:
+            cfg = bnb.SolverConfig(time_limit_s=TIME_LIMIT.get(name, 10800.0))
+            rep = bnb.solve(inst, cfg)
+            value = rep.best.value if rep.best is not None else None
+            answer, drawn, used = f"{rep.status} {value}", rep.nodes, rep.evals
+            counts = Counter(rep.stats)
         label = f"n{n}_d{d}_s{s}"
-        print(row(label, answer, drawn, used, fixed_here, counts), flush=True)
+        print(row(label, answer, drawn, used, counts), flush=True)
         answers.append(f"{label} {answer}")
         total += counts
         nodes += drawn
         evals += used
-        fixed += fixed_here
     digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()[:16]
-    print(row(f"total {len(answers)}", f"digest {digest}", nodes, evals, fixed, total))
+    print(row(f"total {len(answers)}", f"digest {digest}", nodes, evals, total))
 
 
 def main(argv=None) -> int:
@@ -157,10 +113,10 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    from kqkp import bnb, bundle, generator, ipm
+    from kqkp import bnb, generator, ipm
 
     for name in names:
-        run_set(name, bnb, bundle, generator, ipm)
+        run_set(name, bnb, generator, ipm)
     return 0
 
 
