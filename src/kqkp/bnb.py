@@ -9,28 +9,40 @@ on): all data are integers, so the optimum is integral.
 
 The root is the first queue entry, with an infinite bound, and one loop
 body processes every node, root included: an infeasible leaf, a
-branch-and-prune leaf, or the bundle bound, prune, the variable-fixing
-heuristic (``varfix_heuristic``, a primal heuristic), prune, the face test
-and branching on the most fractional variable left.  At depth 0 only the
-branch-and-prune threshold and the bundle's evaluation budget differ: the
-root takes ``ROOT_EVALS`` evaluations, other nodes ``NODE_EVALS``.  The
-primal heuristic's incumbent is found before the loop.  Every processed node
+branch-and-prune leaf, or rounds of the bundle bound, prune, the
+variable-fixing heuristic (``varfix_heuristic``, a primal heuristic; not
+in a round whose bundle stopped ``fixable``), prune and the face test, and
+then branching on the most fractional variable left.  At depth 0 only the branch-and-prune threshold and the
+bundle's evaluation budget differ: the root takes ``ROOT_EVALS``
+evaluations, other nodes ``NODE_EVALS``, shared by its rounds.  The primal
+heuristic's incumbent is found before the loop.  Every processed node
 appends one row to the report's node trace.
 
 The face test fixes variables from the node's own certified SDP dual, with
 no further evaluation (Helmberg, SIAM J. Matrix Anal. Appl. 21, 2000).  It
 bounds both faces x_j = 0 and x_j = 1 of every item from the dual of the
-bundle's best evaluation (``ipm.face_bounds``); a face whose certified
-bound is prunable holds no selection that beats the incumbent, and an item
-that the b == b' reduction fixed has its other face excluded outright.
-The node is pruned when both faces of an item are excluded or the fixes
-leave no feasible selection.  Otherwise every item with an excluded face
-is fixed to its other value (every exclusion is against the same
-incumbent, so all hold at once), the fixed items leave the pool and
-x_frac, and the node branches on what is left without a second bound; its
-trace action reads, say, ``branch x7 fix 12``.  Where the fixes leave k at
-or below the node's branch-and-prune threshold, or no item, branch-and-
-prune finishes the fixed node at once (``bnp_leaf fix 12``).
+bundle's best evaluation (``bundle.excluded_faces``); a face whose
+certified bound is prunable holds no selection that beats the incumbent,
+and an item that the b == b' reduction fixed has its other face excluded
+outright.  The node is pruned when both faces of an item are excluded or
+the fixes leave no feasible selection.  Otherwise every item with an
+excluded face is fixed to its other value (every exclusion is against the
+same incumbent, so all hold at once), and the fixed items leave the pool
+and x_frac.
+
+A node's bundle runs the same test at its pool updates and stops
+``fixable`` once it would fix at least ``bundle.FIX_SHARE`` of the
+relaxation: the round fixes those items and the next round bounds the
+smaller face with the evaluations left, from the round's pool.  An IPM
+solve costs like n^3 in the free items, so the rest of the budget is
+cheaper there.  The excluded faces hold nothing above the incumbent, so
+after fixes the node's bound is the larger of the incumbent's value and
+the fixed face's bound, a valid bound on the node as reported.  After the
+last round the node branches on what is left; its trace action reads,
+say, ``branch x7 fix 12``, the items fixed over all rounds.  Where the
+fixes leave k at or below the node's branch-and-prune threshold, or no
+item, branch-and-prune finishes the fixed node at once (``bnp_leaf fix
+12``).
 
 Every child's bundle starts from its parent's final cut pool and
 multipliers, not from the empty pool: branching on x_v drops the cuts that
@@ -251,45 +263,49 @@ def _remap(pool: tuple, index: np.ndarray) -> tuple:
 
 def node_bound(inst: Instance, lower_bound: float, max_evals: int,
                cuts_per_update: int | None = None, deadline: float | None = None,
-               pool: tuple | None = None):
-    """Bundle bound for an instance: (bound, x_frac, evals, pool, excluded).
+               pool: tuple | None = None, fixable: bool = False):
+    """Bundle bound for an instance: (bound, x_frac, evals, pool, excluded, reason).
 
     The arguments are ``bundle.minimize``'s, on the instance's items (one
-    evaluation gives the plain SDP bound).  ``pool`` is the bundle's start,
+    evaluation gives the plain SDP bound), and ``reason`` is its stop
+    reason.  ``pool`` is the bundle's start,
     a cut array on the instance's items and its multipliers ``(cuts,
     gamma)`` (default: the empty pool); the returned pool is the bundle's
     final one, on the same items.  A relaxation of dimension 0 is exact:
     x_frac is its best selection, the bound that selection's value, with 0
-    evaluations and the empty pool.
+    evaluations, the empty pool and the reason ``exact``.
 
     ``excluded(value)`` is the face test: an (n, 2) bool array, True at [j,
     v] where no selection with x_j = v is worth more than ``value``.  An
     item that the b == b' reduction fixed has its other face excluded; every
-    other face is excluded by its certified bound (``ipm.face_bounds``) from
-    the dual of the bundle's best evaluation, so the test runs no further
-    evaluation.  At dimension 0 it excludes nothing.
+    other face is excluded by its certified bound from the dual of the
+    bundle's best evaluation (``bundle.excluded_faces``), so the test runs
+    no further evaluation; at ``lower_bound`` it reuses the bundle's own
+    test where there is one.  At dimension 0 it excludes nothing.
     """
     data = relaxation.build(inst)
     if data.dim == 0:
         return (int(data.const_term), data.x_fixed, 0,
                 (np.zeros((0, 4), dtype=np.int64), np.zeros(0)),
-                lambda value: np.zeros((inst.n, 2), dtype=bool))
+                lambda value: np.zeros((inst.n, 2), dtype=bool), "exact")
     res = bundle_mod.minimize(data, lower_bound, max_evals, cuts_per_update, deadline,
-                              None if pool is None else _remap(pool, data.coord_of_item))
+                              None if pool is None else _remap(pool, data.coord_of_item),
+                              fixable)
 
     def excluded(value: float) -> np.ndarray:
         out = np.zeros((inst.n, 2), dtype=bool)
         fixed = np.flatnonzero(data.coord_of_item < 0)
         out[fixed, 1 - data.x_fixed[fixed].astype(int)] = True
         if res.dual is not None:
-            y, cost, offset = res.dual
-            bounds = ipm.face_bounds(data, y, cost, value + 1 - offset) + offset
+            faces = res.faces
+            if faces is None or value != lower_bound:
+                faces = bundle_mod.excluded_faces(data, res.dual, value)
             item = data.item_of_coord
-            out[item[item >= 0]] = bundle_mod.prunable(bounds[item >= 0], value)
+            out[item[item >= 0]] = faces[item >= 0]
         return out
 
     return (res.bound, relaxation.extract_fractional(res.X_last, data), res.evals,
-            _remap((res.pool, res.gamma), data.item_of_coord), excluded)
+            _remap((res.pool, res.gamma), data.item_of_coord), excluded, res.reason)
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
@@ -342,6 +358,51 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         # the incumbent's value is no bound: the search did not finish
         return time_limit_report(node.bound) if stopped else None
 
+    def fix_rounds(node: Node, budget: int, bnp_k: int) -> tuple | None:
+        """Bound ``node`` in rounds of bound, prune, ``varfix_heuristic``,
+        prune and face test, fixing every item one of whose faces is
+        excluded; a bundle that stops ``fixable`` leaves evaluations for
+        another round on the fixed instance, started from its pool, and
+        its round skips the heuristic, so its face test reuses the
+        bundle's.  Returns None once the node is pruned, else the last
+        round's fixed instance, assignment, x_frac and pool on its items,
+        and the count of the items fixed over all rounds."""
+        nonlocal best, evals
+        red, values, pool, fixes = node.reduced, node.values, node.pool, 0
+        while True:
+            nb, x_frac, used, pool, excluded, reason = node_bound(
+                red, best.value, budget, cfg.cuts_per_update, deadline, pool, True)
+            evals += used
+            budget -= used
+            # after fixes the excluded faces hold nothing above the incumbent
+            node.bound = min(node.bound, max(nb, best.value) if fixes else nb)
+            if bundle_mod.prunable(node.bound, best.value):
+                return None
+            # after a fixable stop x_frac is one evaluation old: on the bb_n40 and
+            # n = 60/80 draws the heuristic improved the incumbent once in 195 calls
+            if reason != "fixable":
+                cand = _lift_incumbent(root, values, varfix_heuristic(red, preprocess(red), x_frac))
+                if cand.value > best.value:
+                    best = cand
+                if bundle_mod.prunable(node.bound, best.value):
+                    return None
+            faces = excluded(best.value)
+            fixed = faces.any(axis=1)
+            fix = np.flatnonzero(fixed)
+            try:
+                red = fix_variable(red, fix, faces[fix, 0])
+            except InfeasibleFix:
+                return None
+            if faces.all(axis=1).any() or red.k > preprocess(red).k_max:
+                return None
+            values = values.copy()
+            values[np.flatnonzero(values < 0)[fix]] = faces[fix, 0]
+            index = np.full(len(fixed), -1)
+            index[~fixed] = np.arange(red.n)  # the fixed items leave
+            pool, x_frac, fixes = _remap(pool, index), np.asarray(x_frac)[~fixed], fixes + len(fix)
+            if reason != "fixable" or red.k <= bnp_k or red.n == 0:
+                return red, values, x_frac, pool, fixes
+
     best = primal_heuristic(root, prep)
     evals = nodes = seq = 0
     root_node = Node(root, np.full(root.n, -1), 0, float("inf"))
@@ -355,59 +416,32 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             break  # best-first: every remaining node is prunable
         nodes += 1
         red = node.reduced
-        red_prep = preprocess(red)
         bnp_k, max_evals = ((cfg.bnp_root_k, ROOT_EVALS) if node.depth == 0
                             else (cfg.bnp_node_k, NODE_EVALS))
-        if red.k > red_prep.k_max:
+        if red.k > preprocess(red).k_max:
             _trace(trace, node, "infeasible")
             continue
         if red.k <= bnp_k:
             if (stop := bnp_leaf(node, red, node.values, "bnp_leaf")) is not None:
                 return stop
             continue
-        nb, x_frac, used, pool, excluded = node_bound(red, best.value, max_evals,
-                                                      cfg.cuts_per_update, deadline, node.pool)
-        evals += used
-        node.bound = min(node.bound, nb)
-        if bundle_mod.prunable(node.bound, best.value):
+        out = fix_rounds(node, max_evals, bnp_k)
+        if out is None:
             _trace(trace, node, "prune")
             continue
-        cand = _lift_incumbent(root, node.values, varfix_heuristic(red, red_prep, x_frac))
-        if cand.value > best.value:
-            best = cand
-        if bundle_mod.prunable(node.bound, best.value):
-            _trace(trace, node, "prune")
-            continue
-
-        # the face test: fix every item one of whose faces is excluded
-        faces = excluded(best.value)
-        fix = np.flatnonzero(faces.any(axis=1))
-        try:
-            red = fix_variable(red, fix, faces[fix, 0])
-        except InfeasibleFix:
-            red = None
-        if faces.all(axis=1).any() or red is None or red.k > preprocess(red).k_max:
-            _trace(trace, node, "prune")
-            continue
-        free = np.flatnonzero(node.values < 0)  # the root items of the node's items
-        values = node.values.copy()
-        values[free[fix]] = faces[fix, 0]
-        keep = np.flatnonzero(~faces.any(axis=1))
-        note = f" fix {len(fix)}" if len(fix) else ""
-        ipm.COUNTS["fixes"] += len(fix)
-        if red.k <= bnp_k or len(keep) == 0:
+        red, values, x_frac, pool, fixes = out
+        note = f" fix {fixes}" if fixes else ""
+        ipm.COUNTS["fixes"] += fixes
+        if red.k <= bnp_k or red.n == 0:
             if (stop := bnp_leaf(node, red, values, "bnp_leaf" + note)) is not None:
                 return stop
             continue
 
         # branch on the most fractional coordinate of the items left
-        v = int(np.argmin(np.abs(0.5 - np.asarray(x_frac)[keep])))
-        orig_v = int(free[keep[v]])
+        v = int(np.argmin(np.abs(0.5 - x_frac)))
+        orig_v = int(np.flatnonzero(values < 0)[v])
         _trace(trace, node, f"branch x{orig_v}{note}")
-        rest = np.delete(keep, v)
-        index = np.full(len(free), -1)
-        index[rest] = np.arange(len(rest))  # the fixed items and v leave
-        child_pool = _remap(pool, index)
+        child_pool = _remap(pool, np.insert(np.arange(red.n - 1), v, -1))  # v leaves
         for val in (1, 0):
             try:
                 child_red = fix_variable(red, v, val)

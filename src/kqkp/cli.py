@@ -149,8 +149,8 @@ def cmd_bound(args) -> int:
         bound = float("-inf")
     else:
         max_evals = 1 if args.mode == "sdp" else bnb.ROOT_EVALS
-        bound, _, evals, _, _ = bnb.node_bound(inst, float("-inf"), max_evals, args.cuts_m,
-                                               t0 + args.time_limit)
+        bound, _, evals, *_ = bnb.node_bound(inst, float("-inf"), max_evals, args.cuts_m,
+                                             t0 + args.time_limit)
     payload = {
         "instance": str(args.path),
         "mode": args.mode,

@@ -72,7 +72,8 @@ multiplier; a Cholesky test that covers its rounding proves the dual slack
 matrix psd, or else the diagonal duals move by its smallest eigenvalue),
 which makes the reported upper bound valid however loosely it converged.
 
-The module counts its own work in COUNTS, one Counter per process:
+The module counts its own work in COUNTS, one ``defaultdict(int)`` per
+process (a Counter's item update costs about twice as much):
 Cholesky tests (``chol``), exact step lengths below the last rung
 (``fallbacks``) and, once per ``solve`` call, the iterations of both
 attempts (``iters``), the final status, and whether the call restarted
@@ -88,7 +89,7 @@ import importlib.util
 import math
 import os
 import sys
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 
@@ -130,12 +131,12 @@ RESTART_GAP = 0.3  # relative gap at which an iterate is kept as a restart
 WARM_MAX_ITER = 20  # iterations a restarted solve gets before it starts cold
 FACE_STEPS = 6  # Newton steps of ``face_bounds``'s search
 FACE_T0 = 0.003  # its start, in units of the median eigenvalue gap of Zc
-COUNTS = Counter()  # the work done in this process, by name (module docstring)
+COUNTS = defaultdict(int)  # the work done in this process, by name (module docstring)
 
 
-def counts_since(before: Counter) -> dict:
+def counts_since(before) -> dict:
     """The counters that moved since ``before``, a copy of COUNTS, by name."""
-    return dict(sorted((COUNTS - before).items()))
+    return dict(sorted((Counter(COUNTS) - Counter(before)).items()))
 
 
 @dataclass

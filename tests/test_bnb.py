@@ -272,7 +272,7 @@ class TestExactNodes:
         assert relaxation.build(inst).dim == 0
         calls = record_ipm_calls(monkeypatch)
         some = all_cuts(inst.n)[::5]
-        bound, x, evals, (cuts_, gamma), _ = bnb.node_bound(
+        bound, x, evals, (cuts_, gamma), *_ = bnb.node_bound(
             inst, float("-inf"), bnb.ROOT_EVALS, pool=(some, np.ones(len(some))))
         opt = enumerate_exact(inst)
         assert (calls, evals, len(cuts_), len(gamma)) == ([], 0, 0, 0)
@@ -280,12 +280,13 @@ class TestExactNodes:
         assert inst.is_feasible(x) and inst.objective(x) == opt.value
 
     def test_k_equals_n_node_above_threshold_runs_no_branch_and_prune(self, monkeypatch):
-        # n = 15, k = 13: the root fixes 4 items and branches, its x = 1
-        # child fixes one item to 0 and branches, and that child's x = 0
-        # child has k == n = 8, above bnp_node_k
-        base = make_instance(15, density=100, seed=1)
-        inst = Instance(13, base.a, int(base.a.sum() - np.sort(base.a)[-4]), base.C)
-        cfg = SolverConfig(bnp_root_k=0)
+        # n = 17, k = 16: the root fixes 8 items over three rounds and
+        # branches, and its x = 0 child has k == n = 8, above bnp_node_k (with
+        # the default of 5, the fixes send some node of every such draw tried
+        # to branch-and-prune)
+        base = make_instance(17, density=25, seed=8)
+        inst = Instance(16, base.a, int(base.a.sum() - np.sort(base.a)[-5]), base.C)
+        cfg = SDP_CFG
         bounded = []
         real = bnb.node_bound
 
@@ -322,7 +323,7 @@ class TestFaceTest:
         best = face_optima(inst)
         opt = enumerate_exact(inst)
         assert best.max() == opt.value
-        _, _, _, _, excluded = bnb.node_bound(inst, float("-inf"), bnb.NODE_EVALS)
+        _, _, _, _, excluded, _ = bnb.node_bound(inst, float("-inf"), bnb.NODE_EVALS)
         for value in (opt.value - 1, int(0.98 * opt.value)):
             out = excluded(value)
             assert not (out & (best > value)).any()
@@ -348,7 +349,7 @@ class TestFaceTest:
         faces = np.zeros((inst.n, 2), dtype=bool)
         faces[np.arange(inst.n), 1 - opt.argmax] = True
         real = bnb.node_bound
-        monkeypatch.setattr(bnb, "node_bound", lambda *args: (*real(*args)[:4], lambda v: faces))
+        monkeypatch.setattr(bnb, "node_bound", lambda *args: (*real(*args)[:4], lambda v: faces, "budget"))
         monkeypatch.setattr(bnb, "primal_heuristic", lambda *args: weak)
         monkeypatch.setattr(bnb, "varfix_heuristic", lambda *args: weak)
         rep = solve(inst, SDP_CFG)
@@ -373,6 +374,55 @@ class TestFaceTest:
                     assert re.fullmatch(r"(branch x\d+|bnp_leaf) fix \d+", action)
                     kinds.add(action.split()[0])
         assert kinds == {"branch", "bnp_leaf"}
+
+
+class TestFixRounds:
+    def test_bounds_stay_valid_when_a_node_bounds_its_fixed_face(self, monkeypatch):
+        # the root's rounds are the node bounds before its trace row
+        events = []
+        real_bound, real_trace = bnb.node_bound, bnb._trace
+
+        def node_bound(red, *args):
+            out = real_bound(red, *args)
+            events.append((red.n, out[5]))
+            return out
+
+        def trace(*args):
+            events.append(None)
+            return real_trace(*args)
+
+        monkeypatch.setattr(bnb, "node_bound", node_bound)
+        monkeypatch.setattr(bnb, "_trace", trace)
+        refixed = 0
+        # the n10_d100_s10 root's fixed face bounds below the optimum, which
+        # the incumbent already holds
+        for n, density, seed in ((10, 100, 10), (14, 50, 2), (16, 50, 6), (18, 50, 3),
+                                 (20, 50, 1), (22, 50, 4)):
+            inst = make_instance(n, density, seed)
+            events.clear()
+            rep = solve(inst, SDP_CFG)
+            opt = enumerate_exact(inst).value
+            assert rep.status == bnb.STATUS_OPTIMAL
+            assert rep.best.value == opt and inst.is_feasible(rep.best.x)
+            assert rep.root_bound >= opt - 1e-6 and rep.open_bound >= opt - 1e-6
+            assert rep.root_gap_percent >= 0
+            root = events[:events.index(None)]
+            if len(root) > 1 and root[0][1] == "fixable":
+                assert root[1][0] < root[0][0]  # the second round bounds fewer items
+                refixed += 1
+        assert refixed > 0
+
+    def test_face_test_at_the_stop_runs_once(self, monkeypatch):
+        inst = make_instance(10, 100, 10)
+        value = primal_heuristic(inst, preprocess(inst)).value
+        calls = []
+        real = ipm.face_bounds
+        monkeypatch.setattr(ipm, "face_bounds", lambda *args: calls.append(1) or real(*args))
+        *_, excluded, reason = bnb.node_bound(inst, value, bnb.ROOT_EVALS, None, None, None, True)
+        assert reason == "fixable" and len(calls) == 1
+        assert excluded(value).any() and len(calls) == 1  # the bundle's own test
+        excluded(value + 1)
+        assert len(calls) == 2
 
 
 def _rank_one(x: np.ndarray) -> np.ndarray:
@@ -429,16 +479,17 @@ def _at_capacity(spec: GenSpec, slack: int) -> Instance:
     return replace(inst, b=preprocess(inst).b_prime + slack)
 
 
-# n = 12-18 draws whose SDP trees reach depth 2 or more; between them, warm
-# pools pass through the b == b' reduction and the n == 2k dummy
+# n = 14-16 draws whose SDP trees reach depth 2 or more; between them, warm
+# pools pass through the b == b' reduction and the n == 2k dummy, both at
+# once in b_prime_1_w2_s18, whose capacity b' + 1 some node meets
 WARM_DRAWS = {
-    "d50_s3_n14": make_instance(14, seed=3),
+    "d50_s2_n14": make_instance(14, seed=2),
     "d50_s12_n16": make_instance(16, seed=12),
-    "n_2k": replace(make_instance(16, seed=1), k=8),
+    "n_2k": replace(make_instance(16, seed=6), k=8),
     "b_prime_ties": _at_capacity(GenSpec(14, 50, 20, weight_range=(1, 2)), 0),
-    "b_prime_n_2k": _at_capacity(GenSpec(18, 50, 67, weight_range=(1, 2)), 0),
-    "b_prime_1_s12": _at_capacity(GenSpec(12, 50, 12), 1),
-    "b_prime_1_w3": _at_capacity(GenSpec(14, 50, 3, weight_range=(1, 3)), 1),
+    "b_prime_2_w3_s2": _at_capacity(GenSpec(16, 50, 2, weight_range=(1, 3)), 2),
+    "b_prime_1_w2_s18": _at_capacity(GenSpec(14, 50, 18, weight_range=(1, 2)), 1),
+    "b_prime_1_w3_s18": _at_capacity(GenSpec(14, 50, 18, weight_range=(1, 3)), 1),
     "b_prime_1_w3_s28": _at_capacity(GenSpec(14, 50, 28, weight_range=(1, 3)), 1),
 }
 
@@ -507,7 +558,7 @@ class TestIpmTolerance:
         # bundle.oracle_eval passes its own IPM_TOL, so it suffices that
         # every IPM call is one evaluation's
         calls = record_ipm_calls(monkeypatch)
-        rep = solve(make_instance(14, seed=3), SDP_CFG)
+        rep = solve(make_instance(14, seed=2), SDP_CFG)
         # a node below the root that branched ran its bundle
         assert any(depth >= 1 and action.startswith("branch")
                    for depth, _, _, action in rep.node_trace)

@@ -27,7 +27,7 @@ def _bound(inst):
     relaxation has dimension 0."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bundle, "IPM_TOL", TIGHT_TOL)
-        bound, _, _, _, _ = bnb.node_bound(inst, float("-inf"), max_evals=1)
+        bound, *_ = bnb.node_bound(inst, float("-inf"), max_evals=1)
     return bound
 
 

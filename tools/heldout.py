@@ -81,8 +81,8 @@ def run_set(name: str, bnb, generator, ipm) -> None:
             continue
         if name == "roots":
             before = ipm.COUNTS.copy()
-            bound, _, used, _, _ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
-            answer, drawn, counts = f"bound {bound:.2f}", 0, ipm.COUNTS - before
+            bound, _, used, *_ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
+            answer, drawn, counts = f"bound {bound:.2f}", 0, Counter(ipm.counts_since(before))
         else:
             cfg = bnb.SolverConfig(time_limit_s=TIME_LIMIT.get(name, 10800.0))
             rep = bnb.solve(inst, cfg)
