@@ -7,16 +7,28 @@ fixed) and the inherited upper bound.  The queue is keyed by bound
 Pruning uses incumbent + 1 (``bundle.prunable``, the test the bundle stops
 on): all data are integers, so the optimum is integral.
 
-The root is the first queue entry, with an infinite bound, and one loop
-body processes every node, root included: an infeasible leaf, a
-branch-and-prune leaf, or rounds of the bundle bound, prune, the
-variable-fixing heuristic (``varfix_heuristic``, a primal heuristic; not
-in a round whose bundle stopped ``fixable``), prune and the face test, and
-then branching on the most fractional variable left.  At depth 0 only the branch-and-prune threshold and the
-bundle's evaluation budget differ: the root takes ``ROOT_EVALS``
-evaluations, other nodes ``NODE_EVALS``, shared by its rounds.  The primal
-heuristic's incumbent is found before the loop.  Every processed node
-appends one row to the report's node trace.
+The primal heuristic's incumbent is found before the search.  The root is
+the first queue entry, with an infinite bound, and one loop processes
+every node, root included, in rounds.  Each round makes two checks on the
+node's instance and then bounds it:
+
+1. feasibility: k above the most items that fit (``preprocess``'s k_max)
+   ends the node, traced ``infeasible`` before the first bound and
+   ``prune`` after one;
+2. branch-and-prune: k at or below the node's threshold, or no item
+   left, and ``branch_and_prune`` finishes the node (``bnp_leaf``);
+3. the bound round: the bundle bound, prune, the variable-fixing
+   heuristic (``varfix_heuristic``, a primal heuristic), prune, and the
+   face test, whose fixes make the next round's instance.
+
+The node's entry is round 0, which makes only the checks.  A round whose
+bundle stopped ``fixable`` (below) goes round again; after any other stop
+the node branches on the most fractional variable left.  At depth 0 only
+the branch-and-prune threshold and the bundle's evaluation budget differ:
+the root takes ``ROOT_EVALS`` evaluations, other nodes ``NODE_EVALS``,
+shared by its rounds.  Every processed node appends one row to the
+report's node trace; after fixes its action reads, say, ``branch x7 fix
+12`` or ``bnp_leaf fix 12``, with the items fixed over all rounds.
 
 The face test fixes variables from the node's own certified SDP dual, with
 no further evaluation (Helmberg, SIAM J. Matrix Anal. Appl. 21, 2000).  It
@@ -32,17 +44,16 @@ and x_frac.
 
 A node's bundle runs the same test at its pool updates and stops
 ``fixable`` once it would fix at least ``bundle.FIX_SHARE`` of the
-relaxation: the round fixes those items and the next round bounds the
-smaller face with the evaluations left, from the round's pool.  An IPM
-solve costs like n^3 in the free items, so the rest of the budget is
-cheaper there.  The excluded faces hold nothing above the incumbent, so
-after fixes the node's bound is the larger of the incumbent's value and
-the fixed face's bound, a valid bound on the node as reported.  After the
-last round the node branches on what is left; its trace action reads,
-say, ``branch x7 fix 12``, the items fixed over all rounds.  Where the
-fixes leave k at or below the node's branch-and-prune threshold, or no
-item, branch-and-prune finishes the fixed node at once (``bnp_leaf fix
-12``).
+relaxation.  That round skips the heuristic, whose fractional point is
+then one evaluation old, so its face test reuses the bundle's, and the
+next round bounds the smaller face with the evaluations left, from the
+round's pool.  An IPM solve costs like n^3 in the free items, so the rest
+of the budget is cheaper there.  The excluded faces hold nothing above the
+incumbent, so after fixes the node's bound is the larger of the
+incumbent's value and the fixed face's bound, a valid bound on the node as
+reported.  A branch-and-prune leaf that finishes proves the incumbent's
+value as its node's bound only when no round ran: a fixed node keeps the
+bound its bundle proved, so a root's stays its SDP bound.
 
 Every child's bundle starts from its parent's final cut pool and
 multipliers, not from the empty pool: branching on x_v drops the cuts that
@@ -59,8 +70,10 @@ combinatorial upper bound against the best value so far (see
 ``branch_and_prune``).  It is exact for its subtree and takes over at the
 root for k <= 10 and at a node once the remaining cardinality drops to
 <= 5.  It reports only selections that beat the incumbent.  It honours the
-time limit like the rest of the search: stopped at the root, the solve
-returns its incumbent with no bound.
+time limit like the rest of the search, and its best selection so far
+becomes the incumbent: stopped at the root, the solve returns the
+incumbent with no bound, and stopped below it, the node stays open with
+its bound.
 """
 
 from __future__ import annotations
@@ -335,107 +348,70 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
     if root.k > prep.k_max:
         return report(STATUS_INFEASIBLE, None, float("nan"), 0, 0, float("nan"))
 
-    def bnp_leaf(node: Node, red: Instance, values: np.ndarray,
-                 action: str) -> SolveReport | None:
-        """Finish ``node`` by branch-and-prune on ``red`` with the assignment
-        ``values``: the node's own, or after its face test's fixes.  Returns
-        the time-limit report if the deadline stopped the search."""
-        nonlocal best
-        stopped = False
-        try:
-            # a reduced objective, offset included, is the root objective
-            # of the lifted selection, so the incumbent is the floor as is
-            sub = branch_and_prune(red, best.value, deadline)
-        except TimeLimitReached as stop:
-            sub, stopped = stop.best, True
-        if sub is not None:
-            best = _lift_incumbent(root, values, sub)
-        if not stopped and red is node.reduced:
-            # nothing left in this subtree beats best; a fixed node keeps the
-            # bound its bundle proved, so a root's stays its SDP bound
-            node.bound = best.value
-        _trace(trace, node, action)
-        # the incumbent's value is no bound: the search did not finish
-        return time_limit_report(node.bound) if stopped else None
-
-    def fix_rounds(node: Node, budget: int, bnp_k: int) -> tuple | None:
-        """Bound ``node`` in rounds of bound, prune, ``varfix_heuristic``,
-        prune and face test, fixing every item one of whose faces is
-        excluded; a bundle that stops ``fixable`` leaves evaluations for
-        another round on the fixed instance, started from its pool, and
-        its round skips the heuristic, so its face test reuses the
-        bundle's.  Returns None once the node is pruned, else the last
-        round's fixed instance, assignment, x_frac and pool on its items,
-        and the count of the items fixed over all rounds."""
-        nonlocal best, evals
-        red, values, pool, fixes = node.reduced, node.values, node.pool, 0
+    def process(node: Node) -> SolveReport | None:
+        """Run ``node``'s rounds and finish it, as the module docstring
+        describes; returns the time-limit report if the deadline stopped
+        its branch-and-prune, else None."""
+        nonlocal best, evals, nodes, seq
+        nodes += 1
+        bnp_k, budget = ((cfg.bnp_root_k, ROOT_EVALS) if node.depth == 0
+                         else (cfg.bnp_node_k, NODE_EVALS))
+        red, values, pool = node.reduced, node.values, node.pool
+        fixes, reason = 0, None  # reason: the last round's bundle stop, None before one
         while True:
+            if red.k > preprocess(red).k_max:
+                return _trace(trace, node, "infeasible" if reason is None else "prune")
+            leaf = red.k <= bnp_k or red.n == 0
+            if leaf or reason not in (None, "fixable"):
+                break
             nb, x_frac, used, pool, excluded, reason = node_bound(
                 red, best.value, budget, cfg.cuts_per_update, deadline, pool, True)
             evals += used
             budget -= used
             # after fixes the excluded faces hold nothing above the incumbent
             node.bound = min(node.bound, max(nb, best.value) if fixes else nb)
-            if bundle_mod.prunable(node.bound, best.value):
-                return None
             # after a fixable stop x_frac is one evaluation old: on the bb_n40 and
             # n = 60/80 draws the heuristic improved the incumbent once in 195 calls
-            if reason != "fixable":
+            if reason != "fixable" and not bundle_mod.prunable(node.bound, best.value):
                 cand = _lift_incumbent(root, values, varfix_heuristic(red, preprocess(red), x_frac))
                 if cand.value > best.value:
                     best = cand
-                if bundle_mod.prunable(node.bound, best.value):
-                    return None
+            if bundle_mod.prunable(node.bound, best.value):
+                return _trace(trace, node, "prune")
             faces = excluded(best.value)
             fixed = faces.any(axis=1)
             fix = np.flatnonzero(fixed)
             try:
                 red = fix_variable(red, fix, faces[fix, 0])
             except InfeasibleFix:
-                return None
-            if faces.all(axis=1).any() or red.k > preprocess(red).k_max:
-                return None
+                return _trace(trace, node, "prune")
+            if faces.all(axis=1).any():
+                return _trace(trace, node, "prune")
             values = values.copy()
             values[np.flatnonzero(values < 0)[fix]] = faces[fix, 0]
             index = np.full(len(fixed), -1)
             index[~fixed] = np.arange(red.n)  # the fixed items leave
             pool, x_frac, fixes = _remap(pool, index), np.asarray(x_frac)[~fixed], fixes + len(fix)
-            if reason != "fixable" or red.k <= bnp_k or red.n == 0:
-                return red, values, x_frac, pool, fixes
 
-    best = primal_heuristic(root, prep)
-    evals = nodes = seq = 0
-    root_node = Node(root, np.full(root.n, -1), 0, float("inf"))
-    heap = [(-root_node.bound, 0, seq, root_node)]
-
-    while heap:
-        if time.perf_counter() > deadline:
-            return time_limit_report()
-        neg_bound, _, _, node = heapq.heappop(heap)
-        if bundle_mod.prunable(-neg_bound, best.value):
-            break  # best-first: every remaining node is prunable
-        nodes += 1
-        red = node.reduced
-        bnp_k, max_evals = ((cfg.bnp_root_k, ROOT_EVALS) if node.depth == 0
-                            else (cfg.bnp_node_k, NODE_EVALS))
-        if red.k > preprocess(red).k_max:
-            _trace(trace, node, "infeasible")
-            continue
-        if red.k <= bnp_k:
-            if (stop := bnp_leaf(node, red, node.values, "bnp_leaf")) is not None:
-                return stop
-            continue
-        out = fix_rounds(node, max_evals, bnp_k)
-        if out is None:
-            _trace(trace, node, "prune")
-            continue
-        red, values, x_frac, pool, fixes = out
         note = f" fix {fixes}" if fixes else ""
         ipm.COUNTS["fixes"] += fixes
-        if red.k <= bnp_k or red.n == 0:
-            if (stop := bnp_leaf(node, red, values, "bnp_leaf" + note)) is not None:
-                return stop
-            continue
+        if leaf:
+            stopped = False
+            try:
+                # a reduced objective, offset included, is the root objective
+                # of the lifted selection, so the incumbent is the floor as is
+                sub = branch_and_prune(red, best.value, deadline)
+            except TimeLimitReached as stop:
+                sub, stopped = stop.best, True
+            if sub is not None:
+                best = _lift_incumbent(root, values, sub)
+            if not stopped and reason is None:
+                # nothing left in this subtree beats best; a fixed node keeps the
+                # bound its bundle proved, so a root's stays its SDP bound
+                node.bound = best.value
+            _trace(trace, node, "bnp_leaf" + note)
+            # the incumbent's value is no bound: the search did not finish
+            return time_limit_report(node.bound) if stopped else None
 
         # branch on the most fractional coordinate of the items left
         v = int(np.argmin(np.abs(0.5 - x_frac)))
@@ -452,6 +428,21 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             child = Node(child_red, child_values, node.depth + 1, node.bound, child_pool)
             seq += 1
             heapq.heappush(heap, (-child.bound, -child.depth, seq, child))
+        return None
+
+    best = primal_heuristic(root, prep)
+    evals = nodes = seq = 0
+    root_node = Node(root, np.full(root.n, -1), 0, float("inf"))
+    heap = [(-root_node.bound, 0, seq, root_node)]
+
+    while heap:
+        if time.perf_counter() > deadline:
+            return time_limit_report()
+        neg_bound, _, _, node = heapq.heappop(heap)
+        if bundle_mod.prunable(-neg_bound, best.value):
+            break  # best-first: every remaining node is prunable
+        if (stop := process(node)) is not None:
+            return stop
 
     return report(STATUS_OPTIMAL, best, root_node.bound, nodes, evals, best.value)
 

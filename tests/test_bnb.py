@@ -18,6 +18,7 @@ from kqkp.oracle import enumerate_exact
 from conftest import (K_LIGHTEST_CASES, all_cuts, k_lightest_instance, make_instance,
                       record_ipm_calls)
 from _reference import face_optima, feasibility_branch_and_prune, glover_milp
+from test_stats import traced_fixes
 
 SDP_CFG = SolverConfig(bnp_root_k=0, bnp_node_k=0)
 
@@ -423,6 +424,98 @@ class TestFixRounds:
         assert excluded(value).any() and len(calls) == 1  # the bundle's own test
         excluded(value + 1)
         assert len(calls) == 2
+
+
+class TestNodeChecks:
+    def test_node_entering_above_k_max_is_traced_infeasible(self, monkeypatch):
+        # the root fixes 5 items and branches on x5; without item 5 its
+        # x5 = 0 child has more items to choose than fit
+        inst = make_instance(12, 75, 26)
+        entered = []  # (action, the node's instance) per trace row
+        real = bnb._trace
+
+        def trace(rows, node, action):
+            entered.append((action, node.reduced))
+            return real(rows, node, action)
+
+        monkeypatch.setattr(bnb, "_trace", trace)
+        rep = solve(inst, SDP_CFG)
+        assert rep.best.value == enumerate_exact(inst).value
+        infeasible = [red for action, red in entered if action == "infeasible"]
+        assert infeasible and all(red.k > preprocess(red).k_max for red in infeasible)
+        # such a node runs no bound: its row carries the root's bound
+        assert all(row[0] == 1 and row[2] == rep.node_trace[0][2]
+                   for row in rep.node_trace if row[3] == "infeasible")
+
+    @pytest.mark.parametrize("n, density, seed, how", [
+        (13, 100, 0, "k_max"),  # the fixes leave more items to choose than fit
+        (9, 25, 6, "raise"),  # fix_variable raises InfeasibleFix
+    ])
+    def test_node_whose_fixes_leave_no_selection_is_traced_prune(
+            self, monkeypatch, n, density, seed, how):
+        inst = make_instance(n, density, seed)
+        events = []  # the face test's failed fixes and the trace rows, in order
+        real_fix, real_trace = bnb.fix_variable, bnb._trace
+
+        def fix_variable(red, j, value):
+            try:
+                out = real_fix(red, j, value)
+            except InfeasibleFix:
+                events.append("raise")
+                raise
+            if np.ndim(j) and out.k > preprocess(out).k_max:
+                events.append("k_max")
+            return out
+
+        def trace(rows, node, action):
+            events.append(action)
+            return real_trace(rows, node, action)
+
+        monkeypatch.setattr(bnb, "fix_variable", fix_variable)
+        monkeypatch.setattr(bnb, "_trace", trace)
+        rep = solve(inst, SDP_CFG)
+        assert rep.best.value == enumerate_exact(inst).value
+        # the row written after each failed fix is its node's
+        rows = [events[i + 1] for i, event in enumerate(events) if event == how]
+        assert rows and all(action == "prune" for action in rows)
+        # the fixes of a pruned node, the failed round's included, are not counted
+        assert rep.stats.get("fixes", 0) == traced_fixes(rep.node_trace)
+
+
+class TestDeadlineInLeaf:
+    @pytest.mark.parametrize("n, density, seed, action, beats", [
+        (12, 50, 3, "bnp_leaf", True),  # a leaf entered with k <= bnp_node_k
+        (20, 50, 4, "bnp_leaf fix 7", True),  # a leaf reached after fix rounds
+        (15, 75, 0, "bnp_leaf fix 4", False),  # one with nothing above the incumbent
+    ])
+    def test_time_limit_stops_a_leaf_below_the_root(
+            self, monkeypatch, n, density, seed, action, beats):
+        # the root branches, and the first branch-and-prune leaf runs its
+        # search to the end and then stops as if its deadline had passed
+        inst = make_instance(n, density, seed)
+        opt = enumerate_exact(inst).value
+        real = bnb.branch_and_prune
+        stops = []  # (floor, the stopped search's selection)
+
+        def branch_and_prune(red, floor=float("-inf"), deadline=None):
+            sub = real(red, floor)
+            stops.append((floor, sub))
+            raise bnb.TimeLimitReached(sub)
+
+        monkeypatch.setattr(bnb, "branch_and_prune", branch_and_prune)
+        rep = solve(inst, SolverConfig(bnp_root_k=0))
+        assert rep.status == bnb.STATUS_TIME_LIMIT and len(stops) == 1
+        assert rep.node_trace[0][3].startswith("branch")
+        depth, _, bound, last = rep.node_trace[-1]
+        assert depth > 0 and last == action
+        # the stopped leaf stays open with its bound (rounded in the trace)
+        assert rep.open_bound >= opt and rep.open_bound >= bound - 5e-4
+        assert rep.root_bound >= opt
+        assert inst.is_feasible(rep.best.x) and rep.best.value == inst.objective(rep.best.x)
+        floor, sub = stops[0]
+        assert (sub is not None) == beats
+        # the stopped search's selection is kept when it beats the incumbent
+        assert rep.best.value == (sub.value if beats else floor)
 
 
 def _rank_one(x: np.ndarray) -> np.ndarray:

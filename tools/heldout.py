@@ -21,8 +21,11 @@ iterations, exact step lengths below the last rung of ``ipm.LADDER``
 midpoints, the restart's test of its shifted Z and the certificates, the
 face test's among them), the IPM statuses other than ``optimal`` and the
 bundle's stop reasons (``stop_<reason>``); per set the totals and a digest
-of the answers (status and value of every draw, or every root bound to
-1e-2), so two checkouts compare line by line.  It prints no times: run
+of the answers, so two checkouts compare line by line.  A tree's answer is
+its status and value.  A root's is its bound to 4 significant digits, a
+relative 1e-4 like ``bundle.IPM_TOL``, the accuracy of each evaluation, so
+that a change of rounding alone leaves the digest as it is; a bound next to
+a rounding boundary can still flip it.  It prints no times: run
 both sides of a comparison on one machine, one after the other.  BLAS runs
 on one thread.  ``--checkout`` imports ``kqkp`` from DIR/src instead of
 the checkout holding this script; that checkout must have ``ipm.COUNTS``
@@ -83,15 +86,17 @@ def run_set(name: str, bnb, generator, ipm) -> None:
             before = ipm.COUNTS.copy()
             bound, _, used, *_ = bnb.node_bound(inst, float("-inf"), bnb.ROOT_EVALS)
             answer, drawn, counts = f"bound {bound:.2f}", 0, Counter(ipm.counts_since(before))
+            hashed = f"bound {bound:.4g}"
         else:
             cfg = bnb.SolverConfig(time_limit_s=TIME_LIMIT.get(name, 10800.0))
             rep = bnb.solve(inst, cfg)
             value = rep.best.value if rep.best is not None else None
             answer, drawn, used = f"{rep.status} {value}", rep.nodes, rep.evals
             counts = Counter(rep.stats)
+            hashed = answer
         label = f"n{n}_d{d}_s{s}"
         print(row(label, answer, drawn, used, counts), flush=True)
-        answers.append(f"{label} {answer}")
+        answers.append(f"{label} {hashed}")
         total += counts
         nodes += drawn
         evals += used
