@@ -23,9 +23,10 @@ face test's among them), the IPM statuses other than ``optimal`` and the
 bundle's stop reasons (``stop_<reason>``); per set the totals and a digest
 of the answers, so two checkouts compare line by line.  A tree's answer is
 its status and value.  A root's is its bound to 4 significant digits, a
-relative 1e-4 like ``bundle.IPM_TOL``, the accuracy of each evaluation, so
-that a change of rounding alone leaves the digest as it is; a bound next to
-a rounding boundary can still flip it.  It prints no times: run
+relative step of 1e-4 to 1e-3 by the leading digit, never finer than
+``bundle.IPM_TOL`` = 1e-4, the accuracy of each evaluation, so that a
+change of rounding alone leaves the digest as it is; a bound next to a
+rounding boundary can still flip it.  It prints no times: run
 both sides of a comparison on one machine, one after the other.  BLAS runs
 on one thread.  ``--checkout`` imports ``kqkp`` from DIR/src instead of
 the checkout holding this script; that checkout must have ``ipm.COUNTS``
