@@ -36,6 +36,18 @@ point solve after the first of a ``minimize`` call restarts from the
 SIAM J. Optim. 2002), and each subproblem after the first of a model starts
 from the previous subproblem's weights, 0 on the new piece.
 
+Most evaluations are null steps, and their solves stop early: an oracle of
+on-demand accuracy (Kiwiel, SIAM J. Optim. 16, 2006; de Oliveira,
+Sagastizabal & Lemarechal, Math. Program. 148, 2014).  Each evaluation
+after the first of a ``minimize`` call gets a target, max(f_center -
+DESCENT_RATIO * predicted, best bound).  A value above it makes the step
+null, and the evaluation's certified bound, at least its value, cannot
+become the best.  So the IPM stops at a nearly feasible iterate whose
+objective shows the value above the target (``ipm.solve``'s ``cutoff``).
+The piece such an evaluation adds is still the Lagrangian at its X, a
+minorant of f that is only less tight at the candidate, and its bound is
+still a certified dual value.
+
 A search may ask the loop to stop at a pool update once the face test of
 its best dual (``excluded_faces``) would fix at least FIX_SHARE of the
 relaxation's coordinates (``fixable``), so that it bounds the smaller face
@@ -105,16 +117,19 @@ class BundleResult:
 
 
 def oracle_eval(cuts: np.ndarray, gamma: np.ndarray, relax: RelaxationData,
-                start: tuple | None = None) -> OracleValue:
+                start: tuple | None = None, target: float | None = None) -> OracleValue:
     """One evaluation of the dual functional; gamma holds one multiplier per
     row of the cut array ``cuts``, and ``start`` is passed to ``ipm.solve``
-    (an earlier evaluation's ``restart``)."""
+    (an earlier evaluation's ``restart``).  With a ``target``, in the
+    value's units, the solve stops once its primal objective proves the
+    value above it (``ipm.solve``'s ``cutoff``)."""
     gamma = np.asarray(gamma, dtype=float)
     if (gamma < 0).any():
         raise ValueError("gamma must be nonnegative")
     cost = relax.C_bar - cuts_mod.adjoint_apply(cuts, gamma, relax.dim)
     egamma = float(gamma.sum())
-    sol = ipm.solve(relax, cost, IPM_TOL, start)
+    cutoff = None if target is None else target - egamma - relax.const_term
+    sol = ipm.solve(relax, cost, IPM_TOL, start, cutoff)
     g = cuts_mod.evaluate(cuts, sol.X)
     return OracleValue(
         value=egamma + sol.primal_obj + relax.const_term,
@@ -316,7 +331,8 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
     first candidate, and any start gives valid bounds, since every gamma >= 0
     does.  Each pass evaluates one candidate, an interior-point solve to
     relative gap ``IPM_TOL`` (the first cold, each later one from the
-    ``restart`` of the one before), and then, in this order: (1) stops as
+    ``restart`` of the one before and cut short once its value exceeds the
+    target, module docstring), and then, in this order: (1) stops as
     ``pruned`` once the certified bound proves the node prunable
     (``prunable``); (2) takes a descent step to the candidate, the first
     evaluation being the first center; (3) updates the pool
@@ -349,10 +365,10 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
     nulls_in_row = 0
     best_bound = np.inf
     dual = faces = None
-    restart = None
+    restart = target = None
 
     while True:
-        out = oracle_eval(cuts, cand, relax, restart)
+        out = oracle_eval(cuts, cand, relax, restart, target)
         restart = out.restart
         evals += 1
         if out.bound < best_bound:
@@ -412,6 +428,8 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
         if predicted <= STALL_TOL * (1.0 + abs(f_center)):
             reason = "stalled"
             break
+        # a value above this makes the step null and its bound no better
+        target = max(f_center - DESCENT_RATIO * predicted, best_bound)
 
     ipm.COUNTS[f"stop_{reason}"] += 1
     return BundleResult(best_bound, X_center, cuts, center, evals, reason, dual, faces)

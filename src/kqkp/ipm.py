@@ -63,8 +63,21 @@ along the path.  A restarted solve takes X, s, y and t from it, and Z
 moved by minus the change of cost, which keeps the stored dual residual;
 where that Z is not positive definite it keeps the stored Z, and the
 residual takes up the change.  The attempt gets WARM_MAX_ITER iterations;
-unless it ends ``optimal`` the solve starts again cold, so a poor restart
-costs at most that many iterations and the stop test is the same either way.
+unless it ends ``optimal`` or ``cutoff`` the solve starts again cold, so a
+poor restart costs at most that many iterations and the stop test is the
+same either way.
+
+A solve ends ``optimal`` (relative gap ``tol`` and the residual targets),
+``cutoff``, ``slow_progress`` (a stall of the gap, or a failed
+factorization) or ``iter_limit``.  ``cutoff`` needs a ``cutoff`` value: a
+bundle evaluation passes the value above which its step is null and its
+bound no better than the best (``bundle.minimize``).  Once its restart is
+kept (so the next evaluation still starts warm), the solve then ends at
+the first iterate whose relative primal residual is at most the
+feasibility target max(tol, 1e-9) and whose primal objective exceeds the
+cutoff: a nearly feasible X with <C, X> above the cutoff shows the optimum
+above it.  The dual side needs no test, since the certified dual of any
+iterate is valid.
 
 The returned solution also carries a *certified* dual value: the dual
 iterate is repaired to exact feasibility (clamping the inequality
@@ -120,6 +133,7 @@ def _load_lapack():
 lapack = _load_lapack()
 
 OPTIMAL = "optimal"
+CUTOFF = "cutoff"
 SLOW_PROGRESS = "slow_progress"
 ITER_LIMIT = "iter_limit"
 
@@ -407,7 +421,7 @@ def face_bounds(data: RelaxationData, y: np.ndarray, C: np.ndarray,
 
 
 def solve(data: RelaxationData, C: np.ndarray, tol: float,
-          start: tuple | None = None) -> SdpSolution:
+          start: tuple | None = None, cutoff: float | None = None) -> SdpSolution:
     """Solve the relaxation with cost matrix C to relative gap ``tol``.
 
     ``data`` is a relaxation that ``relaxation.build`` did not solve
@@ -415,21 +429,22 @@ def solve(data: RelaxationData, C: np.ndarray, tol: float,
     C = C_bar - T'(gamma).  ``start`` is the ``restart`` of an earlier
     solve on the same data: the solve first runs at most WARM_MAX_ITER
     iterations from it (``_warm_point``) and, unless that attempt ends
-    ``optimal``, solves again from the cold start; ``iterations`` then
-    counts both attempts.
+    ``optimal`` or ``cutoff``, solves again from the cold start;
+    ``iterations`` then counts both attempts.  With a ``cutoff``, either
+    attempt may end ``cutoff`` (module docstring).
     """
     n = data.dim
     if C.shape != (n, n):
         raise ValueError(f"cost matrix must be {n}x{n}")
     if start is None:
-        sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
+        sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER, cutoff)
     else:
         COUNTS["restarted"] += 1
-        sol = _iterate(data, C, tol, _warm_point(start, C), WARM_MAX_ITER)
-        if sol.status != OPTIMAL:
+        sol = _iterate(data, C, tol, _warm_point(start, C), WARM_MAX_ITER, cutoff)
+        if sol.status not in (OPTIMAL, CUTOFF):
             COUNTS["cold_reruns"] += 1
             warm = sol.iterations
-            sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER)
+            sol = _iterate(data, C, tol, _cold_point(data, C), MAX_ITER, cutoff)
             sol.iterations += warm
     COUNTS["iters"] += sol.iterations
     COUNTS[sol.status] += 1
@@ -459,8 +474,9 @@ def _warm_point(start: tuple, C: np.ndarray) -> tuple:
 
 
 def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
-             max_iter: int) -> SdpSolution:
-    """At most ``max_iter`` iterations from ``point`` = (X, s, y, Z, t)."""
+             max_iter: int, cutoff: float | None) -> SdpSolution:
+    """At most ``max_iter`` iterations from ``point`` = (X, s, y, Z, t),
+    ending ``cutoff`` where an iterate proves ``cutoff`` beaten (``solve``)."""
     n = data.dim
     B = _border(data.a_bar)
     rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
@@ -500,6 +516,10 @@ def _iterate(data: RelaxationData, C: np.ndarray, tol: float, point: tuple,
 
         if relgap <= tol and rp_rel <= feas_tol and rd_rel <= feas_tol and res <= res_abs:
             status = OPTIMAL
+            break
+        if cutoff is not None and restart is not None and rp_rel <= feas_tol \
+                and pobj > cutoff:
+            status = CUTOFF
             break
         if len(recent_gaps) == 6 and relgap > 0.99 * recent_gaps[0] \
                 and rp_rel <= feas_tol and rd_rel <= feas_tol:

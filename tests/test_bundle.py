@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqkp import bnb, bundle, cuts, relaxation
+from kqkp import bnb, bundle, cuts, ipm, relaxation
 from kqkp.bundle import minimize, oracle_eval
 from kqkp.oracle import enumerate_exact
 from _reference import dense_line_max, reference_solve_model
@@ -24,21 +24,18 @@ def _data(inst):
 NO_CUTS = np.zeros((0, 4), dtype=np.int64)
 
 
-def _center_values(monkeypatch, *args, **kwargs):
-    """``minimize(*args, **kwargs)`` and the model value at each of its
-    centers, in order.
-
-    The first evaluation is the first center.  A later one is a descent
-    step when its candidate is the center that the next model or pool call
-    receives; the last evaluation, with no such call after it, is one when
-    its maximizer is the result's X_last.
-    """
-    events = []  # ("eval", candidate, OracleValue) or ("center", center)
+def _minimize_events(monkeypatch, *args, **kwargs):
+    """``minimize(*args, **kwargs)`` and, in order, its evaluations as
+    ("eval", candidate, target, OracleValue, whether the IPM ended
+    ``cutoff``) and the centers that its model and pool calls receive, as
+    ("center", center)."""
+    events = []
     real_eval, real_model, real_pool = oracle_eval, bundle._solve_model, bundle._update_pool
 
-    def spy_eval(cuts_, gamma, relax, start=None):
-        out = real_eval(cuts_, gamma, relax, start)
-        events.append(("eval", gamma, out))
+    def spy_eval(cuts_, gamma, relax, start=None, target=None):
+        before = ipm.COUNTS[ipm.CUTOFF]
+        out = real_eval(cuts_, gamma, relax, start, target)
+        events.append(("eval", gamma, target, out, ipm.COUNTS[ipm.CUTOFF] > before))
         return out
 
     def spy_model(lin_c, G, center, u, lam=None):
@@ -53,11 +50,23 @@ def _center_values(monkeypatch, *args, **kwargs):
         patch.setattr(bundle, "oracle_eval", spy_eval)
         patch.setattr(bundle, "_solve_model", spy_model)
         patch.setattr(bundle, "_update_pool", spy_pool)
-        res = minimize(*args, **kwargs)
+        return minimize(*args, **kwargs), events
+
+
+def _center_values(monkeypatch, *args, **kwargs):
+    """``minimize(*args, **kwargs)`` and the model value at each of its
+    centers, in order.
+
+    The first evaluation is the first center.  A later one is a descent
+    step when its candidate is the center that the next model or pool call
+    receives; the last evaluation, with no such call after it, is one when
+    its maximizer is the result's X_last.
+    """
+    res, events = _minimize_events(monkeypatch, *args, **kwargs)
     evals = [i for i, ev in enumerate(events) if ev[0] == "eval"]
-    values = [events[evals[0]][2].value]
+    values = [events[evals[0]][3].value]
     for i in evals[1:]:
-        _, cand, out = events[i]
+        _, cand, _, out, _ = events[i]
         nxt = next((ev for ev in events[i + 1:] if ev[0] == "center"), None)
         if (nxt[1] is cand) if nxt is not None else (res.X_last is out.X):
             values.append(out.value)
@@ -65,14 +74,12 @@ def _center_values(monkeypatch, *args, **kwargs):
 
 
 def _seeded_pool(data, n_cuts=40):
-    from kqkp import ipm
     sol = ipm.solve(data, data.C_bar, 1e-5)
     return cuts.separate(sol.X, n_cuts)
 
 
 class TestOracleEval:
     def test_gamma_zero_equals_sdp_bound(self, monkeypatch):
-        from kqkp import ipm
         monkeypatch.setattr(bundle, "IPM_TOL", 1e-7)
         inst = make_instance(10, seed=2)
         data = _data(inst)
@@ -241,6 +248,28 @@ class TestLoopOrder:
         assert (res.reason, res.evals) == ("budget", last)
         cuts_, gamma = events[-1][1]
         assert res.pool is cuts_ and res.gamma is gamma
+
+
+class TestTarget:
+    def test_cut_off_evaluations_are_null_steps_above_the_best_bound(self, monkeypatch):
+        # an evaluation's target is the value above which its step is null and
+        # its bound no better than the best: the IPM may stop there
+        res, events = _minimize_events(monkeypatch, _data(make_instance(24, seed=1)),
+                                       float("-inf"), max_evals=30)
+        evals = [i for i, ev in enumerate(events) if ev[0] == "eval"]
+        assert events[evals[0]][2] is None  # the first evaluation has no target
+        best, cut_off = np.inf, 0
+        for i in evals:
+            _, cand, target, out, cut = events[i]
+            if cut:
+                cut_off += 1
+                assert out.value > target
+                # a null step: the candidate never becomes the center
+                nxt = next((ev[1] for ev in events[i + 1:] if ev[0] == "center"), res.gamma)
+                assert nxt is not cand
+                assert out.bound >= best
+            best = min(best, out.bound)
+        assert cut_off > 0 and res.bound == best
 
 
 class TestStartingPool:

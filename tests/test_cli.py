@@ -104,7 +104,7 @@ class TestSolve:
         stats = payload["stats"]
         assert stats["iters"] > 0 and stats["chol"] > 0
         assert sum(v for k, v in stats.items() if k.startswith("stop_")) >= 1
-        assert stats["optimal"] + stats.get("slow_progress", 0) \
+        assert stats["optimal"] + stats.get("cutoff", 0) + stats.get("slow_progress", 0) \
             + stats.get("iter_limit", 0) == payload["evals"]
         assert all(v > 0 for v in stats.values())
 

@@ -546,6 +546,63 @@ class TestRestart:
         assert sol.iterations == 1 + cold.iterations
 
 
+def _primal_residual(data, sol):
+    """The relative primal residual of a returned iterate, as ``solve``
+    measures it at the top of an iteration."""
+    n = data.dim
+    rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])
+    rp = rhs - ipm._constraint_op(sol.X, ipm._border(data.a_bar))
+    rp[n + 1] -= sol.s
+    return float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(rhs)))
+
+
+class TestCutoff:
+    """A cutoff ends a solve at its first iterate, once the restart is taken,
+    that is nearly primal feasible with its objective above the cutoff."""
+
+    @staticmethod
+    def _solves(rng):
+        """(data, C, start, the uncut solve) for cold and restarted solves of
+        bundle-like costs."""
+        for seed in range(3):
+            data = _data(make_instance(20, seed=seed))
+            first = solve(data, data.C_bar, bundle.IPM_TOL)
+            C = _shifted_cost(data, rng)
+            for start in (None, first.restart):
+                yield data, C, start, solve(data, C, bundle.IPM_TOL, start)
+
+    def test_cutoff_below_the_optimum_stops_early(self, rng):
+        for data, C, start, full in self._solves(rng):
+            assert full.status == ipm.OPTIMAL
+            cutoff = full.primal_obj - 1e-2 * (1.0 + abs(full.primal_obj))
+            cut = solve(data, C, bundle.IPM_TOL, start, cutoff)
+            assert cut.status == ipm.CUTOFF and cut.restart is not None
+            assert cut.iterations < full.iterations
+            assert cut.primal_obj > cutoff
+            assert _primal_residual(data, cut) <= bundle.IPM_TOL  # the feasibility target
+            assert cut.certified_dual >= \
+                full.certified_dual - bundle.IPM_TOL * (1.0 + abs(full.certified_dual))
+
+    def test_cutoff_above_the_optimum_or_none_changes_nothing(self, rng):
+        for data, C, start, full in self._solves(rng):
+            for cutoff in (None, full.certified_dual):
+                sol = solve(data, C, bundle.IPM_TOL, start, cutoff)
+                assert (sol.status, sol.iterations) == (full.status, full.iterations)
+                for a, b in [(sol.X, full.X), (sol.y, full.y), (sol.Z, full.Z)]:
+                    np.testing.assert_array_equal(a, b)
+                assert (sol.primal_obj, sol.certified_dual) == \
+                    (full.primal_obj, full.certified_dual)
+
+    def test_cutoff_is_counted_and_reruns_nothing(self, rng):
+        data, C, start, full = next(s for s in self._solves(rng) if s[2] is not None)
+        before = ipm.COUNTS.copy()
+        cutoff = full.primal_obj - 1e-2 * (1.0 + abs(full.primal_obj))
+        solve(data, C, bundle.IPM_TOL, start, cutoff)
+        stats = ipm.counts_since(before)
+        assert stats["cutoff"] == stats["restarted"] == 1
+        assert "cold_reruns" not in stats and ipm.OPTIMAL not in stats
+
+
 class TestKLightestFace:
     """b == b' is reduced to the k-lightest face before the SDP is built."""
 

@@ -27,8 +27,8 @@ def wrapped_counts(monkeypatch) -> Counter:
     fix_variable, trace = bnb.fix_variable, bnb._trace
     round_fixes = []  # the node's fixes so far, one entry per round
 
-    def count_solve(data, C, tol, start=None):
-        sol = solve(data, C, tol, start)
+    def count_solve(data, C, tol, start=None, cutoff=None):
+        sol = solve(data, C, tol, start, cutoff)
         counts["iters"] += sol.iterations
         counts[sol.status] += 1
         counts["calls"] += 1
@@ -84,14 +84,15 @@ def small_slack(inst: Instance, slack: int) -> Instance:
 
 
 CASES = {
-    # exact step lengths, a cold rerun and a node that the face test
-    # prunes after fixing items, which count as no fixes
+    # exact step lengths, and a node below the root whose fixes add up
+    # over two rounds
     "n14_d50_s2": make_instance(14, 50, 2),
     # a stalled bundle, at b == b' + 5, after the root's bundle stopped
     # fixable and its fixes added up over two rounds
     "n16_d100_s16_slack5": small_slack(make_instance(16, 100, 16), 5),
-    # a node below the root whose fixes add up over two rounds
-    "n14_d50_s0": make_instance(14, 50, 0),
+    # exact step lengths, a cold rerun and a node that the face test
+    # prunes after fixing items, which count as no fixes
+    "n14_d75_s29": make_instance(14, 75, 29),
 }
 
 
@@ -112,5 +113,5 @@ def test_node_bound_counts_equal_the_wrappers_counts(monkeypatch):
     _, _, evals, *_ = bnb.node_bound(make_instance(20, 50, 4), float("-inf"), bnb.ROOT_EVALS)
     stats = ipm.counts_since(before)
     assert stats == reference(counts)
-    calls = sum(stats.get(status, 0) for status in ("optimal", "slow_progress", "iter_limit"))
+    calls = sum(stats.get(status, 0) for status in ("optimal", "cutoff", "slow_progress", "iter_limit"))
     assert stats["iters"] > 0 and calls == evals
