@@ -486,7 +486,8 @@ class TestDeadlineInLeaf:
     @pytest.mark.parametrize("n, density, seed, action, beats", [
         (12, 50, 3, "bnp_leaf", True),  # a leaf entered with k <= bnp_node_k
         (20, 75, 19, "bnp_leaf fix 8", True),  # a leaf reached after fix rounds
-        (15, 75, 0, "bnp_leaf fix 5", False),  # one with nothing above the incumbent
+        (20, 50, 4, "bnp_leaf fix 5", False),  # one with nothing above the incumbent
+        (15, 75, 0, "bnp_leaf fix 5", False),  # the same at n = 15
     ])
     def test_time_limit_stops_a_leaf_below_the_root(
             self, monkeypatch, n, density, seed, action, beats):

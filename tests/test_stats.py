@@ -113,5 +113,6 @@ def test_node_bound_counts_equal_the_wrappers_counts(monkeypatch):
     _, _, evals, *_ = bnb.node_bound(make_instance(20, 50, 4), float("-inf"), bnb.ROOT_EVALS)
     stats = ipm.counts_since(before)
     assert stats == reference(counts)
-    calls = sum(stats.get(status, 0) for status in ("optimal", "cutoff", "slow_progress", "iter_limit"))
+    calls = sum(stats.get(status, 0)
+                for status in ("optimal", "cutoff", "slow_progress", "iter_limit"))
     assert stats["iters"] > 0 and calls == evals

@@ -17,12 +17,12 @@ counts once, with both attempts' iterations.
 Per draw the script prints its status, value (or root bound), nodes, evals,
 the items that the face test of ``bnb.solve`` fixed (``fixes``), IPM
 iterations, the IPM calls that a bundle's target cut short (``cutoff``),
-exact step lengths below the last rung of ``ipm.LADDER``
-(``fallbacks``), Cholesky tests (``chol``: the ladder's rungs and
-midpoints, the restart's test of its shifted Z and the certificates, the
-face test's among them), the IPM statuses other than ``optimal`` and
-``cutoff`` and the bundle's stop reasons (``stop_<reason>``); per set the
-totals and a digest of the answers, so two checkouts compare line by line.  A tree's answer is
+exact step lengths below the last rung of ``ipm.LADDER`` (``fallbacks``),
+Cholesky tests (``chol``: the ladder's rungs and midpoints, the restart's
+test of its shifted Z and the certificates, the face test's among them),
+the IPM statuses other than ``optimal`` and ``cutoff`` and the bundle's
+stop reasons (``stop_<reason>``); per set the totals and a digest of the
+answers, so two checkouts compare line by line.  A tree's answer is
 its status and value.  A root's is its bound to 4 significant digits, a
 relative step of 1e-4 to 1e-3 by the leading digit, never finer than
 ``bundle.IPM_TOL`` = 1e-4, the accuracy of each evaluation, so that a
@@ -69,7 +69,8 @@ def row(label: str, answer: str, nodes: int, evals: int, counts: Counter) -> str
     other = " ".join(f"{k}={v}" for k, v in sorted(counts.items()) if k not in COLUMNS)
     return (f"{label:<16} {answer:<26} nodes {nodes:>5} evals {evals:>5} "
             f"fixes {counts['fixes']:>5} "
-            f"ipm_iters {counts['iters']:>6} cutoff {counts['cutoff']:>4} fallbacks {counts['fallbacks']:>5} "
+            f"ipm_iters {counts['iters']:>6} cutoff {counts['cutoff']:>4} "
+            f"fallbacks {counts['fallbacks']:>5} "
             f"chol {counts['chol']:>7} {other}").rstrip()
 
 
