@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqkp import ipm, relaxation
+from kqkp import cuts, ipm, relaxation
 from kqkp.cuts import adjoint_apply, evaluate, separate
 from _reference import naive_separate
 from conftest import all_cuts, make_instance
@@ -121,9 +122,88 @@ class TestSeparate:
         assert len(np.unique(out, axis=0)) == len(out)
         assert not (out[:, None, :] == E[None, :, :]).all(axis=2).any()
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_match_naive_reference(self, seed):
+        # blocks of a few triples put block boundaries everywhere, the 0.5
+        # grid makes slacks tie across them, and a small m + len(exclude)
+        # cuts the running set back after most blocks
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 13))
+        X = np.round(rng.uniform(-2.0, 2.0, size=(n, n))) / 2
+        X = np.triu(X, 1) + np.triu(X, 1).T + np.eye(n)
+        catalog = all_cuts(n)
+        E = catalog[rng.permutation(len(catalog))[:rng.integers(0, len(catalog) // 2 + 1)]]
+        m = int(rng.integers(1, 12) if rng.random() < 0.7 else rng.integers(1, len(catalog) + 2))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cuts, "BLOCK", int(rng.integers(1, 12)))
+            out = separate(X, m, exclude=E)
+        assert out.dtype == np.int64 and out.shape[1] == 4
+        assert out.tolist() == naive_separate(X, m, exclude=E.tolist())
+
+    @pytest.mark.parametrize("block", [1, 8, cuts.BLOCK])
+    @pytest.mark.parametrize("m, excluded", [(5, 0), (3, 3), (30, 2)])
+    def test_tie_class_across_blocks(self, monkeypatch, block, m, excluded):
+        # the four (+,+,+) cuts on triples holding the pair (0, 5) have slack
+        # -1 and the other sixteen -0.5; those sixteen have first indices 0
+        # to 3, and at BLOCK 8 the 10 triples of first index 0 are a block
+        # of their own
+        n = 6
+        X = np.full((n, n), -0.5)
+        X[0, 5] = X[5, 0] = -1.0
+        np.fill_diagonal(X, 1.0)
+        full = naive_separate(X, 10 ** 6)
+        assert len(full) == 20
+        exclude = full[:excluded]
+        rank = m + excluded
+        if rank < len(full):  # the row at that rank ties with the next one
+            slack = evaluate(np.array(full), X)
+            assert slack[rank - 1] == slack[rank] == -0.5
+        monkeypatch.setattr(cuts, "BLOCK", block)
+        out = separate(X, m, exclude=rows(*exclude) if exclude else None)
+        assert out.tolist() == naive_separate(X, m, exclude=exclude)
+        assert len(out) == min(m, len(full) - excluded)
+
     def test_m_validation(self):
         with pytest.raises(ValueError):
             separate(np.eye(4), 0)
+
+
+def correlation(n: int, seed: int) -> np.ndarray:
+    """A random n x n correlation matrix of rank 3; many triangles fail."""
+    B = np.random.default_rng(seed).standard_normal((n, 3))
+    X = B @ B.T
+    d = np.sqrt(np.diag(X))
+    return X / np.outer(d, d)
+
+
+class TestSeparateMemory:
+    """The scan works in blocks, and no table kept between calls grows like
+    n^3."""
+
+    def test_peak_of_one_call_at_n150(self):
+        X = correlation(150, 0)
+        tracemalloc.start()
+        try:
+            out = separate(X, 750)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 750
+        assert peak < 8e6
+
+    def test_memory_left_is_quadratic(self):
+        mats = [correlation(n, n) for n in range(150, 142, -1)]
+        tracemalloc.start()
+        try:
+            for X in mats:
+                separate(X, 5 * len(X))
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 16 bytes per entry of a 150 x 150 matrix at each of the 8 sizes;
+        # the 3 * C(143,3) triple indices of one size alone take 11 MB
+        assert left < 8 * 16 * 150 ** 2
 
 
 class TestAdjoint:

@@ -27,7 +27,10 @@ its status and value.  A root's is its bound to 4 significant digits, a
 relative step of 1e-4 to 1e-3 by the leading digit, never finer than
 ``bundle.IPM_TOL`` = 1e-4, the accuracy of each evaluation, so that a
 change of rounding alone leaves the digest as it is; a bound next to a
-rounding boundary can still flip it.  It prints no times: run
+rounding boundary can still flip it.  After each set it prints the peak
+resident memory of the process so far (``ru_maxrss``), so running ``roots``
+alone tracks the memory of root bounds at n = 60-100, their triangle
+separation included.  It prints no times: run
 both sides of a comparison on one machine, one after the other.  BLAS runs
 on one thread.  ``--checkout`` imports ``kqkp`` from DIR/src instead of
 the checkout holding this script; that checkout must have ``ipm.COUNTS``
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import resource
 import sys
 from collections import Counter
 from pathlib import Path
@@ -126,6 +130,9 @@ def main(argv=None) -> int:
 
     for name in names:
         run_set(name, bnb, generator, ipm)
+        # ru_maxrss is in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"peak_rss_mb {peak:.1f}", flush=True)
     return 0
 
 
