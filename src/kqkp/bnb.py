@@ -7,23 +7,20 @@ fixed) and the inherited upper bound.  The queue is keyed by bound
 Pruning uses incumbent + 1 (``bundle.prunable``, the test the bundle stops
 on): all data are integers, so the optimum is integral.
 
-The primal heuristic's incumbent is found before the search.  The root is
-the first queue entry, with an infinite bound, and one loop processes
-every node, root included, in rounds.  Each round makes two checks on the
-node's instance and then bounds it:
-
-1. feasibility: k above the most items that fit (``preprocess``'s k_max)
-   ends the node, traced ``infeasible`` before the first bound and
-   ``prune`` after one;
-2. branch-and-prune: k at or below the node's threshold, or no item
-   left, and ``branch_and_prune`` finishes the node (``bnp_leaf``);
-3. the bound round: the bundle bound, prune, the variable-fixing
-   heuristic (``varfix_heuristic``, a primal heuristic), prune, and the
-   face test, whose fixes make the next round's instance.
-
-The node's entry is round 0, which makes only the checks.  A round whose
-bundle stopped ``fixable`` (below) goes round again; after any other stop
-the node branches on the most fractional variable left.  At depth 0 only
+The primal heuristic's incumbent is found before the search, once the
+root's k is at most the most items that fit (``preprocess``'s k_max).
+Every queued node is feasible in that sense: one step, ``_fixed``, makes
+both a fix round's instance and each branching child, and a fix that
+leaves more items to choose than fit fails there.  The root is the first
+queue entry, with an infinite bound, and one loop processes every node,
+root included, in rounds.  While the node's k is above its
+branch-and-prune threshold, a round bounds it: the bundle bound, prune,
+the variable-fixing heuristic (``varfix_heuristic``, a primal heuristic),
+prune, and the face test, whose fixes make the next round's instance.  A
+node whose k is at or below the threshold, on entry or after fixes, is
+finished by ``branch_and_prune`` (``bnp_leaf``).  A round whose bundle
+stopped ``fixable`` (below) goes round again; after any other stop the
+node branches on the most fractional variable left.  At depth 0 only
 the branch-and-prune threshold and the bundle's evaluation budget differ:
 the root takes ``ROOT_EVALS`` evaluations, other nodes ``NODE_EVALS``,
 shared by its rounds.  Every processed node appends one row to the
@@ -36,11 +33,11 @@ bounds both faces x_j = 0 and x_j = 1 of every item from the dual of the
 bundle's best evaluation (``bundle.excluded_faces``); a face whose
 certified bound is prunable holds no selection that beats the incumbent,
 and an item that the b == b' reduction fixed has its other face excluded
-outright.  The node is pruned when both faces of an item are excluded or
-the fixes leave no feasible selection.  Otherwise every item with an
-excluded face is fixed to its other value (every exclusion is against the
-same incumbent, so all hold at once), and the fixed items leave the pool
-and x_frac.
+outright.  The node is pruned when both faces of an item are excluded.
+Otherwise every item with an excluded face is fixed to its other value
+(every exclusion is against the same incumbent, so all hold at once), the
+fixed items leave the pool and x_frac, and the node is pruned if the fixes
+leave no feasible selection.
 
 A node's bundle runs the same test at its pool updates and stops
 ``fixable`` once it would fix at least ``bundle.FIX_SHARE`` of the
@@ -56,12 +53,13 @@ value as its node's bound only when no round ran: a fixed node keeps the
 bound its bundle proved, so a root's stays its SDP bound.
 
 Every child's bundle starts from its parent's final cut pool and
-multipliers, not from the empty pool: branching on x_v drops the cuts that
-touch v and renumbers the rest, and both children share that one pool.  A
-triangle inequality on items other than v holds on every selection of the
-child, and any nonnegative multipliers give a valid bound, so the search
-stays exact.  ``_remap`` moves a pool to the child's items and, in
-``node_bound``, between a node's items and its relaxation's coordinates.
+multipliers, not from the empty pool: ``_fixed`` drops the cuts that touch
+the branching item v and renumbers the rest, as it does for a fix round's
+items.  A triangle inequality on items other than v holds on every
+selection of the child, and any nonnegative multipliers give a valid
+bound, so the search stays exact.  ``_remap`` moves a pool to the items
+left by fixes and, in ``node_bound``, between a node's items and its
+relaxation's coordinates.
 
 For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
@@ -113,11 +111,11 @@ class Node:
     # per root item: -1 while free, else the value fixed; the free items,
     # in increasing order, are the items of ``reduced``
     values: np.ndarray
+    # the parent's final (cuts, gamma) in this node's item indices; None at
+    # the root
+    pool: tuple | None
     depth: int
     bound: float
-    # the parent's final (cuts, gamma) in this node's item indices, shared
-    # with the sibling; None at the root
-    pool: tuple | None = None
 
 
 @dataclass
@@ -274,6 +272,22 @@ def _remap(pool: tuple, index: np.ndarray) -> tuple:
     return np.column_stack([ijk[keep], cuts[keep, 3]]), gamma[keep]
 
 
+def _fixed(red: Instance, values: np.ndarray, pool: tuple, items, vals) -> tuple:
+    """Fix x_j = vals for ``items`` of ``red`` (one item or an array, as
+    ``fix_variable`` takes them): the new node's instance, its assignment
+    vector and ``pool`` without the cuts on a fixed item.  Raises
+    InfeasibleFix when no selection is left: ``fix_variable``'s ones
+    beyond k or b, or more items to choose than fit."""
+    out = fix_variable(red, items, vals)
+    if out.k > preprocess(out).k_max:
+        raise InfeasibleFix(f"{out.k} items left to choose, more than fit")
+    free = np.flatnonzero(values < 0)
+    values = values.copy()
+    values[free[items]] = vals
+    left = values[free] < 0
+    return out, values, _remap(pool, np.where(left, np.cumsum(left) - 1, -1))
+
+
 def node_bound(inst: Instance, lower_bound: float, max_evals: int,
                cuts_per_update: int | None = None, deadline: float | None = None,
                pool: tuple | None = None, fixable: bool = False):
@@ -358,12 +372,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                          else (cfg.bnp_node_k, NODE_EVALS))
         red, values, pool = node.reduced, node.values, node.pool
         fixes, reason = 0, None  # reason: the last round's bundle stop, None before one
-        while True:
-            if red.k > preprocess(red).k_max:
-                return _trace(trace, node, "infeasible" if reason is None else "prune")
-            leaf = red.k <= bnp_k or red.n == 0
-            if leaf or reason not in (None, "fixable"):
-                break
+        while red.k > bnp_k and reason in (None, "fixable"):
             nb, x_frac, used, pool, excluded, reason = node_bound(
                 red, best.value, budget, cfg.cuts_per_update, deadline, pool, True)
             evals += used
@@ -379,23 +388,19 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
             if bundle_mod.prunable(node.bound, best.value):
                 return _trace(trace, node, "prune")
             faces = excluded(best.value)
+            if faces.all(axis=1).any():
+                return _trace(trace, node, "prune")
             fixed = faces.any(axis=1)
             fix = np.flatnonzero(fixed)
             try:
-                red = fix_variable(red, fix, faces[fix, 0])
+                red, values, pool = _fixed(red, values, pool, fix, faces[fix, 0])
             except InfeasibleFix:
                 return _trace(trace, node, "prune")
-            if faces.all(axis=1).any():
-                return _trace(trace, node, "prune")
-            values = values.copy()
-            values[np.flatnonzero(values < 0)[fix]] = faces[fix, 0]
-            index = np.full(len(fixed), -1)
-            index[~fixed] = np.arange(red.n)  # the fixed items leave
-            pool, x_frac, fixes = _remap(pool, index), np.asarray(x_frac)[~fixed], fixes + len(fix)
+            x_frac, fixes = np.asarray(x_frac)[~fixed], fixes + len(fix)
 
         note = f" fix {fixes}" if fixes else ""
         ipm.COUNTS["fixes"] += fixes
-        if leaf:
+        if red.k <= bnp_k:
             stopped = False
             try:
                 # a reduced objective, offset included, is the root objective
@@ -415,24 +420,19 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
 
         # branch on the most fractional coordinate of the items left
         v = int(np.argmin(np.abs(0.5 - x_frac)))
-        orig_v = int(np.flatnonzero(values < 0)[v])
-        _trace(trace, node, f"branch x{orig_v}{note}")
-        child_pool = _remap(pool, np.insert(np.arange(red.n - 1), v, -1))  # v leaves
+        _trace(trace, node, f"branch x{np.flatnonzero(values < 0)[v]}{note}")
         for val in (1, 0):
             try:
-                child_red = fix_variable(red, v, val)
+                child = Node(*_fixed(red, values, pool, v, val), node.depth + 1, node.bound)
             except InfeasibleFix:
                 continue
-            child_values = values.copy()
-            child_values[orig_v] = val
-            child = Node(child_red, child_values, node.depth + 1, node.bound, child_pool)
             seq += 1
             heapq.heappush(heap, (-child.bound, -child.depth, seq, child))
         return None
 
     best = primal_heuristic(root, prep)
     evals = nodes = seq = 0
-    root_node = Node(root, np.full(root.n, -1), 0, float("inf"))
+    root_node = Node(root, np.full(root.n, -1), None, 0, float("inf"))
     heap = [(-root_node.bound, 0, seq, root_node)]
 
     while heap:

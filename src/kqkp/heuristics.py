@@ -127,15 +127,13 @@ def varfix_heuristic(inst: Instance, prep: Preprocessed, x_frac: np.ndarray,
     for eps in EPSILON_SCHEDULE:
         kept = x_frac >= eps
         free = np.flatnonzero(kept)
-        if len(free) < inst.k:
-            break  # reduced problem can no longer host k items
         if len(free) == last:
             continue  # the sets shrink as eps rises: the last one again
         last = len(free)
         sub = fix_variable(inst, np.flatnonzero(~kept), 0)
         sub_prep = preprocess(sub)
         if inst.k > sub_prep.k_max:
-            continue
+            break  # k_max only falls as the sets shrink: no later one hosts k items
         sub_sel = np.nonzero(primal_heuristic(sub, sub_prep).x)[0]
         lifted = _swap_descent(inst.C, inst.a, inst.b, free[sub_sel].tolist())
         cand = _to_incumbent(inst, lifted, VARFIX)

@@ -65,8 +65,9 @@ class RelaxationData:
 
 
 def build(inst: Instance) -> RelaxationData:
-    """Relaxation data of ``inst``, which must have k <= k_max (every caller
-    checks that first); b == b', k in {0, 1, n} and n == 2k are handled here."""
+    """Relaxation data of ``inst``, which must have k <= k_max (``kqkp bound``
+    checks that first, and every node of ``bnb.solve`` has it); b == b',
+    k in {0, 1, n} and n == 2k are handled here."""
     b_prime = preprocess(inst).b_prime
     sub, x_fixed, free = inst, np.zeros(inst.n), np.arange(inst.n)
     pad = inst.b + 1

@@ -427,25 +427,48 @@ class TestFixRounds:
 
 
 class TestNodeChecks:
-    def test_node_entering_above_k_max_is_traced_infeasible(self, monkeypatch):
-        # the root fixes 7 items and branches on x4; with item 4 taken, its
-        # x4 = 1 child has more items to choose than fit
+    def test_every_traced_node_fits_its_k(self, monkeypatch):
+        # the root fixes 7 items and branches on x4; with item 4 taken, an
+        # x4 = 1 child would have more items to choose than fit, so it is
+        # never queued
         inst = make_instance(12, 75, 33)
-        entered = []  # (action, the node's instance) per trace row
+        entered = []  # the instance of each traced node
         real = bnb._trace
 
         def trace(rows, node, action):
-            entered.append((action, node.reduced))
+            entered.append(node.reduced)
             return real(rows, node, action)
 
         monkeypatch.setattr(bnb, "_trace", trace)
         rep = solve(inst, SDP_CFG)
         assert rep.best.value == enumerate_exact(inst).value
-        infeasible = [red for action, red in entered if action == "infeasible"]
-        assert infeasible and all(red.k > preprocess(red).k_max for red in infeasible)
-        # such a node runs no bound: its row carries the root's bound
-        assert all(row[0] == 1 and row[2] == rep.node_trace[0][2]
-                   for row in rep.node_trace if row[3] == "infeasible")
+        assert len(entered) == rep.nodes > 1
+        assert all(red.k <= preprocess(red).k_max for red in entered)
+
+    def test_node_with_both_faces_of_an_item_excluded_is_pruned_before_fixing(
+            self, monkeypatch):
+        # item 0 has both faces excluded, every other item one face: the
+        # root is pruned, and the face test fixes nothing
+        inst = make_instance(10, seed=2)
+        opt = enumerate_exact(inst)
+        x = np.zeros(inst.n, dtype=np.int64)
+        x[np.argsort(inst.a, kind="stable")[:inst.k]] = 1
+        weak = Incumbent(x, inst.objective(x), "primal")
+        assert weak.value < opt.value
+        faces = np.zeros((inst.n, 2), dtype=bool)
+        faces[np.arange(inst.n), 1 - opt.argmax] = True
+        faces[0] = True
+        fixed = []  # the items of every fix_variable call
+        real_bound, real_fix = bnb.node_bound, bnb.fix_variable
+        monkeypatch.setattr(bnb, "node_bound",
+                            lambda *args: (*real_bound(*args)[:4], lambda v: faces, "budget"))
+        monkeypatch.setattr(bnb, "fix_variable",
+                            lambda red, j, value: fixed.append(j) or real_fix(red, j, value))
+        monkeypatch.setattr(bnb, "primal_heuristic", lambda *args: weak)
+        monkeypatch.setattr(bnb, "varfix_heuristic", lambda *args: weak)
+        rep = solve(inst, SDP_CFG)
+        assert [row[3] for row in rep.node_trace] == ["prune"] and rep.nodes == 1
+        assert "fixes" not in rep.stats and fixed == []
 
     @pytest.mark.parametrize("n, density, seed, how", [
         (13, 100, 34, "k_max"),  # the fixes leave more items to choose than fit
