@@ -28,29 +28,32 @@ report's node trace; after fixes its action reads, say, ``branch x7 fix
 12`` or ``bnp_leaf fix 12``, with the items fixed over all rounds.
 
 The face test fixes variables from the node's own certified SDP dual, with
-no further evaluation (Helmberg, SIAM J. Matrix Anal. Appl. 21, 2000).  It
-bounds both faces x_j = 0 and x_j = 1 of every item from the dual of the
-bundle's best evaluation (``bundle.excluded_faces``); a face whose
-certified bound is prunable holds no selection that beats the incumbent,
-and an item that the b == b' reduction fixed has its other face excluded
-outright.  The node is pruned when both faces of an item are excluded.
-Otherwise every item with an excluded face is fixed to its other value
-(every exclusion is against the same incumbent, so all hold at once), the
-fixed items leave the pool and x_frac, and the node is pruned if the fixes
-leave no feasible selection.
+no further evaluation (Helmberg, SIAM J. Matrix Anal. Appl. 21, 2000).  The
+node's bundle runs it (``bundle.minimize`` with ``fixable``): it bounds
+both faces x_j = 0 and x_j = 1 of every item from the dual of the bundle's
+best evaluation, and a face whose certified bound is prunable holds no
+selection that beats the incumbent the bundle was given.  ``node_bound``
+returns the excluded faces as an array, with the other face of each item
+that the b == b' reduction fixed.  The node is pruned when both faces of
+an item are excluded.  Otherwise every item with an excluded face is fixed
+to its other value (every exclusion is against the same incumbent, so all
+hold at once), the fixed items leave the pool and x_frac, and the node is
+pruned if the fixes leave no feasible selection.  Where the heuristic
+raised the incumbent after the bound, the exclusions stay those at the
+old one: a face that cannot beat it cannot beat a better one.
 
-A node's bundle runs the same test at its pool updates and stops
+A node's bundle runs the test at its pool updates too and stops
 ``fixable`` once it would fix at least ``bundle.FIX_SHARE`` of the
 relaxation.  That round skips the heuristic, whose fractional point is
-then one evaluation old, so its face test reuses the bundle's, and the
-next round bounds the smaller face with the evaluations left, from the
-round's pool.  An IPM solve costs like n^3 in the free items, so the rest
-of the budget is cheaper there.  The excluded faces hold nothing above the
-incumbent, so after fixes the node's bound is the larger of the
-incumbent's value and the fixed face's bound, a valid bound on the node as
-reported.  A branch-and-prune leaf that finishes proves the incumbent's
-value as its node's bound only when no round ran: a fixed node keeps the
-bound its bundle proved, so a root's stays its SDP bound.
+then one evaluation old, and the next round bounds the smaller face with
+the evaluations left, from the round's pool.  An IPM solve costs like n^3
+in the free items, so the rest of the budget is cheaper there.  The
+excluded faces hold nothing above the incumbent, so after fixes the
+node's bound is the larger of the incumbent's value and the fixed face's
+bound, a valid bound on the node as reported.  A branch-and-prune leaf
+that finishes proves the incumbent's value as its node's bound only when
+no round ran: a fixed node keeps the bound its bundle proved, so a root's
+stays its SDP bound.
 
 Every child's bundle starts from its parent's final cut pool and
 multipliers, not from the empty pool: ``_fixed`` drops the cuts that touch
@@ -68,10 +71,10 @@ combinatorial upper bound against the best value so far (see
 ``branch_and_prune``).  It is exact for its subtree and takes over at the
 root for k <= 10 and at a node once the remaining cardinality drops to
 <= 5.  It reports only selections that beat the incumbent.  It honours the
-time limit like the rest of the search, and its best selection so far
-becomes the incumbent: stopped at the root, the solve returns the
-incumbent with no bound, and stopped below it, the node stays open with
-its bound.
+time limit like the rest of the search: it returns its best selection so
+far, which becomes the incumbent, with a flag that says it did not finish.
+Stopped at the root, the solve returns the incumbent with no bound, and
+stopped below it, the node stays open with its bound.
 """
 
 from __future__ import annotations
@@ -132,17 +135,8 @@ class SolveReport:
     open_bound: float
     node_trace: list = field(default_factory=list)
     # the counters of ``ipm.COUNTS`` that moved during the solve: the IPM's,
-    # the bundle's stop reasons and the face test's fixes
+    # the bundle's stop reasons, the face tests and their fixes
     stats: dict = field(default_factory=dict)
-
-
-class TimeLimitReached(Exception):
-    """A deadline stopped branch-and-prune; ``best`` is its best selection
-    above the floor by then, or None."""
-
-    def __init__(self, best: Incumbent | None = None):
-        super().__init__("time limit reached")
-        self.best = best
 
 
 def _gain_table(C: np.ndarray, k: int) -> np.ndarray:
@@ -167,7 +161,7 @@ def _gain_table(C: np.ndarray, k: int) -> np.ndarray:
 
 
 def branch_and_prune(inst: Instance, floor: float = float("-inf"),
-                     deadline: float | None = None) -> Incumbent | None:
+                     deadline: float | None = None) -> tuple:
     """Exhaustive DFS pruned by feasibility and an upper bound; exact for its input.
 
     Branches x_j = 1 before x_j = 0 in index order; prunes on remaining
@@ -178,10 +172,11 @@ def branch_and_prune(inst: Instance, floor: float = float("-inf"),
     q != j), where R_j = sum of C_jc over the chosen c is kept
     incrementally.  A subtree is cut only when that bound does not exceed
     the best value so far, so the search finds the selection a
-    feasibility-only DFS would.  Returns the best selection whose value, in
-    the instance's units (offset included), exceeds ``floor``, or None if
-    there is none.  Past ``deadline`` (a ``time.perf_counter()`` value) it
-    raises TimeLimitReached carrying the best such selection found so far.
+    feasibility-only DFS would.  Returns (best, finished): ``best`` is the
+    best selection whose value, in the instance's units (offset included),
+    exceeds ``floor``, or None if there is none, and ``finished`` is False
+    when ``deadline`` (a ``time.perf_counter()`` value) stopped the search
+    first, with ``best`` the best such selection found by then.
     """
     n, k, a, b = inst.n, inst.k, inst.a, inst.b
     a_int = a.astype(np.int64)
@@ -212,7 +207,7 @@ def branch_and_prune(inst: Instance, floor: float = float("-inf"),
             calls += 1
             if calls % DEADLINE_CHECK_CALLS == 0 and deadline is not None \
                     and time.perf_counter() > deadline:
-                raise TimeLimitReached
+                raise TimeoutError  # unwinds the recursion; caught below
             if need == 0:
                 total = value + inst.offset
                 if total > best_val:
@@ -239,19 +234,16 @@ def branch_and_prune(inst: Instance, floor: float = float("-inf"),
                 R2 -= C2[i]
                 chosen.pop()
 
-    def best():
-        if best_sel is None:
-            return None
-        x = np.zeros(n, dtype=np.int64)
-        x[best_sel] = 1
-        return Incumbent(x, inst.objective(x), BRANCH_LEAF)
-
+    finished = True
     try:
         rec(0, 0, 0)
-    except TimeLimitReached as stop:
-        stop.best = best()
-        raise
-    return best()
+    except TimeoutError:
+        finished = False
+    if best_sel is None:
+        return None, finished
+    x = np.zeros(n, dtype=np.int64)
+    x[best_sel] = 1
+    return Incumbent(x, inst.objective(x), BRANCH_LEAF), finished
 
 
 def _lift_incumbent(root: Instance, values: np.ndarray, sub: Incumbent) -> Incumbent:
@@ -291,7 +283,7 @@ def _fixed(red: Instance, values: np.ndarray, pool: tuple, items, vals) -> tuple
 def node_bound(inst: Instance, lower_bound: float, max_evals: int,
                cuts_per_update: int | None = None, deadline: float | None = None,
                pool: tuple | None = None, fixable: bool = False):
-    """Bundle bound for an instance: (bound, x_frac, evals, pool, excluded, reason).
+    """Bundle bound for an instance: (bound, x_frac, evals, pool, faces, reason).
 
     The arguments are ``bundle.minimize``'s, on the instance's items (one
     evaluation gives the plain SDP bound), and ``reason`` is its stop
@@ -302,37 +294,29 @@ def node_bound(inst: Instance, lower_bound: float, max_evals: int,
     x_frac is its best selection, the bound that selection's value, with 0
     evaluations, the empty pool and the reason ``exact``.
 
-    ``excluded(value)`` is the face test: an (n, 2) bool array, True at [j,
-    v] where no selection with x_j = v is worth more than ``value``.  An
-    item that the b == b' reduction fixed has its other face excluded; every
-    other face is excluded by its certified bound from the dual of the
-    bundle's best evaluation (``bundle.excluded_faces``), so the test runs
-    no further evaluation; at ``lower_bound`` it reuses the bundle's own
-    test where there is one.  At dimension 0 it excludes nothing.
+    ``faces`` is the face test at ``lower_bound``: an (n, 2) bool array,
+    True at [j, v] where no selection with x_j = v is worth more than
+    ``lower_bound``.  At dimension 0 it is all False.  Otherwise an item
+    that the b == b' reduction fixed has its other face excluded, and with
+    ``fixable`` so is every face that the bundle excluded at its stop by a
+    certified bound from the dual of its best evaluation
+    (``bundle.minimize``; none after a ``pruned`` stop).
     """
+    faces = np.zeros((inst.n, 2), dtype=bool)
     data = relaxation.build(inst)
     if data.dim == 0:
         return (int(data.const_term), data.x_fixed, 0,
-                (np.zeros((0, 4), dtype=np.int64), np.zeros(0)),
-                lambda value: np.zeros((inst.n, 2), dtype=bool), "exact")
+                (np.zeros((0, 4), dtype=np.int64), np.zeros(0)), faces, "exact")
     res = bundle_mod.minimize(data, lower_bound, max_evals, cuts_per_update, deadline,
                               None if pool is None else _remap(pool, data.coord_of_item),
                               fixable)
-
-    def excluded(value: float) -> np.ndarray:
-        out = np.zeros((inst.n, 2), dtype=bool)
-        fixed = np.flatnonzero(data.coord_of_item < 0)
-        out[fixed, 1 - data.x_fixed[fixed].astype(int)] = True
-        if res.dual is not None:
-            faces = res.faces
-            if faces is None or value != lower_bound:
-                faces = bundle_mod.excluded_faces(data, res.dual, value)
-            item = data.item_of_coord
-            out[item[item >= 0]] = faces[item >= 0]
-        return out
-
+    fixed = np.flatnonzero(data.coord_of_item < 0)
+    faces[fixed, 1 - data.x_fixed[fixed].astype(int)] = True
+    if res.faces is not None:
+        item = data.item_of_coord
+        faces[item[item >= 0]] = res.faces[item >= 0]
     return (res.bound, relaxation.extract_fractional(res.X_last, data), res.evals,
-            _remap((res.pool, res.gamma), data.item_of_coord), excluded, res.reason)
+            _remap((res.pool, res.gamma), data.item_of_coord), faces, res.reason)
 
 
 def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
@@ -373,7 +357,7 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         red, values, pool = node.reduced, node.values, node.pool
         fixes, reason = 0, None  # reason: the last round's bundle stop, None before one
         while red.k > bnp_k and reason in (None, "fixable"):
-            nb, x_frac, used, pool, excluded, reason = node_bound(
+            nb, x_frac, used, pool, faces, reason = node_bound(
                 red, best.value, budget, cfg.cuts_per_update, deadline, pool, True)
             evals += used
             budget -= used
@@ -385,10 +369,9 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
                 cand = _lift_incumbent(root, values, varfix_heuristic(red, preprocess(red), x_frac))
                 if cand.value > best.value:
                     best = cand
-            if bundle_mod.prunable(node.bound, best.value):
-                return _trace(trace, node, "prune")
-            faces = excluded(best.value)
-            if faces.all(axis=1).any():
+            # faces excluded at the incumbent the bundle was given hold nothing
+            # above a better one either
+            if bundle_mod.prunable(node.bound, best.value) or faces.all(axis=1).any():
                 return _trace(trace, node, "prune")
             fixed = faces.any(axis=1)
             fix = np.flatnonzero(fixed)
@@ -401,22 +384,18 @@ def solve(inst: Instance, config: SolverConfig | None = None) -> SolveReport:
         note = f" fix {fixes}" if fixes else ""
         ipm.COUNTS["fixes"] += fixes
         if red.k <= bnp_k:
-            stopped = False
-            try:
-                # a reduced objective, offset included, is the root objective
-                # of the lifted selection, so the incumbent is the floor as is
-                sub = branch_and_prune(red, best.value, deadline)
-            except TimeLimitReached as stop:
-                sub, stopped = stop.best, True
+            # a reduced objective, offset included, is the root objective
+            # of the lifted selection, so the incumbent is the floor as is
+            sub, finished = branch_and_prune(red, best.value, deadline)
             if sub is not None:
                 best = _lift_incumbent(root, values, sub)
-            if not stopped and reason is None:
+            if finished and reason is None:
                 # nothing left in this subtree beats best; a fixed node keeps the
                 # bound its bundle proved, so a root's stays its SDP bound
                 node.bound = best.value
             _trace(trace, node, "bnp_leaf" + note)
             # the incumbent's value is no bound: the search did not finish
-            return time_limit_report(node.bound) if stopped else None
+            return None if finished else time_limit_report(node.bound)
 
         # branch on the most fractional coordinate of the items left
         v = int(np.argmin(np.abs(0.5 - x_frac)))

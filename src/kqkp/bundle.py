@@ -51,7 +51,8 @@ still a certified dual value.
 A search may ask the loop to stop at a pool update once the face test of
 its best dual (``excluded_faces``) would fix at least FIX_SHARE of the
 relaxation's coordinates (``fixable``), so that it bounds the smaller face
-with the rest of the budget.  The other stops are ``pruned`` (the bound
+with the rest of the budget; that test of the best dual then comes out at
+every stop but ``pruned``.  The other stops are ``pruned`` (the bound
 proves the node prunable), ``no_cuts``, ``budget`` and ``stalled``.
 
 Two values come out of each oracle call: the primal objective at X* (used
@@ -111,8 +112,9 @@ class BundleResult:
     gamma: np.ndarray  # the center's multipliers, one per row of pool
     evals: int
     reason: str  # pruned | fixable | stalled | budget | no_cuts
-    dual: tuple  # the ``dual`` of the evaluation whose bound is ``bound``
-    # excluded_faces of ``dual`` at the lower bound, where the loop computed them
+    # with ``fixable``, excluded_faces at the lower bound of the ``dual`` of
+    # the evaluation whose bound is ``bound``; None after a ``pruned`` stop
+    # or without ``fixable``
     faces: np.ndarray | None
 
 
@@ -353,8 +355,9 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
     before the update, when it excludes a face of at least FIX_SHARE of the
     coordinates: the caller then fixes those items and bounds the smaller
     face with the evaluations left.  The update restarts the model anyway,
-    so the stop loses only the IPM restart.  The result's ``faces`` holds
-    the last such test while the best evaluation has not changed since.
+    so the stop loses only the IPM restart.  At every stop but ``pruned``
+    the result's ``faces`` holds that test of the best dual, which the stop
+    runs once more only when no test ran since the best evaluation.
     """
     m = min(5 * relax.dim, 300) if cuts_per_update is None else cuts_per_update
     cuts, cand = (np.zeros((0, 4), dtype=np.int64), np.zeros(0)) if pool is None else pool
@@ -431,5 +434,7 @@ def minimize(relax: RelaxationData, lower_bound: float, max_evals: int,
         # a value above this makes the step null and its bound no better
         target = max(f_center - DESCENT_RATIO * predicted, best_bound)
 
+    if fixable and reason != "pruned" and faces is None:
+        faces = excluded_faces(relax, dual, lower_bound)
     ipm.COUNTS[f"stop_{reason}"] += 1
-    return BundleResult(best_bound, X_center, cuts, center, evals, reason, dual, faces)
+    return BundleResult(best_bound, X_center, cuts, center, evals, reason, faces)

@@ -90,10 +90,11 @@ process (a Counter's item update costs about twice as much):
 Cholesky tests (``chol``), exact step lengths below the last rung
 (``fallbacks``) and, once per ``solve`` call, the iterations of both
 attempts (``iters``), the final status, and whether the call restarted
-(``restarted``) and solved again cold (``cold_reruns``).
-``bundle.minimize`` adds its stop reason (``stop_<reason>``) and
-``bnb.solve`` its face test's fixes (``fixes``); a solve report's
-``stats`` is the difference over the solve (``counts_since``).
+(``restarted``) and solved again cold (``cold_reruns``), and each face
+test (``face_tests``, one ``face_bounds`` call).  ``bundle.minimize``
+adds its stop reason (``stop_<reason>``) and ``bnb.solve`` its face
+test's fixes (``fixes``); a solve report's ``stats`` is the difference
+over the solve (``counts_since``).
 """
 
 from __future__ import annotations
@@ -363,6 +364,7 @@ def face_bounds(data: RelaxationData, y: np.ndarray, C: np.ndarray,
     rank-2 mu F_c; delta = 1e-9 max |w| keeps that Cholesky test off the
     singular boundary of the mu chosen.
     """
+    COUNTS["face_tests"] += 1
     n = data.dim
     B = _border(data.a_bar)
     rhs = np.concatenate([np.ones(n), [data.rhs_card], [data.rhs_cap]])

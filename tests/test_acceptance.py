@@ -226,7 +226,7 @@ def test_criterion_09_branch_and_prune(suite):
     for inst, opt in suite:
         if inst.k <= 5:
             small += 1
-            ok &= branch_and_prune(inst).value == opt
+            ok &= branch_and_prune(inst)[0].value == opt
     cfg_sdp = SolverConfig(bnp_root_k=0, bnp_node_k=0)
     cross = 0
     for inst, opt in suite:

@@ -29,14 +29,14 @@ class TestBranchAndPrune:
             inst = make_instance(12, seed=seed)
             if inst.k > 5:
                 inst = Instance(min(inst.k, 5), inst.a, inst.b, inst.C)
-            out = branch_and_prune(inst)
-            assert out.value == enumerate_exact(inst).value
+            out, finished = branch_and_prune(inst)
+            assert finished and out.value == enumerate_exact(inst).value
             assert inst.is_feasible(out.x)
 
     def test_k_equals_n(self):
         a = np.array([1, 2, 3])
         inst = Instance(3, a, 6, np.ones((3, 3), dtype=np.int64))
-        out = branch_and_prune(inst)
+        out, _ = branch_and_prune(inst)
         assert np.array_equal(out.x, [1, 1, 1])
         # one selection: below the thresholds the root's exact bound is the answer
         rep = solve(inst, SDP_CFG)
@@ -46,9 +46,9 @@ class TestBranchAndPrune:
     def test_floor_contract(self):
         inst = make_instance(8, seed=2)
         opt = enumerate_exact(inst).value
-        assert branch_and_prune(inst, floor=opt) is None
-        out = branch_and_prune(inst, floor=opt - 1)
-        assert out.value == opt and inst.is_feasible(out.x)
+        assert branch_and_prune(inst, floor=opt) == (None, True)
+        out, finished = branch_and_prune(inst, floor=opt - 1)
+        assert finished and out.value == opt and inst.is_feasible(out.x)
 
     def test_time_limit_carries_only_selections_above_floor(self):
         # k = 10 of n = 100: the bounded search runs far past its first
@@ -57,9 +57,8 @@ class TestBranchAndPrune:
         assert inst.k == 10
 
         def stopped_at(floor):
-            with pytest.raises(bnb.TimeLimitReached) as stop:
-                branch_and_prune(inst, floor, deadline=time.perf_counter() - 1)
-            best = stop.value.best
+            best, finished = branch_and_prune(inst, floor, deadline=time.perf_counter() - 1)
+            assert not finished
             # the contract: None, or a feasible selection above the floor
             # whose value is its objective
             if best is not None:
@@ -75,7 +74,7 @@ class TestBranchAndPrune:
     def test_respects_offset(self):
         inst0 = make_instance(8, seed=3)
         inst = Instance(inst0.k, inst0.a, inst0.b, inst0.C, offset=42)
-        out = branch_and_prune(inst)
+        out, _ = branch_and_prune(inst)
         assert out.value == enumerate_exact(inst0).value + 42
 
 
@@ -104,12 +103,12 @@ def _assert_same_as_reference(inst):
     the floors -inf, opt - 5, opt - 1 and opt."""
     x = feasibility_branch_and_prune(inst)
     if x is None:
-        assert branch_and_prune(inst) is None
+        assert branch_and_prune(inst) == (None, True)
         return
     opt = inst.objective(x)
     for floor in (float("-inf"), opt - 5, opt - 1, opt):
         ref = feasibility_branch_and_prune(inst, floor)
-        out = branch_and_prune(inst, floor)
+        out, _ = branch_and_prune(inst, floor)
         if ref is None:
             assert out is None
         else:
@@ -324,19 +323,18 @@ class TestFaceTest:
         best = face_optima(inst)
         opt = enumerate_exact(inst)
         assert best.max() == opt.value
-        _, _, _, _, excluded, _ = bnb.node_bound(inst, float("-inf"), bnb.NODE_EVALS)
         for value in (opt.value - 1, int(0.98 * opt.value)):
-            out = excluded(value)
-            assert not (out & (best > value)).any()
-        out = excluded(opt.value - 1)
-        assert out.any()  # the test is not vacuous
-        # the optimum's own faces hold a selection above opt - 1
-        assert not out[np.arange(inst.n), opt.argmax].any()
+            *_, out, reason = bnb.node_bound(inst, value, bnb.NODE_EVALS, fixable=True)
+            assert reason != "pruned" and not (out & (best > value)).any()
+            if value == opt.value - 1:
+                assert out.any()  # the test is not vacuous
+                # the optimum's own faces hold a selection above opt - 1
+                assert not out[np.arange(inst.n), opt.argmax].any()
 
     def test_dimension_zero_excludes_nothing(self):
         inst = k_lightest_instance("all_tied_unique")
         assert relaxation.build(inst).dim == 0
-        assert not bnb.node_bound(inst, float("-inf"), bnb.NODE_EVALS)[4](-1e9).any()
+        assert not bnb.node_bound(inst, -1e9, bnb.NODE_EVALS, fixable=True)[4].any()
 
     def test_node_with_every_item_fixed_takes_the_selection_left(self, monkeypatch):
         # the heuristics find only the k lightest items, and the face test
@@ -350,7 +348,7 @@ class TestFaceTest:
         faces = np.zeros((inst.n, 2), dtype=bool)
         faces[np.arange(inst.n), 1 - opt.argmax] = True
         real = bnb.node_bound
-        monkeypatch.setattr(bnb, "node_bound", lambda *args: (*real(*args)[:4], lambda v: faces, "budget"))
+        monkeypatch.setattr(bnb, "node_bound", lambda *args: (*real(*args)[:4], faces, "budget"))
         monkeypatch.setattr(bnb, "primal_heuristic", lambda *args: weak)
         monkeypatch.setattr(bnb, "varfix_heuristic", lambda *args: weak)
         rep = solve(inst, SDP_CFG)
@@ -419,11 +417,9 @@ class TestFixRounds:
         calls = []
         real = ipm.face_bounds
         monkeypatch.setattr(ipm, "face_bounds", lambda *args: calls.append(1) or real(*args))
-        *_, excluded, reason = bnb.node_bound(inst, value, bnb.ROOT_EVALS, None, None, None, True)
-        assert reason == "fixable" and len(calls) == 1
-        assert excluded(value).any() and len(calls) == 1  # the bundle's own test
-        excluded(value + 1)
-        assert len(calls) == 2
+        *_, faces, reason = bnb.node_bound(inst, value, bnb.ROOT_EVALS, None, None, None, True)
+        # the faces are the bundle's own test at the stop, not run again
+        assert reason == "fixable" and len(calls) == 1 and faces.any()
 
 
 class TestNodeChecks:
@@ -461,7 +457,7 @@ class TestNodeChecks:
         fixed = []  # the items of every fix_variable call
         real_bound, real_fix = bnb.node_bound, bnb.fix_variable
         monkeypatch.setattr(bnb, "node_bound",
-                            lambda *args: (*real_bound(*args)[:4], lambda v: faces, "budget"))
+                            lambda *args: (*real_bound(*args)[:4], faces, "budget"))
         monkeypatch.setattr(bnb, "fix_variable",
                             lambda red, j, value: fixed.append(j) or real_fix(red, j, value))
         monkeypatch.setattr(bnb, "primal_heuristic", lambda *args: weak)
@@ -508,8 +504,9 @@ class TestNodeChecks:
 class TestDeadlineInLeaf:
     @pytest.mark.parametrize("n, density, seed, action, beats", [
         (12, 50, 3, "bnp_leaf", True),  # a leaf entered with k <= bnp_node_k
-        (20, 75, 19, "bnp_leaf fix 8", True),  # a leaf reached after fix rounds
-        (20, 50, 4, "bnp_leaf fix 5", False),  # one with nothing above the incumbent
+        (20, 100, 34, "bnp_leaf fix 8", True),  # a leaf reached after fix rounds
+        (20, 75, 19, "bnp_leaf fix 7", False),  # one with nothing above the incumbent
+        (20, 50, 4, "bnp_leaf fix 6", False),  # the same at d = 50
         (15, 75, 0, "bnp_leaf fix 5", False),  # the same at n = 15
     ])
     def test_time_limit_stops_a_leaf_below_the_root(
@@ -522,9 +519,10 @@ class TestDeadlineInLeaf:
         stops = []  # (floor, the stopped search's selection)
 
         def branch_and_prune(red, floor=float("-inf"), deadline=None):
-            sub = real(red, floor)
+            sub, finished = real(red, floor)
+            assert finished
             stops.append((floor, sub))
-            raise bnb.TimeLimitReached(sub)
+            return sub, False
 
         monkeypatch.setattr(bnb, "branch_and_prune", branch_and_prune)
         rep = solve(inst, SolverConfig(bnp_root_k=0))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kqkp import bundle, cli, generator, ipm, relaxation
+from kqkp import bnb, bundle, cli, generator, ipm, relaxation
 from kqkp.bnb import SolverConfig
 from kqkp.heuristics import primal_heuristic
 from kqkp.instance import Instance, dump, load, preprocess
@@ -187,6 +187,22 @@ class TestBound:
         path = _write(tmp_path, make_instance(14, seed=4))
         _, out = _run(capsys, ["bound", str(path), "--mode", mode])
         assert len(calls) == json.loads(out)["evals"] >= 1
+
+    def test_sdpmet_runs_no_face_test(self, tmp_path, capsys, monkeypatch):
+        # a bound is no search node, so its bundle tests no face; the same
+        # bundle at a search node does
+        calls = []
+        real = ipm.face_bounds
+        monkeypatch.setattr(ipm, "face_bounds", lambda *args: calls.append(1) or real(*args))
+        inst = make_instance(14, seed=4)
+        path = _write(tmp_path, inst)
+        _, out = _run(capsys, ["bound", str(path), "--mode", "sdpmet"])
+        payload = json.loads(out)
+        assert payload["evals"] > 1 and calls == []
+        assert "face_tests" not in payload["stats"]
+        value = primal_heuristic(inst, preprocess(inst)).value
+        bnb.node_bound(inst, value, bnb.ROOT_EVALS, fixable=True)
+        assert calls
 
     def test_time_limit_honoured(self, tmp_path, capsys):
         inst = generator.generate(generator.GenSpec(n=30, density_percent=50, seed=1))

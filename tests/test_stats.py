@@ -13,8 +13,9 @@ from conftest import make_instance
 
 def wrapped_counts(monkeypatch) -> Counter:
     """Wrap ``ipm.solve``, ``ipm._max_step``, ``ipm._is_pd``,
-    ``ipm._cold_point``, ``bundle.minimize`` (its stop reasons, ``fixable``
-    among them), and the search's ``fix_variable`` and ``_trace``; the
+    ``ipm._cold_point``, ``ipm.face_bounds``, ``bundle.minimize`` (its stop
+    reasons, ``fixable`` among them), and the search's ``fix_variable`` and
+    ``_trace``; the
     returned Counter fills with what each call did, under the names of
     ``ipm.COUNTS``.  Its ``cold_starts`` minus the calls that did not restart
     are the reruns.  A node's ``fixes`` are the items of each round's face
@@ -24,6 +25,7 @@ def wrapped_counts(monkeypatch) -> Counter:
     counts = Counter()
     solve, minimize = ipm.solve, bundle.minimize
     max_step, is_pd, cold_point = ipm._max_step, ipm._is_pd, ipm._cold_point
+    face_bounds = ipm.face_bounds
     fix_variable, trace = bnb.fix_variable, bnb._trace
     round_fixes = []  # the node's fixes so far, one entry per round
 
@@ -62,6 +64,7 @@ def wrapped_counts(monkeypatch) -> Counter:
     monkeypatch.setattr(ipm, "_max_step", count("fallbacks", max_step))
     monkeypatch.setattr(ipm, "_is_pd", count("chol", is_pd))
     monkeypatch.setattr(ipm, "_cold_point", count("cold_starts", cold_point))
+    monkeypatch.setattr(ipm, "face_bounds", count("face_tests", face_bounds))
     monkeypatch.setattr(bnb, "fix_variable", count_fix)
     monkeypatch.setattr(bnb, "_trace", count_trace)
     return counts
@@ -104,7 +107,7 @@ def test_tree_stats_equal_the_wrappers_counts(monkeypatch, name):
     assert rep.stats == reference(counts)
     assert rep.stats["fixes"] == traced_fixes(rep.node_trace)
     assert rep.stats["fixes"] > 0 and rep.stats["restarted"] > 0
-    assert rep.stats["stop_fixable"] > 0
+    assert rep.stats["stop_fixable"] > 0 and rep.stats["face_tests"] > 0
 
 
 def test_node_bound_counts_equal_the_wrappers_counts(monkeypatch):
