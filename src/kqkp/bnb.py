@@ -68,13 +68,15 @@ For small cardinalities no relaxation is solved at all: a depth-first
 branch-and-prune enumerates selections, fixing variables to one first and
 pruning by cardinality/capacity feasibility, as in the paper, and by a
 combinatorial upper bound against the best value so far (see
-``branch_and_prune``).  It is exact for its subtree and takes over at the
-root for k <= 10 and at a node once the remaining cardinality drops to
-<= 5.  It reports only selections that beat the incumbent.  It honours the
-time limit like the rest of the search: it returns its best selection so
-far, which becomes the incumbent, with a flag that says it did not finish.
-Stopped at the root, the solve returns the incumbent with no bound, and
-stopped below it, the node stays open with its bound.
+``branch_and_prune``).  It branches on the items in gain order, the most
+profitable first, and returns its selection in its caller's item labels.
+It is exact for its subtree and takes over at the root for k <= 10 and at
+a node once the remaining cardinality drops to <= 5.  It reports only
+selections that beat the incumbent.  It honours the time limit like the
+rest of the search: it returns its best selection so far, which becomes
+the incumbent, with a flag that says it did not finish.  Stopped at the
+root, the solve returns the incumbent with no bound, and stopped below it,
+the node stays open with its bound.
 """
 
 from __future__ import annotations
@@ -160,27 +162,42 @@ def _gain_table(C: np.ndarray, k: int) -> np.ndarray:
     return gain
 
 
+def _gain_order(C: np.ndarray, k: int) -> np.ndarray:
+    """The items in decreasing order of their root gain, C_jj plus the k - 1
+    largest C_jq over q != j (the p = 0 row of ``_gain_table``); a stable
+    sort, so ties keep index order."""
+    off = np.array(C, dtype=np.int64)
+    np.fill_diagonal(off, 0)
+    top = -np.sort(-off, axis=1)[:, :max(min(k, len(off)) - 1, 0)]
+    return np.argsort(-(np.diag(C) + top.sum(axis=1)), kind="stable")
+
+
 def branch_and_prune(inst: Instance, floor: float = float("-inf"),
                      deadline: float | None = None) -> tuple:
     """Exhaustive DFS pruned by feasibility and an upper bound; exact for its input.
 
-    Branches x_j = 1 before x_j = 0 in index order; prunes on remaining
-    cardinality, on the lightest possible completion exceeding capacity, and
-    on a bound: with ``need`` items left to choose among positions i..n-1,
-    no completion is worth more than the current value plus the ``need``
+    The items are relabeled once, in gain order (``_gain_order``), so strong
+    items are branched on first and leave the suffix bound early.  Branches
+    x_j = 1 before x_j = 0 in that order; prunes on remaining cardinality,
+    on the lightest possible completion exceeding capacity, and on a bound:
+    with ``need`` items left to choose among positions i..n-1, no
+    completion is worth more than the current value plus the ``need``
     largest gains g_j = C_jj + 2 R_j + (the need - 1 largest C_jq, q >= i,
     q != j), where R_j = sum of C_jc over the chosen c is kept
     incrementally.  A subtree is cut only when that bound does not exceed
     the best value so far, so the search finds the selection a
-    feasibility-only DFS would.  Returns (best, finished): ``best`` is the
-    best selection whose value, in the instance's units (offset included),
-    exceeds ``floor``, or None if there is none, and ``finished`` is False
-    when ``deadline`` (a ``time.perf_counter()`` value) stopped the search
-    first, with ``best`` the best such selection found by then.
+    feasibility-only DFS over the items in gain order would.  Returns
+    (best, finished): ``best`` is the best selection, in the caller's item
+    labels, whose value, in the instance's units (offset included), exceeds
+    ``floor``, or None if there is none, and ``finished`` is False when
+    ``deadline`` (a ``time.perf_counter()`` value) stopped the search first,
+    with ``best`` the best such selection found by then.  The loop steps
+    are added to ``ipm.COUNTS["bnp_steps"]``.
     """
-    n, k, a, b = inst.n, inst.k, inst.a, inst.b
-    a_int = a.astype(np.int64)
-    C = np.asarray(inst.C, dtype=np.int64)
+    n, k, b = inst.n, inst.k, inst.b
+    order = _gain_order(inst.C, k)
+    a_int = inst.a.astype(np.int64)[order]
+    C = np.asarray(inst.C, dtype=np.int64)[np.ix_(order, order)]
     # suffix_light[j][r] = weight of the r lightest items among positions j..n-1
     suffix_light = []
     for j in range(n + 1):
@@ -239,10 +256,11 @@ def branch_and_prune(inst: Instance, floor: float = float("-inf"),
         rec(0, 0, 0)
     except TimeoutError:
         finished = False
+    ipm.COUNTS["bnp_steps"] += calls
     if best_sel is None:
         return None, finished
     x = np.zeros(n, dtype=np.int64)
-    x[best_sel] = 1
+    x[order[best_sel]] = 1
     return Incumbent(x, inst.objective(x), BRANCH_LEAF), finished
 
 

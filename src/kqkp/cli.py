@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -240,7 +241,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if payload["match"] else EXIT_BAD_INPUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves a parser as it found it."""
     parser = argparse.ArgumentParser(
         prog="kqkp",
         description="Exact solver for the k-item quadratic knapsack problem",

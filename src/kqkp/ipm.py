@@ -23,7 +23,10 @@ extension scipy.linalg._flapack, which ``_load_lapack`` finds in scipy's
 linalg directory and loads by itself: the scipy.linalg package init, which
 clones the numpy namespace and so loads numpy.f2py, numpy.testing and more,
 would cost every process about 0.2 s and 17 MB for wrappers that load in a
-few milliseconds.
+few milliseconds.  It is loaded at first use: ``lapack`` starts as a
+stand-in that loads the extension the first time one of its attributes is
+read and then takes its place, so a process that solves no relaxation (a
+root branch-and-prune solve) never maps LAPACK or imports scipy.
 
 All four step lengths, for X and for Z in the predictor and the corrector,
 come from one ladder search: the largest a in LADDER with P + a dP passing
@@ -92,9 +95,10 @@ Cholesky tests (``chol``), exact step lengths below the last rung
 attempts (``iters``), the final status, and whether the call restarted
 (``restarted``) and solved again cold (``cold_reruns``), and each face
 test (``face_tests``, one ``face_bounds`` call).  ``bundle.minimize``
-adds its stop reason (``stop_<reason>``) and ``bnb.solve`` its face
-test's fixes (``fixes``); a solve report's ``stats`` is the difference
-over the solve (``counts_since``).
+adds its stop reason (``stop_<reason>``), ``bnb.solve`` its face
+test's fixes (``fixes``) and ``bnb.branch_and_prune`` its loop steps
+(``bnp_steps``); a solve report's ``stats`` is the difference over the
+solve (``counts_since``).
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ from dataclasses import dataclass
 from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy
 
 from .relaxation import RelaxationData
 
@@ -116,11 +119,14 @@ from .relaxation import RelaxationData
 def _load_lapack():
     """scipy's f2py LAPACK wrappers, loaded without the scipy.linalg package.
 
-    The extension scipy.linalg._flapack is found in scipy's linalg directory
+    Called at first use (``lapack``), so scipy is imported only then.  The
+    extension scipy.linalg._flapack is found in scipy's linalg directory
     and loaded under its own name, so a later ``import scipy.linalg`` reuses
     it and ``scipy.linalg.lapack.dpotrf`` is this module's ``dpotrf``.  Where
     the file is not found, the public scipy.linalg.lapack is imported.
     """
+    import scipy
+
     name = "scipy.linalg._flapack"
     spec = PathFinder.find_spec(name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
     if spec is None:
@@ -131,7 +137,17 @@ def _load_lapack():
     return module
 
 
-lapack = _load_lapack()
+class _FirstUse:
+    """Stands in for ``lapack`` until its first attribute read, which loads
+    the extension and puts it in this module's ``lapack``."""
+
+    def __getattr__(self, attr):
+        global lapack
+        lapack = _load_lapack()
+        return getattr(lapack, attr)
+
+
+lapack = _FirstUse()
 
 OPTIMAL = "optimal"
 CUTOFF = "cutoff"

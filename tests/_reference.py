@@ -25,8 +25,10 @@ general-purpose SLSQP, where ``bundle._solve_model`` solves it exactly by an
 active-set method of its own; the package itself does not use
 ``scipy.optimize``.
 The reference branch-and-prune is the depth-first search pruned by
-feasibility only, without the upper bound of ``bnb.branch_and_prune``; it
-visits selections in the same order, so both must return the same one.
+feasibility only, without the upper bound of ``bnb.branch_and_prune``; run
+on the items in the order that ``bnb.branch_and_prune`` takes them (gain
+order, which the test applies), it visits selections in the same order, so
+both must return the same one.
 The rank-one lift of a binary selection is the feasible point of the
 relaxation that the identity tests of ``relaxation`` evaluate.
 Glover's linearization (Management Sci. 1975), solved by SciPy's MILP

@@ -77,6 +77,38 @@ class TestBranchAndPrune:
         out, _ = branch_and_prune(inst)
         assert out.value == enumerate_exact(inst0).value + 42
 
+    def test_same_value_under_relabeling(self, rng):
+        # the search relabels its items itself; its selection comes back in
+        # the caller's labels
+        for seed in range(12):
+            base = make_instance(8 + seed % 9, density=(25, 50, 75, 100)[seed % 4], seed=seed)
+            want = enumerate_exact(base).value
+            for _ in range(3):
+                perm = rng.permutation(base.n)
+                inst = Instance(base.k, base.a[perm], base.b, base.C[np.ix_(perm, perm)])
+                out, finished = branch_and_prune(inst)
+                assert finished and out.value == want
+                assert set(np.unique(out.x)) <= {0, 1} and out.x.sum() == inst.k
+                assert inst.a @ out.x <= inst.b
+                assert out.value == inst.objective(out.x)
+
+    def test_gain_order(self):
+        # root gains with k = 3: C_jj plus the two largest C_jq, q != j
+        C = np.array([[1, 0, 0, 0, 0],
+                      [0, 2, 3, 0, 4],
+                      [0, 3, 9, 0, 0],
+                      [0, 0, 0, 9, 0],
+                      [0, 4, 0, 0, 5]])
+        # gains 1, 9, 12, 9, 9: the largest first, then the ties in index order
+        np.testing.assert_array_equal(bnb._gain_order(C, 3), [2, 1, 3, 4, 0])
+        for seed in range(5):
+            inst = make_instance(14, seed=seed)
+            for k in (1, 2, inst.k, inst.n):
+                root_gain = bnb._gain_table(inst.C, k)[0, -1]
+                order = bnb._gain_order(inst.C, k)
+                assert root_gain[order[0]] == root_gain.max()
+                np.testing.assert_array_equal(order, np.argsort(-root_gain, kind="stable"))
+
 
 @st.composite
 def reduced_instances(draw):
@@ -98,16 +130,30 @@ def reduced_instances(draw):
     return Instance(k, inst.a, inst.b, inst.C, offset)
 
 
+def _gain_ordered_reference(inst, floor=float("-inf")):
+    """The feasibility-only search's selection over the items in gain
+    order, in the instance's own labels, or None."""
+    order = bnb._gain_order(inst.C, inst.k)
+    relabeled = Instance(inst.k, inst.a[order], inst.b, inst.C[np.ix_(order, order)],
+                         inst.offset)
+    x = feasibility_branch_and_prune(relabeled, floor)
+    if x is None:
+        return None
+    out = np.zeros_like(x)
+    out[order] = x
+    return out
+
+
 def _assert_same_as_reference(inst):
-    """branch_and_prune returns the feasibility-only search's selection at
-    the floors -inf, opt - 5, opt - 1 and opt."""
-    x = feasibility_branch_and_prune(inst)
+    """branch_and_prune returns the feasibility-only search's selection over
+    the items in gain order at the floors -inf, opt - 5, opt - 1 and opt."""
+    x = _gain_ordered_reference(inst)
     if x is None:
         assert branch_and_prune(inst) == (None, True)
         return
     opt = inst.objective(x)
     for floor in (float("-inf"), opt - 5, opt - 1, opt):
-        ref = feasibility_branch_and_prune(inst, floor)
+        ref = _gain_ordered_reference(inst, floor)
         out, _ = branch_and_prune(inst, floor)
         if ref is None:
             assert out is None

@@ -113,7 +113,9 @@ class TestSolve:
         assert inst.k <= SolverConfig().bnp_root_k
         _, out = _run(capsys, ["solve", str(_write(tmp_path, inst))])
         payload = json.loads(out)
-        assert (payload["nodes"], payload["evals"], payload["stats"]) == (1, 0, {})
+        assert (payload["nodes"], payload["evals"]) == (1, 0)
+        # the only work counted is the enumeration's
+        assert list(payload["stats"]) == ["bnp_steps"] and payload["stats"]["bnp_steps"] > 0
 
     def test_missing_file(self, capsys):
         assert cli.main(["solve", "/nonexistent/file.txt"]) == 1
@@ -320,20 +322,55 @@ class TestCheck:
         assert cli.main(["check", str(path)]) == 1
 
 
-@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg", "numpy.f2py"])
-def test_import_leaves_module_unloaded(module):
-    # the bundle subproblem has its own exact solver and the IPM loads only
-    # scipy's LAPACK extension; the scipy.optimize and scipy.linalg package
-    # inits (the latter loads numpy.f2py) would add to the start-up time and
-    # memory of every command.  The key is exact: the extension itself is
-    # registered as scipy.linalg._flapack
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter that imports kqkp
+    from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys, kqkp.cli; print({module!r} in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60).stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.linalg", "numpy.f2py",
+                                    "scipy.linalg._flapack"])
+def test_import_leaves_module_unloaded(module):
+    # the bundle subproblem has its own exact solver and the IPM loads only
+    # scipy's LAPACK extension, at its first use; the scipy.optimize and
+    # scipy.linalg package inits (the latter loads numpy.f2py) and the
+    # extension would add to the start-up time and memory of every command
+    out = _fresh_python(f"import sys, kqkp.cli; print({module!r} in sys.modules)")
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("cmd, loaded", [(["solve"], False), (["bound", "--mode", "sdp"], True)])
+def test_lapack_loaded_only_by_a_relaxation(tmp_path, cmd, loaded):
+    # a root branch-and-prune solve bounds no relaxation, so it never maps LAPACK
+    inst = make_instance(20, seed=1)
+    assert inst.k <= SolverConfig().bnp_root_k
+    path = _write(tmp_path, inst)
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from kqkp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({[cmd[0], str(path), *cmd[1:]]!r})\n"
+        "print(code, 'scipy.linalg._flapack' in sys.modules)")
+    assert out.split() == ["0", str(loaded)]
+
+
+def test_parser_built_once(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # a usage error leaves the parser as it was for the next command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "F", "--bnp-root-k", "-3"])
+    assert exc.value.code == 2
+    assert "--bnp-root-k" in capsys.readouterr().err
+    inst = make_instance(12, seed=0)
+    code, out = _run(capsys, ["solve", str(_write(tmp_path, inst)), "--time-limit", "5"])
+    payload = json.loads(out)
+    assert (code, payload["status"]) == (cli.EXIT_OK, "Optimal")
+    assert payload["value"] == enumerate_exact(inst).value
+    assert payload["config"] == dataclasses.asdict(SolverConfig(time_limit_s=5))
 
 
 def test_version_flag(capsys):

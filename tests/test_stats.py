@@ -2,6 +2,7 @@
 against counts taken from outside by wrapping the counted functions."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,20 +15,24 @@ from conftest import make_instance
 def wrapped_counts(monkeypatch) -> Counter:
     """Wrap ``ipm.solve``, ``ipm._max_step``, ``ipm._is_pd``,
     ``ipm._cold_point``, ``ipm.face_bounds``, ``bundle.minimize`` (its stop
-    reasons, ``fixable`` among them), and the search's ``fix_variable`` and
-    ``_trace``; the
+    reasons, ``fixable`` among them), and the search's ``fix_variable``,
+    ``_trace``, ``branch_and_prune`` and clock; the
     returned Counter fills with what each call did, under the names of
     ``ipm.COUNTS``.  Its ``cold_starts`` minus the calls that did not restart
     are the reruns.  A node's ``fixes`` are the items of each round's face
     test (a ``fix_variable`` call on an array of items; branching fixes one
     item), added up when the node's trace row is written, unless the node
-    was pruned."""
+    was pruned.  ``bnp_steps`` are the clock reads inside
+    ``branch_and_prune``, which reads it at every loop step once
+    ``DEADLINE_CHECK_CALLS`` is 1 and a deadline is given."""
     counts = Counter()
     solve, minimize = ipm.solve, bundle.minimize
     max_step, is_pd, cold_point = ipm._max_step, ipm._is_pd, ipm._cold_point
     face_bounds = ipm.face_bounds
     fix_variable, trace = bnb.fix_variable, bnb._trace
+    branch_and_prune, clock = bnb.branch_and_prune, bnb.time.perf_counter
     round_fixes = []  # the node's fixes so far, one entry per round
+    in_bnp = [False]
 
     def count_solve(data, C, tol, start=None, cutoff=None):
         sol = solve(data, C, tol, start, cutoff)
@@ -53,6 +58,17 @@ def wrapped_counts(monkeypatch) -> Counter:
         round_fixes.clear()
         return trace(rows, node, action)
 
+    def count_bnp(*args):
+        in_bnp[0] = True
+        try:
+            return branch_and_prune(*args)
+        finally:
+            in_bnp[0] = False
+
+    def count_clock():
+        counts["bnp_steps"] += in_bnp[0]
+        return clock()
+
     def count(name, fn):
         def wrapper(*args):
             counts[name] += 1
@@ -67,13 +83,17 @@ def wrapped_counts(monkeypatch) -> Counter:
     monkeypatch.setattr(ipm, "face_bounds", count("face_tests", face_bounds))
     monkeypatch.setattr(bnb, "fix_variable", count_fix)
     monkeypatch.setattr(bnb, "_trace", count_trace)
+    monkeypatch.setattr(bnb, "branch_and_prune", count_bnp)
+    monkeypatch.setattr(bnb, "time", SimpleNamespace(perf_counter=count_clock))
+    monkeypatch.setattr(bnb, "DEADLINE_CHECK_CALLS", 1)
     return counts
 
 
 def reference(counts: Counter) -> dict:
     """The wrappers' counts as ``stats``: only counters that moved stay."""
     counts = counts.copy()
-    counts["cold_reruns"] = counts.pop("cold_starts") - (counts.pop("calls") - counts["restarted"])
+    counts["cold_reruns"] = (counts.pop("cold_starts", 0)
+                             - (counts.pop("calls", 0) - counts["restarted"]))
     return dict(+counts)
 
 
@@ -119,3 +139,19 @@ def test_node_bound_counts_equal_the_wrappers_counts(monkeypatch):
     calls = sum(stats.get(status, 0)
                 for status in ("optimal", "cutoff", "slow_progress", "iter_limit"))
     assert stats["iters"] > 0 and calls == evals
+
+
+@pytest.mark.parametrize("cfg", [bnb.SolverConfig(), bnb.SolverConfig(bnp_root_k=0)],
+                         ids=["root", "leaves"])
+def test_branch_and_prune_steps_equal_the_wrappers_counts(monkeypatch, cfg):
+    # n20 d50 s4 (k = 10): one root branch-and-prune under the defaults, and
+    # below it a tree with branch-and-prune leaves
+    counts = wrapped_counts(monkeypatch)
+    rep = bnb.solve(make_instance(20, 50, 4), cfg)
+    assert rep.status == bnb.STATUS_OPTIMAL
+    assert rep.stats == reference(counts)
+    assert rep.stats["bnp_steps"] > 0
+    if cfg.bnp_root_k:
+        assert list(rep.stats) == ["bnp_steps"]
+    else:
+        assert any(action.startswith("bnp_leaf") for *_, action in rep.node_trace)
